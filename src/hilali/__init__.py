@@ -32,7 +32,8 @@ from .koszul import (CrossCheckReport, HalperinBasis, PairingReport,
 from .model import (Classification, Derivation, Model, ValidationReport,
                     check_differential, check_minimal, classify, load_model,
                     lower_grading, model_from_dict, model_to_dict, pure_part,
-                    restrict_model, save_model, tensor_with_odd_line)
+                    read_model, restrict_model, save_model,
+                    tensor_with_odd_line)
 from .parsing import parse_expression
 
 __all__ = [name for name in dir() if not name.startswith("_")]

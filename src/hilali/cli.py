@@ -19,6 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
+from .algebra import format_element, restrict_element
 from .claims import CLAIMS, explain
 from .cohomology import (ChainComplex, betti, betti_complete,
                          certify_elliptic, euler_characteristics,
@@ -26,12 +27,13 @@ from .cohomology import (ChainComplex, betti, betti_complete,
 from .deformation import (flatness_check, perturb_and_reduce, standard_family,
                           tor_semicontinuity_check)
 from .errors import (ContradictionError, EngineError, IndeterminateError,
-                     ModelError, NotFiniteLengthError, ParseError)
-from .koszul import (duality_pairing, halperin_basis, is_regular_sequence,
-                     s_structure_from_halperin, tor_bounds_check, tor_table,
-                     tor_via_model_cross_check)
+                     ModelError)
+from .koszul import (duality_pairing, even_subring, halperin_basis,
+                     is_regular_sequence, s_structure_from_halperin,
+                     tor_bounds_check, tor_table, tor_via_model_cross_check)
 from .model import (check_differential, check_minimal, classify, load_model,
-                    pure_part)
+                    pure_part, read_model)
+from .parsing import parse_expression
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -41,16 +43,12 @@ EXIT_INDETERMINATE = 3
 CORPUS_FORMAT = "hilali-corpus/1"
 
 
-def _binom2(n: int) -> int:
-    return n * (n + 1) // 2
-
-
 def _verdict_branch(cls) -> tuple[str, bool, bool]:
     """Which arithmetic branch already certifies the inequality for a
     hyperelliptic model: the quadratic-count bound, the 2^r bound, or
     neither (full computation).  Exact integer comparisons throughout."""
     n, r = cls.n, cls.r
-    quadratic_count = 2 * (1 + n + _binom2(n) - (n + r)) >= 2 * n + r
+    quadratic_count = 2 * (1 + n + n * (n + 1) // 2 - (n + r)) >= 2 * n + r
     power_bound = 2 ** r >= 2 * n + r if r >= 0 else False
     if cls.is_hyperelliptic and r >= 0 and quadratic_count:
         return "quadratic-count", quadratic_count, power_bound
@@ -78,85 +76,76 @@ def _emit(doc: dict, text_lines: list[str], fmt: str) -> None:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-# -- individual commands --------------------------------------------------------
+# -- model commands ---------------------------------------------------------------
+#
+# Each model command is a pair: ``_X_results(model, args)`` builds the dict
+# that ``--format machine`` prints under "results", and ``_X_text(results)``
+# turns that dict into the text report and the exit code.  The corpus runner
+# checks manifests against the same results dicts.
 
 
-def _cmd_validate(args) -> int:
-    model = load_model_lenient(args.model)
+def _certificate_fields(cert) -> dict:
+    return {"elliptic": cert.elliptic,
+            "formal_dimension_bound": cert.formal_dimension_bound,
+            "length": cert.length, "socle_degree": cert.socle_degree}
+
+
+def _validate_results(model, args) -> dict:
     report = check_differential(model)
-    minimal = check_minimal(model) if report.passed else False
-    results = {
+    return {
         "passed": report.passed,
-        "minimal": minimal,
+        "minimal": check_minimal(model) if report.passed else False,
         "entries": [asdict(e) for e in report.entries],
     }
-    lines = [f"model: {model.name or args.model}"]
-    for e in report.entries:
-        status = "ok" if e.degree_ok and e.square_ok else "FAIL"
-        suffix = f"  [{e.message}]" if e.message else ""
-        lines.append(f"  {e.name:>8}  {status}{suffix}")
-    lines.append(f"differential: {'valid' if report.passed else 'INVALID'}")
-    if report.passed:
-        lines.append(f"minimal: {'yes' if minimal else 'no'}")
-    _emit(_report("validate", args.model, None, results), lines, args.format)
-    if not report.passed:
-        _diag("validation failed on: " +
-              ", ".join(e.name for e in report.failures()))
-        return EXIT_INPUT
-    return EXIT_OK
 
 
-def load_model_lenient(path: str):
-    """Load a model file without rejecting an invalid differential, so that
-    ``validate`` can report the failure rather than crash."""
-    from .model import MODEL_FORMAT, Model
-    try:
-        return load_model(path)
-    except ModelError:
-        # reload structurally and let check_differential report the details
-        import json as _json
-        from .algebra import universe
-        from .parsing import parse_expression
-        doc = _json.loads(Path(path).read_text())
-        if doc.get("format") != MODEL_FORMAT:
-            raise
-        uni = universe([(g["name"], int(g["degree"])) for g in doc["generators"]])
-        diff = {name: parse_expression(text, uni)
-                for name, text in (doc.get("differential") or {}).items()}
-        return Model(uni, diff, name=str(doc.get("name", "")))
+def _validate_text(results: dict) -> tuple[list[str], int]:
+    lines = []
+    failed = []
+    for e in results["entries"]:
+        ok = e["degree_ok"] and e["square_ok"]
+        if not ok:
+            failed.append(e["name"])
+        suffix = f"  [{e['message']}]" if e["message"] else ""
+        lines.append(f"  {e['name']:>8}  {'ok' if ok else 'FAIL'}{suffix}")
+    lines.append(f"differential: {'valid' if results['passed'] else 'INVALID'}")
+    if not results["passed"]:
+        _diag("validation failed on: " + ", ".join(failed))
+        return lines, EXIT_INPUT
+    lines.append(f"minimal: {'yes' if results['minimal'] else 'no'}")
+    return lines, EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    model = load_model(args.model)
-    cls = classify(model)
-    results = asdict(cls)
-    lines = [f"model: {model.name or args.model}",
-             f"  minimal:        {cls.is_minimal}",
-             f"  pure:           {cls.is_pure}",
-             f"  hyperelliptic:  {cls.is_hyperelliptic}",
-             f"  even gens (n):  {cls.n}",
-             f"  odd gens (n+r): {cls.n_plus_r}",
-             f"  r:              {cls.r}"]
-    if cls.r < 0:
+def _classify_results(model, args) -> dict:
+    return asdict(classify(model))
+
+
+def _classify_text(results: dict) -> tuple[list[str], int]:
+    lines = [f"  minimal:        {results['is_minimal']}",
+             f"  pure:           {results['is_pure']}",
+             f"  hyperelliptic:  {results['is_hyperelliptic']}",
+             f"  even gens (n):  {results['n']}",
+             f"  odd gens (n+r): {results['n_plus_r']}",
+             f"  r:              {results['r']}"]
+    if results["r"] < 0:
         lines.append("  note: r < 0 is incompatible with an elliptic model")
-    _emit(_report("classify", args.model, None, results), lines, args.format)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def _cohomology_results(model, max_degree: int | None, assume: bool,
-                        max_probe: int | None = None):
+def _cohomology_results(model, args) -> dict:
     cx = ChainComplex(model)
-    if assume:
-        if max_degree is None:
+    if args.assume_elliptic:
+        if args.max_degree is None:
             raise ModelError("--assume-elliptic requires --max-degree")
         cert = None
-        table = betti(model, max_degree, cx)
+        table = betti(model, args.max_degree, cx)
         complete = False
     else:
-        cert = certify_elliptic(model, max_probe=max_probe)
+        cert = certify_elliptic(model, max_probe=args.max_probe)
         if not cert.elliptic:
-            raise ModelError(f"not certified elliptic: {cert.evidence}; "
-                             "rerun with --assume-elliptic --max-degree N")
+            error = IndeterminateError if cert.indeterminate else ModelError
+            raise error(f"not certified elliptic: {cert.evidence}; "
+                        "rerun with --assume-elliptic --max-degree N")
         table = betti_complete(model, cert, cx)
         complete = True
     rows = []
@@ -180,22 +169,13 @@ def _cohomology_results(model, max_degree: int | None, assume: bool,
         results["poincare_symmetric"] = all(
             table[p] == table[bound - p] for p in range(bound + 1))
     if cert is not None:
-        results["certificate"] = {
-            "elliptic": cert.elliptic,
-            "formal_dimension_bound": cert.formal_dimension_bound,
-            "length": cert.length,
-            "socle_degree": cert.socle_degree,
-            "evidence": cert.evidence,
-        }
+        results["certificate"] = {**_certificate_fields(cert),
+                                  "evidence": cert.evidence}
     return results
 
 
-def _cmd_cohomology(args) -> int:
-    model = load_model(args.model)
-    results = _cohomology_results(model, args.max_degree, args.assume_elliptic,
-                                  args.max_probe)
-    lines = [f"model: {model.name or args.model}",
-             f"{'degree':>6} {'chain':>7} {'rank d':>7} {'betti':>6}"]
+def _cohomology_text(results: dict) -> tuple[list[str], int]:
+    lines = [f"{'degree':>6} {'chain':>7} {'rank d':>7} {'betti':>6}"]
     for row in results["rows"]:
         if row["chain_dim"] == 0 and row["betti"] == 0:
             continue
@@ -207,18 +187,15 @@ def _cmd_cohomology(args) -> int:
         lines.append(f"chi = {results['chi']}, chi_pi = {results['chi_pi']}")
     if "certificate" in results:
         lines.append("certificate: " + results["certificate"]["evidence"])
-    _emit(_report("cohomology", args.model, None, results), lines, args.format)
-    return EXIT_OK
+    return lines, EXIT_OK
 
 
-def _cmd_hilali(args) -> int:
-    model = load_model(args.model)
+def _hilali_results(model, args) -> dict:
     verdict = hilali_verdict(model, assume_elliptic=args.assume_elliptic,
                              max_degree=args.max_degree,
                              max_probe=args.max_probe)
-    cls = classify(model)
-    branch, quadratic_count, power_bound = _verdict_branch(cls)
-    results = {
+    branch, quadratic_count, power_bound = _verdict_branch(classify(model))
+    return {
         "dim_v": verdict.dim_v,
         "dim_h": verdict.dim_h,
         "holds": verdict.holds,
@@ -231,21 +208,20 @@ def _cmd_hilali(args) -> int:
                          "power_bound": power_bound},
         "dims": {str(p): d for p, d in sorted(verdict.table.dims.items())},
     }
-    lines = [f"model: {model.name or args.model}",
-             f"dim V = {verdict.dim_v}",
-             f"dim H = {verdict.dim_h}",
-             f"chi = {verdict.chi}, chi_pi = {verdict.chi_pi} "
-             f"(sign constraints {'ok' if verdict.signs_ok else 'VIOLATED'})",
-             f"certifying branch: {branch}",
-             f"verdict: dim V <= dim H {'HOLDS' if verdict.holds else 'FAILS'}"]
-    _emit(_report("hilali", args.model, None, results), lines, args.format)
-    if not verdict.holds or not verdict.signs_ok:
-        return EXIT_CLAIM_FAILED
-    return EXIT_OK
 
 
-def _cmd_tor(args) -> int:
-    model = load_model(args.model)
+def _hilali_text(results: dict) -> tuple[list[str], int]:
+    holds, signs_ok = results["holds"], results["signs_ok"]
+    lines = [f"dim V = {results['dim_v']}",
+             f"dim H = {results['dim_h']}",
+             f"chi = {results['chi']}, chi_pi = {results['chi_pi']} "
+             f"(sign constraints {'ok' if signs_ok else 'VIOLATED'})",
+             f"certifying branch: {results['branch']}",
+             f"verdict: dim V <= dim H {'HOLDS' if holds else 'FAILS'}"]
+    return lines, EXIT_OK if holds and signs_ok else EXIT_CLAIM_FAILED
+
+
+def _tor_results(model, args) -> dict:
     basis = halperin_basis(model, seed=args.seed, budget=args.budget,
                            max_probe=args.max_probe)
     s = s_structure_from_halperin(basis)
@@ -264,15 +240,6 @@ def _cmd_tor(args) -> int:
         "duality": {"perfect": pairing.perfect, "mode": pairing.mode,
                     "socle_dimension": pairing.socle_dimension},
     }
-    lines = [f"model: {model.name or args.model}",
-             f"odd basis: {basis.strategy} (attempt {basis.attempts})",
-             f"quotient length {basis.module.length}, socle degree "
-             f"{basis.module.socle_degree}",
-             "Tor dims: " + ", ".join(f"{k}: {d}" for k, d in sorted(table.dims.items())),
-             f"total Tor = {table.total}",
-             f"endpoint bounds >= n+1: {'ok' if bounds.passes else 'FAIL'}",
-             f"duality pairing: {'perfect' if pairing.perfect else 'NOT certified'} "
-             f"({pairing.mode})"]
     if args.cross_check:
         check = tor_via_model_cross_check(model, seed=args.seed, budget=args.budget)
         results["cross_check"] = {
@@ -281,17 +248,31 @@ def _cmd_tor(args) -> int:
             "total_tor": check.total_tor,
             "by_odd_count": [list(row) for row in check.by_odd_count],
         }
-        lines.append(f"cross-check: total H = {check.total_cohomology} = "
-                     f"total Tor = {check.total_tor} "
-                     f"({'ok' if check.passes else 'FAIL'})")
-    _emit(_report("tor", args.model, args.seed, results), lines, args.format)
-    return EXIT_OK
+    return results
 
 
-def _cmd_regseq(args) -> int:
-    model = load_model(args.model)
-    from .algebra import restrict_element
-    from .koszul import even_subring
+def _tor_text(results: dict) -> tuple[list[str], int]:
+    duality = results["duality"]
+    lines = [f"odd basis: {results['strategy']} (attempt {results['attempts']})",
+             f"quotient length {results['length']}, socle degree "
+             f"{results['socle_degree']}",
+             "Tor dims: " + ", ".join(f"{k}: {d}" for k, d in
+                                      results["dims"].items()),
+             f"total Tor = {results['total']}",
+             "endpoint bounds >= n+1: "
+             f"{'ok' if results['bounds']['passes'] else 'FAIL'}",
+             f"duality pairing: "
+             f"{'perfect' if duality['perfect'] else 'NOT certified'} "
+             f"({duality['mode']})"]
+    if "cross_check" in results:
+        check = results["cross_check"]
+        lines.append(f"cross-check: total H = {check['total_cohomology']} = "
+                     f"total Tor = {check['total_tor']} "
+                     f"({'ok' if check['passes'] else 'FAIL'})")
+    return lines, EXIT_OK
+
+
+def _regseq_results(model, args) -> dict:
     ring = even_subring(model)
     n = len(ring.evens)
     odds = model.universe.odds
@@ -301,16 +282,15 @@ def _cmd_regseq(args) -> int:
     relations = [restrict_element(pure.d.of_generator(g.name), ring)
                  for g in odds[:n]]
     regular = is_regular_sequence(ring, relations, max_probe=args.max_probe)
-    results = {"regular": regular,
-               "relations": [str(i) for i in range(n)]}
-    lines = [f"model: {model.name or args.model}",
-             f"first {n} pure-part images regular: {regular}"]
-    _emit(_report("regseq", args.model, None, results), lines, args.format)
-    return EXIT_OK
+    return {"regular": regular, "relations": [str(i) for i in range(n)]}
 
 
-def _cmd_deform(args) -> int:
-    model = load_model(args.model)
+def _regseq_text(results: dict) -> tuple[list[str], int]:
+    n = len(results["relations"])
+    return [f"first {n} pure-part images regular: {results['regular']}"], EXIT_OK
+
+
+def _deform_results(model, args) -> dict:
     family, action_polys = standard_family(model, seed=args.seed)
     flat = flatness_check(family, samples=args.samples, seed=args.seed)
     results = {
@@ -320,17 +300,9 @@ def _cmd_deform(args) -> int:
             "lengths": [[str(xi), n] for xi, n in flat.lengths],
         }
     }
-    lines = [f"model: {model.name or args.model}",
-             f"family: n relations perturbed by t * x_i",
-             f"flatness: {flat.verdict}"
-             + (f" (length {flat.common_length})" if flat.flat else "")]
-    code = EXIT_OK
-    if flat.verdict == "indeterminate":
-        code = EXIT_INDETERMINATE
-    elif flat.flat:
+    if flat.flat:
         semi = tor_semicontinuity_check(family, action_polys,
                                         samples=args.samples, seed=args.seed)
-        all_binomial = all(s.binomial_pattern for s in semi.samples)
         results["semicontinuity"] = {
             "passes": semi.passes,
             "base_dims": {str(k): d for k, d in sorted(semi.base_dims.items())},
@@ -338,22 +310,32 @@ def _cmd_deform(args) -> int:
                          "dims": {str(k): d for k, d in sorted(s.dims.items())},
                          "binomial_pattern": s.binomial_pattern}
                         for s in semi.samples],
-            "all_binomial": all_binomial,
+            "all_binomial": all(s.binomial_pattern for s in semi.samples),
         }
-        lines.append("base Tor dims: " +
-                     ", ".join(f"{k}: {d}" for k, d in sorted(semi.base_dims.items())))
-        lines.append(f"semicontinuity over {len(semi.samples)} samples: "
-                     f"{'ok' if semi.passes else 'FAIL'}")
+    return results
+
+
+def _deform_text(results: dict) -> tuple[list[str], int]:
+    flat = results["flatness"]
+    lines = ["family: n relations perturbed by t * x_i",
+             f"flatness: {flat['verdict']}"
+             + (f" (length {flat['common_length']})"
+                if flat["verdict"] == "flat" else "")]
+    if "semicontinuity" in results:
+        semi = results["semicontinuity"]
+        lines.append("base Tor dims: " + ", ".join(
+            f"{k}: {d}" for k, d in semi["base_dims"].items()))
+        lines.append(f"semicontinuity over {len(semi['samples'])} samples: "
+                     f"{'ok' if semi['passes'] else 'FAIL'}")
         lines.append(f"generic binomial pattern: "
-                     f"{'yes' if all_binomial else 'no'}")
-    _emit(_report("deform", args.model, args.seed, results), lines, args.format)
-    return code
+                     f"{'yes' if semi['all_binomial'] else 'no'}")
+    indeterminate = flat["verdict"] == "indeterminate"
+    return lines, EXIT_INDETERMINATE if indeterminate else EXIT_OK
 
 
-def _cmd_reduce(args) -> int:
-    model = load_model(args.model)
+def _reduce_results(model, args) -> dict:
     report = perturb_and_reduce(model, samples=args.samples, seed=args.seed)
-    results = {
+    return {
         "n": report.n,
         "r": report.r,
         "dim_h": report.dim_h,
@@ -374,20 +356,45 @@ def _cmd_reduce(args) -> int:
                          "dominated": t.dominated} for t in s.samples],
         } for s in report.steps],
     }
-    lines = [f"model: {model.name or args.model}",
-             f"dim H = {report.dim_h}, n = {report.n}, r = {report.r}"]
-    for s in report.steps:
-        xis = ", ".join(str(t.xi) for t in s.samples)
-        lines.append(f"  cancel {s.x_name}: "
-                     f"2*{s.dim_current} = {s.dim_w_zero} >= dim H(W, d_xi) = "
-                     f"{s.samples[0].dim_w_xi} = dim H(next)  [xi: {xis}]")
-    lines.append(f"terminal all-odd dimension: {report.terminal_dim}")
-    lines.append(f"chain: 2^{report.n} * {report.dim_h} >= 2^{report.n + report.r}"
-                 f" {'HOLDS' if report.chain_ok else 'FAILS'}")
-    lines.append(f"lower bound: dim H >= 2^{report.r} "
-                 f"{'HOLDS' if report.lower_bound_ok else 'FAILS'}")
-    _emit(_report("reduce", args.model, args.seed, results), lines, args.format)
-    return EXIT_OK if report.passes else EXIT_CLAIM_FAILED
+
+
+def _reduce_text(results: dict) -> tuple[list[str], int]:
+    n, r = results["n"], results["r"]
+    lines = [f"dim H = {results['dim_h']}, n = {n}, r = {r}"]
+    for s in results["steps"]:
+        xis = ", ".join(t["xi"] for t in s["samples"])
+        lines.append(f"  cancel {s['cancelled']}: "
+                     f"2*{s['dim_current']} = {s['dim_w_zero']} >= dim H(W, d_xi) = "
+                     f"{s['samples'][0]['dim_w_xi']} = dim H(next)  [xi: {xis}]")
+    lines.append(f"terminal all-odd dimension: {results['terminal_dim']}")
+    lines.append(f"chain: 2^{n} * {results['dim_h']} >= 2^{n + r}"
+                 f" {'HOLDS' if results['chain_ok'] else 'FAILS'}")
+    lines.append(f"lower bound: dim H >= 2^{r} "
+                 f"{'HOLDS' if results['lower_bound_ok'] else 'FAILS'}")
+    return lines, EXIT_OK if results["passes"] else EXIT_CLAIM_FAILED
+
+
+_MODEL_COMMANDS = {
+    "validate": (_validate_results, _validate_text),
+    "classify": (_classify_results, _classify_text),
+    "cohomology": (_cohomology_results, _cohomology_text),
+    "hilali": (_hilali_results, _hilali_text),
+    "tor": (_tor_results, _tor_text),
+    "regseq": (_regseq_results, _regseq_text),
+    "deform": (_deform_results, _deform_text),
+    "reduce": (_reduce_results, _reduce_text),
+}
+
+
+def _cmd_model(args) -> int:
+    results_of, text_of = _MODEL_COMMANDS[args.command]
+    # validate reports a failing differential that load_model would refuse
+    model = (read_model if args.command == "validate" else load_model)(args.model)
+    results = results_of(model, args)
+    lines, code = text_of(results)
+    _emit(_report(args.command, args.model, getattr(args, "seed", None), results),
+          [f"model: {model.name or args.model}"] + lines, args.format)
+    return code
 
 
 def _cmd_explain(args) -> int:
@@ -411,167 +418,108 @@ def _default_corpus_dir() -> str | None:
 # -- corpus runner ---------------------------------------------------------------
 
 
+# Manifest operations answered by a model command: the command, its extra
+# arguments, and the key under its results where the check path starts.  An
+# operation not listed is the model command of its name, checked from the
+# top of its results.
+_OPERATIONS = {
+    "hilali_verdict": ("hilali", (), None),
+    "tor_bounds": ("tor", (), "bounds"),
+    "duality": ("tor", (), "duality"),
+    "cross_check": ("tor", ("--cross-check",), "cross_check"),
+    "flatness": ("deform", (), "flatness"),
+    "semicontinuity": ("deform", (), "semicontinuity"),
+}
+
+
 def run_manifest(path: str, seed: int) -> dict:
-    """Execute one manifest: every expectation, compared exactly."""
+    """Execute one manifest: every expectation, compared exactly with the
+    results its command prints under ``--format machine`` (command defaults,
+    the corpus seed).  The model is loaded once and each command runs at
+    most once."""
     manifest_path = Path(path)
+    name = manifest_path.stem
     try:
         doc = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return {"manifest": manifest_path.stem, "error": str(exc),
-                "results": []}
-    if doc.get("format") != CORPUS_FORMAT:
-        return {"manifest": manifest_path.stem,
-                "error": f"expected format {CORPUS_FORMAT!r}", "results": []}
-    model_path = manifest_path.parent / doc["model"]
-    runner = _EntryRunner(model_path, seed)
+        if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
+            raise ModelError(f"expected format {CORPUS_FORMAT!r}")
+        if not isinstance(doc.get("model"), str):
+            raise ModelError("the manifest names no model file")
+        expectations = doc.get("expectations", [])
+        if not isinstance(expectations, list) or \
+                not all(_well_formed(exp) for exp in expectations):
+            raise ModelError("expectations must be a list of expectation objects")
+        model_path = manifest_path.parent / doc["model"]
+        model = load_model(model_path)
+    except (OSError, ValueError, EngineError) as exc:
+        return {"manifest": name, "error": str(exc), "results": []}
+    parser = build_parser()
+    cache: dict = {}
+
+    def command_results(command: str, extra: tuple) -> dict:
+        if (command, extra) not in cache:
+            args = parser.parse_args([command, str(model_path), *extra])
+            if hasattr(args, "seed"):
+                args.seed = seed
+            cache[command, extra] = _MODEL_COMMANDS[command][0](model, args)
+        return cache[command, extra]
+
+    def operation_results(op: str, params: dict | None) -> dict:
+        if op == "apply":
+            element = (params or {}).get("element", "0")
+            image = model.apply(parse_expression(str(element), model.universe))
+            return {"image": format_element(image)}
+        if params:
+            raise ModelError(f"operation {op!r} takes no params")
+        if op == "certify_elliptic":
+            if op not in cache:
+                cache[op] = _certificate_fields(certify_elliptic(model))
+            return cache[op]
+        command, extra, key = _OPERATIONS.get(op, (op, (), None))
+        if command not in _MODEL_COMMANDS:
+            raise ModelError(f"unknown operation {op!r}")
+        results = command_results(command, extra)
+        if op == "reduce":
+            # the summary flags are read from the steps
+            steps = results["steps"]
+            samples = [t for s in steps for t in s["samples"]]
+            return {**results,
+                    "all_collapse_ok": all(t["collapse_ok"] for t in samples),
+                    "all_dominated": all(t["dominated"] for t in samples),
+                    "all_doubling_ok": all(s["doubling_ok"] for s in steps)}
+        return results.get(key, {}) if key else results
+
     results = []
-    for exp in doc.get("expectations", []):
+    for exp in expectations:
         op = exp.get("operation", "")
         check = exp.get("check", "")
         expect = exp.get("expect")
         claim = exp.get("claim", "")
         try:
-            actual = runner.extract(op, check, exp.get("params"))
+            actual = _lookup(operation_results(op, exp.get("params")), op, check)
             ok = actual == expect
         except EngineError as exc:
             actual = f"error: {exc}"
             ok = False
         results.append({"operation": op, "check": check, "claim": claim,
                         "expect": expect, "actual": actual, "ok": ok})
-    return {"manifest": manifest_path.stem, "model": doc["model"],
-            "results": results}
+    return {"manifest": name, "model": doc["model"], "results": results}
 
 
-class _EntryRunner:
-    """Per-manifest operation cache; each operation runs at most once."""
+def _well_formed(exp) -> bool:
+    return (isinstance(exp, dict)
+            and isinstance(exp.get("operation", ""), str)
+            and isinstance(exp.get("check", ""), str)
+            and isinstance(exp.get("params") or {}, dict))
 
-    def __init__(self, model_path: Path, seed: int):
-        self.model_path = model_path
-        self.seed = seed
-        self._model = None
-        self._cache: dict[str, dict] = {}
 
-    @property
-    def model(self):
-        if self._model is None:
-            self._model = load_model(self.model_path)
-        return self._model
-
-    def extract(self, op: str, check: str, params: dict | None = None):
-        result = self.result(op, params)
-        value = result
-        for key in check.split("."):
-            if not key:
-                raise ModelError(f"empty check path for operation {op!r}")
-            if not isinstance(value, dict) or key not in value:
-                raise ModelError(f"unknown check {check!r} for operation {op!r}")
-            value = value[key]
-        return value
-
-    def result(self, op: str, params: dict | None = None) -> dict:
-        key = op if not params else op + json.dumps(params, sort_keys=True)
-        if key not in self._cache:
-            handler = getattr(self, "_op_" + op, None)
-            if handler is None:
-                raise ModelError(f"unknown operation {op!r}")
-            self._cache[key] = handler(**(params or {}))
-        return self._cache[key]
-
-    def _op_apply(self, element: str = "0") -> dict:
-        from .algebra import format_element
-        from .parsing import parse_expression
-        parsed = parse_expression(element, self.model.universe)
-        return {"image": format_element(self.model.apply(parsed))}
-
-    def _op_validate(self) -> dict:
-        model = load_model_lenient(str(self.model_path))
-        report = check_differential(model)
-        return {"passed": report.passed,
-                "minimal": check_minimal(model) if report.passed else False}
-
-    def _op_classify(self) -> dict:
-        return asdict(classify(self.model))
-
-    def _op_certify_elliptic(self) -> dict:
-        cert = certify_elliptic(self.model)
-        return {"elliptic": cert.elliptic,
-                "formal_dimension_bound": cert.formal_dimension_bound,
-                "length": cert.length, "socle_degree": cert.socle_degree}
-
-    def _op_cohomology(self) -> dict:
-        return _cohomology_results(self.model, None, False)
-
-    def _op_hilali_verdict(self) -> dict:
-        verdict = hilali_verdict(self.model)
-        branch, _, _ = _verdict_branch(classify(self.model))
-        return {"dim_v": verdict.dim_v, "dim_h": verdict.dim_h,
-                "holds": verdict.holds, "chi": verdict.chi,
-                "chi_pi": verdict.chi_pi, "signs_ok": verdict.signs_ok,
-                "branch": branch}
-
-    def _op_tor(self) -> dict:
-        basis = halperin_basis(self.model, seed=self.seed)
-        s = s_structure_from_halperin(basis)
-        table = tor_table(basis.module, s)
-        return {"dims": {str(k): d for k, d in sorted(table.dims.items())},
-                "total": table.total, "length": basis.module.length,
-                "socle_degree": basis.module.socle_degree}
-
-    def _op_tor_bounds(self) -> dict:
-        basis = halperin_basis(self.model, seed=self.seed)
-        s = s_structure_from_halperin(basis)
-        bounds = tor_bounds_check(basis.module, s)
-        return {"passes": bounds.passes, "tor_bottom": bounds.tor_bottom,
-                "tor_top": bounds.tor_top, "length": bounds.length}
-
-    def _op_duality(self) -> dict:
-        basis = halperin_basis(self.model, seed=self.seed)
-        pairing = duality_pairing(basis.module, seed=self.seed)
-        return {"perfect": pairing.perfect, "mode": pairing.mode,
-                "socle_dimension": pairing.socle_dimension}
-
-    def _op_cross_check(self) -> dict:
-        check = tor_via_model_cross_check(self.model, seed=self.seed)
-        return {"passes": check.passes,
-                "total_cohomology": check.total_cohomology,
-                "total_tor": check.total_tor}
-
-    def _op_flatness(self) -> dict:
-        family, _ = standard_family(self.model, seed=self.seed)
-        flat = flatness_check(family, seed=self.seed)
-        return {"verdict": flat.verdict, "common_length": flat.common_length}
-
-    def _op_semicontinuity(self) -> dict:
-        family, action_polys = standard_family(self.model, seed=self.seed)
-        semi = tor_semicontinuity_check(family, action_polys, seed=self.seed)
-        return {"passes": semi.passes,
-                "base_dims": {str(k): d for k, d in sorted(semi.base_dims.items())},
-                "all_binomial": all(s.binomial_pattern for s in semi.samples)}
-
-    def _op_reduce(self) -> dict:
-        report = perturb_and_reduce(self.model, seed=self.seed)
-        return {"passes": report.passes, "dim_h": report.dim_h,
-                "terminal_dim": report.terminal_dim,
-                "n": report.n, "r": report.r,
-                "all_collapse_ok": all(t.collapse_ok for s_ in report.steps
-                                       for t in s_.samples),
-                "all_dominated": all(t.dominated for s_ in report.steps
-                                     for t in s_.samples),
-                "all_doubling_ok": all(s_.doubling_ok for s_ in report.steps)}
-
-    def _op_regseq(self) -> dict:
-        from .algebra import restrict_element
-        from .koszul import even_subring
-        ring = even_subring(self.model)
-        n = len(ring.evens)
-        pure = pure_part(self.model)
-        relations = [restrict_element(pure.d.of_generator(g.name), ring)
-                     for g in self.model.universe.odds[:n]]
-        try:
-            regular = is_regular_sequence(ring, relations)
-        except NotFiniteLengthError:
-            regular = False
-        return {"regular": regular}
+def _lookup(value, op: str, check: str):
+    """The value at a dotted check path."""
+    for key in check.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ModelError(f"unknown check {check!r} for operation {op!r}")
+        value = value[key]
+    return value
 
 
 def _cmd_corpus(args) -> int:
@@ -666,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true")
     common(sub.add_parser("regseq", help="regular-sequence test"), probe=True)
     common(sub.add_parser("deform", help="flatness and Tor semicontinuity"),
-           seed=True, samples=True, probe=True)
+           seed=True, samples=True)
     p = common(sub.add_parser("reduce", help="perturb and cancel even generators"),
                seed=True)
     p.add_argument("--samples", type=int, default=2)
@@ -681,18 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "cohomology": _cmd_cohomology,
-    "hilali": _cmd_hilali,
-    "tor": _cmd_tor,
-    "regseq": _cmd_regseq,
-    "deform": _cmd_deform,
-    "reduce": _cmd_reduce,
-    "corpus": _cmd_corpus,
-    "explain": _cmd_explain,
-}
+_HANDLERS = {**{command: _cmd_model for command in _MODEL_COMMANDS},
+             "corpus": _cmd_corpus, "explain": _cmd_explain}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -701,15 +639,15 @@ def main(argv: list[str] | None = None) -> int:
     start = time.monotonic()
     try:
         code = handler(args)
-    except (ModelError, ParseError, NotFiniteLengthError, OSError) as exc:
-        _diag(f"error: {exc}")
-        code = EXIT_INPUT
     except IndeterminateError as exc:
         _diag(f"indeterminate: {exc}")
         code = EXIT_INDETERMINATE
     except ContradictionError as exc:
         _diag(f"CONTRADICTION: {exc}")
         code = EXIT_CLAIM_FAILED
+    except (EngineError, OSError) as exc:
+        _diag(f"error: {exc}")
+        code = EXIT_INPUT
     _diag(f"# wall time: {time.monotonic() - start:.3f}s")
     return code
 

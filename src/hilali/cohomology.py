@@ -88,6 +88,7 @@ class EllipticityCertificate:
     evidence: str
     length: int | None = None
     socle_degree: int | None = None
+    indeterminate: bool = False     # not certified because the probe budget ran out
 
 
 def formal_dimension_bound(model: Model) -> int:
@@ -103,7 +104,8 @@ def certify_elliptic(model: Model, max_probe: int | None = None) -> EllipticityC
     Criterion: the quotient of the even polynomial subring by every
     zero-odd-factor component of the differential images has finite length.
     Failures of the probe are reported as "not certified" rather than proven
-    non-elliptic, except where infinite length is definite.
+    non-elliptic, except where infinite length is definite; a probe whose
+    budget ran out marks the certificate ``indeterminate``.
     """
     cls = classify(model)
     if not cls.is_hyperelliptic:
@@ -122,7 +124,8 @@ def certify_elliptic(model: Model, max_probe: int | None = None) -> EllipticityC
     except NotFiniteLengthError as exc:
         return EllipticityCertificate(False, bound, f"not elliptic: {exc}")
     except IndeterminateError as exc:
-        return EllipticityCertificate(False, bound, f"not certified: {exc}")
+        return EllipticityCertificate(False, bound, f"not certified: {exc}",
+                                      indeterminate=True)
     return EllipticityCertificate(
         True, bound,
         f"pure-part quotient has finite length {module.length} "
@@ -269,7 +272,9 @@ def hilali_verdict(model: Model, *, assume_elliptic: bool = False,
 
     Requires a minimal model certified elliptic (or an explicit truncation
     degree under ``assume_elliptic``).  Also evaluates the Euler
-    characteristic sign constraints of elliptic models.
+    characteristic sign constraints of elliptic models.  A certification
+    whose probe budget ran out raises :class:`IndeterminateError`; any
+    other failed certification raises :class:`ModelError`.
     """
     report = check_differential(model)
     if not report.passed:
@@ -285,7 +290,8 @@ def hilali_verdict(model: Model, *, assume_elliptic: bool = False,
     else:
         certificate = certify_elliptic(model, max_probe=max_probe)
         if not certificate.elliptic:
-            raise ModelError(f"not certified elliptic: {certificate.evidence}")
+            error = IndeterminateError if certificate.indeterminate else ModelError
+            raise error(f"not certified elliptic: {certificate.evidence}")
         table = betti_complete(model, certificate)
     chi, chi_pi = euler_characteristics(model, table)
     signs_ok = chi >= 0 and chi_pi <= 0 and ((chi_pi < 0) == (chi == 0))

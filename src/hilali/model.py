@@ -263,7 +263,9 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
-def model_from_dict(doc: dict, *, source: str = "<dict>") -> Model:
+def _parse_model(doc: dict, source: str) -> Model:
+    """Build a model from its file document; structure only, the
+    differential is not checked."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{source}: expected a {MODEL_FORMAT!r} document")
     gens = doc.get("generators")
@@ -279,15 +281,22 @@ def model_from_dict(doc: dict, *, source: str = "<dict>") -> Model:
         uni = universe(specs)
     except EngineError as exc:
         raise ModelError(f"{source}: {exc}") from exc
+    images = doc.get("differential") or {}
+    if not isinstance(images, dict):
+        raise ModelError(f"{source}: the differential must map generator names "
+                         "to expressions")
     diff = {}
-    for name, text in (doc.get("differential") or {}).items():
+    for name, text in images.items():
         if name not in uni.by_name:
             raise ModelError(f"{source}: differential given for unknown generator {name!r}")
         diff[name] = parse_expression(str(text), uni)
     try:
-        model = Model(uni, diff, name=str(doc.get("name", "")))
+        return Model(uni, diff, name=str(doc.get("name", "")))
     except ModelError as exc:
         raise ModelError(f"{source}: {exc}") from exc
+
+
+def _validated(model: Model, source: str) -> Model:
     report = check_differential(model)
     if not report.passed:
         bad = ", ".join(e.name for e in report.failures())
@@ -296,14 +305,24 @@ def model_from_dict(doc: dict, *, source: str = "<dict>") -> Model:
     return model
 
 
-def load_model(path: str | Path) -> Model:
-    """Load and fully validate a model file (degree +1, homogeneous, d^2 = 0)."""
+def model_from_dict(doc: dict, *, source: str = "<dict>") -> Model:
+    return _validated(_parse_model(doc, source), source)
+
+
+def read_model(path: str | Path) -> Model:
+    """Read a model file without checking its differential, so that a
+    validation report can name what fails; see :func:`load_model`."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ModelError(f"{path}: {exc}") from exc
-    return model_from_dict(doc, source=str(path))
+    return _parse_model(doc, str(path))
+
+
+def load_model(path: str | Path) -> Model:
+    """Load and fully validate a model file (degree +1, homogeneous, d^2 = 0)."""
+    return _validated(read_model(path), str(Path(path)))
 
 
 def save_model(model: Model, path: str | Path) -> None:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hilali.cli import main, run_manifest
 
 from conftest import CORPUS
@@ -180,7 +182,6 @@ def test_console_script_installed():
     import subprocess
     exe = shutil.which("hilali")
     if exe is None:
-        import pytest
         pytest.skip("console script not on PATH (package not installed)")
     proc = subprocess.run([exe, "classify", model("sphere-s3")],
                           capture_output=True, text=True)
@@ -195,3 +196,136 @@ def test_corpus_missing_model_is_error(tmp_path, capsys):
                           "source": "elementary"}]}))
     code, out, err = run(capsys, "corpus", str(tmp_path))
     assert code == 1
+
+
+def test_bare_engine_error_is_input_error(capsys):
+    code, out, err = run(capsys, "cohomology", model("sphere-s3"),
+                         "--assume-elliptic", "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error: max_degree must be non-negative"
+    assert "Traceback" not in err
+
+
+def test_certification_budget_exhaustion_exit_3(capsys):
+    from hilali import certify_elliptic, load_model
+    cert = certify_elliptic(load_model(model("sphere-s3")), max_probe=0)
+    assert not cert.elliptic and cert.indeterminate
+    for command in ("hilali", "cohomology"):
+        code, out, err = run(capsys, command, model("sphere-s3"),
+                             "--max-probe", "0")
+        assert code == 3
+        assert err.startswith("indeterminate: not certified elliptic")
+    # a quotient proven to have infinite length is still an input error
+    for name in ("nonelliptic-pair", "nonelliptic-even-only"):
+        assert not certify_elliptic(load_model(model(name))).indeterminate
+        for command in ("hilali", "cohomology"):
+            code, _, err = run(capsys, command, model(name))
+            assert code == 2
+            assert err.startswith("error: not certified elliptic: not elliptic")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format": "hilali-model/1", "name": "x"}, "missing generator list"),
+    ({"format": "hilali-model/1", "name": "x",
+      "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}],
+      "differential": [["y", "x^2"]]}, "the differential must map"),
+])
+def test_validate_malformed_file_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "x.model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("manifest", [
+    {"format": "hilali-corpus/1",
+     "expectations": [{"operation": "classify", "check": "n", "expect": 0}]},
+    {"format": "hilali-corpus/1", "model": "sphere-s3.model.json",
+     "expectations": [["classify", "n", 0]]},
+    {"format": "hilali-corpus/1", "model": "sphere-s3.model.json",
+     "expectations": [{"operation": ["classify"], "check": "n", "expect": 0}]},
+])
+def test_malformed_manifest_is_error_entry(tmp_path, capsys, manifest):
+    (tmp_path / "sphere-s3.model.json").write_text(
+        (CORPUS / "sphere-s3.model.json").read_text())
+    path = tmp_path / "nameless.manifest.json"
+    path.write_text(json.dumps(manifest))
+    entry = run_manifest(str(path), 0)
+    assert entry["error"] and entry["results"] == []
+    code, out, err = run(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    assert "nameless.manifest: ERROR" in out
+    assert "Traceback" not in err
+
+
+def test_deform_has_no_max_probe(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", model("n1r1-powers"), "--max-probe", "1"])
+    assert exc.value.code == 2
+    assert "--max-probe" in capsys.readouterr().err
+
+
+# manifest operation -> command line and the results key its checks start at
+MANIFEST_COMMANDS = {
+    "validate": (["validate"], None),
+    "classify": (["classify"], None),
+    "cohomology": (["cohomology"], None),
+    "hilali_verdict": (["hilali"], None),
+    "tor": (["tor", "--seed", "0"], None),
+    "tor_bounds": (["tor", "--seed", "0"], "bounds"),
+    "duality": (["tor", "--seed", "0"], "duality"),
+    "cross_check": (["tor", "--seed", "0", "--cross-check"], "cross_check"),
+    "regseq": (["regseq"], None),
+    "flatness": (["deform", "--seed", "0"], "flatness"),
+    "semicontinuity": (["deform", "--seed", "0"], "semicontinuity"),
+    "reduce": (["reduce", "--seed", "0"], None),
+    "certify_elliptic": (["cohomology"], "certificate"),
+}
+
+
+def test_manifest_values_are_machine_output_values(capsys):
+    entry = run_manifest(str(CORPUS / "n1r1-powers.manifest.json"), 0)
+    assert {r["operation"] for r in entry["results"]} <= set(MANIFEST_COMMANDS)
+    outputs = {}
+    for res in entry["results"]:
+        argv, key = MANIFEST_COMMANDS[res["operation"]]
+        argv = [argv[0], model("n1r1-powers"), *argv[1:], "--format", "machine"]
+        if tuple(argv) not in outputs:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outputs[tuple(argv)] = json.loads(out)["results"]
+        value = outputs[tuple(argv)]
+        if key:
+            value = value[key]
+        check = res["check"]
+        if res["operation"] == "reduce" and check.startswith("all_"):
+            steps = value["steps"]
+            samples = [t for s in steps for t in s["samples"]]
+            value = {"all_collapse_ok": all(t["collapse_ok"] for t in samples),
+                     "all_dominated": all(t["dominated"] for t in samples),
+                     "all_doubling_ok": all(s["doubling_ok"] for s in steps)}
+        for part in check.split("."):
+            value = value[part]
+        assert res["ok"] and res["actual"] == value, res
+
+
+def test_run_manifest_loads_the_model_once(monkeypatch):
+    import hilali.cli
+    calls = {"load_model": 0, "standard_family": 0}
+
+    def counted(name):
+        original = getattr(hilali.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(hilali.cli, name, wrapper)
+
+    counted("load_model")
+    counted("standard_family")
+    entry = run_manifest(str(CORPUS / "n1r1-powers.manifest.json"), 0)
+    assert all(r["ok"] for r in entry["results"])
+    assert calls == {"load_model": 1, "standard_family": 1}
