@@ -42,5 +42,5 @@ print("duality pairing:", duality_pairing(module))
 
 # The cross-check: total cohomology equals total Tor, matching the number of
 # odd factors to the homological index.
-check = tor_via_model_cross_check(model, seed=0)
+check = tor_via_model_cross_check(model, basis)
 print("\ncross-check (q, dim H_q, dim Tor^q):", list(check.by_odd_count))

@@ -107,7 +107,8 @@ CLAIMS = {c.ident: c for c in _CLAIMS}
 
 
 def corpus_coverage(corpus_dir: str | Path) -> dict[str, list[str]]:
-    """Map claim identifier -> manifest names referencing it."""
+    """Map claim identifier -> names of the models whose manifests
+    reference it."""
     coverage: dict[str, list[str]] = {}
     directory = Path(corpus_dir)
     if not directory.is_dir():
@@ -121,8 +122,9 @@ def corpus_coverage(corpus_dir: str | Path) -> dict[str, list[str]]:
             ident = exp.get("claim")
             if ident:
                 entries = coverage.setdefault(ident, [])
-                if path.stem not in entries:
-                    entries.append(path.stem)
+                name = path.name.removesuffix(".manifest.json")
+                if name not in entries:
+                    entries.append(name)
     return coverage
 
 

@@ -241,7 +241,7 @@ def _tor_results(model, args) -> dict:
                     "socle_dimension": pairing.socle_dimension},
     }
     if args.cross_check:
-        check = tor_via_model_cross_check(model, seed=args.seed, budget=args.budget)
+        check = tor_via_model_cross_check(model, basis)
         results["cross_check"] = {
             "passes": check.passes,
             "total_cohomology": check.total_cohomology,

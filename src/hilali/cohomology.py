@@ -10,7 +10,7 @@ from fractions import Fraction
 from .algebra import Element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError)
-from .linalg import Rref, intify, kernel_of_rows, rank_of_rows
+from .linalg import Rref, kernel_of_rows, rank_of_rows
 from .koszul import even_subring, quotient_basis
 from .model import Model, check_differential, check_minimal, classify, pure_part
 
@@ -27,11 +27,17 @@ class BettiTable:
 
 
 class ChainComplex:
-    """Per-degree bases and differential ranks of one model; cached."""
+    """Per-degree bases and differential ranks of one model; cached.
+
+    In a pure model d lowers the odd-factor count q by one, so each degree
+    splits into q-blocks and ranks are taken block by block; ``q=None``
+    means the whole degree.  A non-pure model has one block per degree.
+    """
 
     def __init__(self, model: Model):
         self.model = model
-        self._ranks: dict[int, int] = {}
+        self.pure = classify(model).is_pure
+        self._ranks: dict[int, dict[int | None, int]] = {}
 
     def basis(self, degree: int):
         return self.model.universe.basis(degree)
@@ -45,21 +51,36 @@ class ChainComplex:
             rows.append({target[t]: c for t, c in img.terms.items()})
         return rows
 
-    def rank(self, degree: int) -> int:
+    def rank(self, degree: int, q: int | None = None) -> int:
+        if q is not None and not self.pure:
+            raise ModelError("the odd-count split needs a pure model")
         if degree < 0:
             return 0
         if degree not in self._ranks:
-            rows = [intify(row)[0] for row in self.rows(degree)]
-            self._ranks[degree] = rank_of_rows(rows)
-        return self._ranks[degree]
+            rows = self.rows(degree)
+            if self.pure:
+                blocks: dict[int | None, list] = {}
+                for m, row in zip(self.basis(degree), rows):
+                    blocks.setdefault(len(m.odds), []).append(row)
+            else:
+                blocks = {None: rows}
+            self._ranks[degree] = {key: rank_of_rows(block)
+                                   for key, block in blocks.items()}
+        ranks = self._ranks[degree]
+        return sum(ranks.values()) if q is None else ranks.get(q, 0)
 
-    def chain_dim(self, degree: int) -> int:
-        return len(self.basis(degree))
+    def chain_dim(self, degree: int, q: int | None = None) -> int:
+        basis = self.basis(degree)
+        if q is None:
+            return len(basis)
+        return sum(1 for m in basis if len(m.odds) == q)
 
-    def betti_number(self, degree: int) -> int:
+    def betti_number(self, degree: int, q: int | None = None) -> int:
         if degree < 0:
             return 0
-        return self.chain_dim(degree) - self.rank(degree) - self.rank(degree - 1)
+        below = None if q is None else q + 1
+        return (self.chain_dim(degree, q) - self.rank(degree, q)
+                - self.rank(degree - 1, below))
 
 
 def betti(model: Model, max_degree: int,
@@ -139,14 +160,24 @@ def betti_complete(model: Model, certificate: EllipticityCertificate,
     an explicit vanishing window of one maximal generator degree above it."""
     if not certificate.elliptic:
         raise ModelError("a complete table requires an ellipticity certificate")
-    bound = max(certificate.formal_dimension_bound, 0)
     window = max(g.degree for g in model.universe.generators)
+    return betti_below(model, certificate.formal_dimension_bound, window,
+                       chain_complex)
+
+
+def betti_below(model: Model, bound: int, window: int,
+                chain_complex: ChainComplex | None = None) -> BettiTable:
+    """Betti table through ``bound``, marked complete after checking that
+    cohomology vanishes in the ``window`` degrees above it; a nonzero class
+    there raises :class:`ContradictionError`."""
+    bound = max(bound, 0)
     table = betti(model, bound + window, chain_complex)
     for p in range(bound + 1, bound + window + 1):
         if table[p] != 0:
             raise ContradictionError(
-                f"nonzero cohomology in degree {p} above the formal dimension "
-                f"bound {bound} of a certified-elliptic model")
+                f"nonzero cohomology in degree {p} above the bound {bound} "
+                f"of {model.name or 'the model'}; the truncation cannot be "
+                "trusted")
     dims = {p: d for p, d in table.dims.items() if p <= bound}
     return BettiTable(dims, bound, sum(dims.values()), True)
 
@@ -207,46 +238,20 @@ def is_exact(model: Model, e: Element) -> bool:
     return not residue
 
 
-def betti_by_odd_count(model: Model, certificate: EllipticityCertificate) -> dict[int, int]:
+def betti_by_odd_count(model: Model, certificate: EllipticityCertificate,
+                       chain_complex: ChainComplex | None = None) -> dict[int, int]:
     """Total cohomology dimension split by the lower grading (odd factor
-    count).  Requires a pure model, where d maps each piece q to q-1 and the
-    complex splits."""
-    cls = classify(model)
-    if not cls.is_pure:
+    count): the block Betti numbers of :func:`betti_complete`'s table.
+    Requires a pure model, where d maps each piece q to q-1 and the complex
+    splits."""
+    cx = chain_complex if chain_complex is not None else ChainComplex(model)
+    if not cx.pure:
         raise ModelError("the lower-grading split of cohomology needs a pure model")
-    if not certificate.elliptic:
-        raise ModelError("requires an ellipticity certificate")
-    bound = max(certificate.formal_dimension_bound, 0)
-    window = max(g.degree for g in model.universe.generators)
-    top = bound + window
-    uni = model.universe
-    # bases split by (degree, odd count)
-    split: dict[tuple[int, int], list] = {}
-    for p in range(top + 2):
-        for m in uni.basis(p):
-            split.setdefault((p, len(m.odds)), []).append(m)
-    ranks: dict[tuple[int, int], int] = {}
-
-    def rank(p: int, q: int) -> int:
-        if (p, q) not in ranks:
-            source = split.get((p, q), [])
-            target = {m: i for i, m in enumerate(split.get((p + 1, q - 1), []))}
-            rows = []
-            for m in source:
-                img = model.d.apply_monomial(m)
-                rows.append(intify({target[t]: c for t, c in img.terms.items()})[0])
-            ranks[(p, q)] = rank_of_rows(rows)
-        return ranks[(p, q)]
-
+    table = betti_complete(model, certificate, cx)
     totals: dict[int, int] = {}
-    max_q = len(uni.odds)
-    for q in range(max_q + 1):
-        total = 0
-        for p in range(top + 1):
-            dim_pq = len(split.get((p, q), []))
-            if dim_pq == 0:
-                continue
-            total += dim_pq - rank(p, q) - rank(p - 1, q + 1)
+    for q in range(len(model.universe.odds) + 1):
+        total = sum(cx.betti_number(p, q)
+                    for p in range(table.max_degree_computed + 1))
         if total:
             totals[q] = total
     return totals

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Element
-from .cohomology import (BettiTable, betti, certify_elliptic,
+from .cohomology import (betti_below, betti_complete, certify_elliptic,
                          formal_dimension_bound)
 from .errors import ContradictionError, IndeterminateError, ModelError
 from .koszul import (QuotientModule, SModuleStructure, _binomial,
@@ -224,19 +224,6 @@ class PerturbedModel:
                 "graded_anticommute": anti}
 
 
-def _verified_total(model: Model, bound: int, window: int) -> tuple[int, BettiTable]:
-    """Total cohomology dimension with an explicit vanishing tail above the
-    expected bound; a dirty tail means the truncation cannot be trusted."""
-    bound = max(bound, 0)
-    table = betti(model, bound + window)
-    for p in range(bound + 1, bound + window + 1):
-        if table[p]:
-            raise ContradictionError(
-                f"nonzero cohomology in degree {p}, above the expected bound "
-                f"{bound}, while reducing {model.name or model.universe}")
-    return table.total_dim, table
-
-
 @dataclass(frozen=True)
 class ReductionSample:
     xi: Fraction
@@ -292,8 +279,7 @@ def perturb_and_reduce(model: Model, samples: int = 2, seed: int = 0,
     if not cert.elliptic:
         raise ModelError(f"not certified elliptic: {cert.evidence}")
     rng = random.Random(seed)
-    window = max(g.degree for g in model.universe.generators)
-    dim_h, _ = _verified_total(model, formal_dimension_bound(model), window)
+    dim_h = betti_complete(model, cert).total_dim
     n = cls.n
     r = cls.r
     current = model
@@ -306,13 +292,13 @@ def perturb_and_reduce(model: Model, samples: int = 2, seed: int = 0,
         quotient = restrict_model(current, {target.name})
         bound_w = formal_dimension_bound(pm.w_model)
         window_w = max(g.degree for g in pm.w_model.universe.generators)
-        dim_w0, _ = _verified_total(pm.w_model, bound_w, window_w)
+        dim_w0 = betti_below(pm.w_model, bound_w, window_w).total_dim
         doubling_ok = dim_w0 == 2 * dim_current
         if not doubling_ok:
             raise ContradictionError(
                 f"doubling failed at {target.name}: dim H(W) = {dim_w0} != "
                 f"2 * {dim_current}")
-        dim_next, _ = _verified_total(quotient, bound_w, window_w)
+        dim_next = betti_below(quotient, bound_w, window_w).total_dim
         taken: list[ReductionSample] = []
         seen: set[Fraction] = set()
         retries = 0
@@ -325,7 +311,7 @@ def perturb_and_reduce(model: Model, samples: int = 2, seed: int = 0,
             if not check_differential(perturbed).passed:
                 raise ContradictionError(
                     f"(d + xi delta)^2 != 0 at xi = {xi}")
-            dim_wxi, _ = _verified_total(perturbed, bound_w, window_w)
+            dim_wxi = betti_below(perturbed, bound_w, window_w).total_dim
             collapse_ok = dim_wxi == dim_next
             dominated = dim_wxi <= dim_w0
             if not collapse_ok:

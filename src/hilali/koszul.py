@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import Element, GeneratorUniverse, Monomial
+from .algebra import Element, GeneratorUniverse, Monomial, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError)
-from .linalg import Rref, intify, rank_of_rows
+from .linalg import Rref, rank_of_rows
 from .model import Model, classify
 
 
@@ -419,8 +419,7 @@ def tor_table(module: QuotientModule, s: SModuleStructure) -> TorTable:
     dim = module.length
     ranks = {}
     for k in range(1, r + 1):
-        rows = [intify(row)[0] for row in koszul_differential_rows(s, k)]
-        ranks[k] = rank_of_rows(rows)
+        ranks[k] = rank_of_rows(koszul_differential_rows(s, k))
     dims = {}
     for k in range(r + 1):
         chain_dim = dim * _binomial(r, k)
@@ -514,7 +513,7 @@ def _graded_pairing(module: QuotientModule) -> PairingReport:
                 if coeff:
                     row[j] = coeff
             rows.append(row)
-        if rank_of_rows([intify(r)[0] for r in rows]) != len(left):
+        if rank_of_rows(rows) != len(left):
             return PairingReport(False, "graded", 1,
                                  f"degenerate block at degree {a}")
     return PairingReport(True, "graded", 1,
@@ -542,7 +541,7 @@ def _functional_pairing(module: QuotientModule, seed: int, attempts: int) -> Pai
                 val = sum(c * phi[k] for k, c in products[i][j].items())
                 if val:
                     row[j] = val
-            rows.append(intify({j: Fraction(v) for j, v in row.items()})[0])
+            rows.append(row)
         if rank_of_rows(rows) == dim:
             return PairingReport(True, "functional", socle_dim,
                                  f"nonsingular Gram matrix at attempt {attempt}")
@@ -552,7 +551,6 @@ def _functional_pairing(module: QuotientModule, seed: int, attempts: int) -> Pai
 
 def _socle_dimension(module: QuotientModule) -> int:
     """Dimension of the common kernel of all variable multiplications."""
-    from .linalg import kernel_of_rows
     dim = module.length
     if not module.ring.evens:
         return dim
@@ -565,7 +563,7 @@ def _socle_dimension(module: QuotientModule) -> int:
             for k, c in mat[i].items():
                 combined[j * dim + k] = c
         rows.append(combined)
-    return len(kernel_of_rows(rows, dim * len(module.ring.evens)))
+    return dim - rank_of_rows(rows)
 
 
 # -- odd-basis search for pure models -----------------------------------------
@@ -586,11 +584,6 @@ class HalperinBasis:
 def even_subring(model: Model) -> GeneratorUniverse:
     from .algebra import universe as _universe
     return _universe([(g.name, g.degree) for g in model.universe.evens])
-
-
-def _image_in_subring(model: Model, ring: GeneratorUniverse, e: Element) -> Element:
-    from .algebra import restrict_element
-    return restrict_element(e, ring)
 
 
 def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
@@ -614,7 +607,7 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
     uni = model.universe
     n = len(uni.evens)
     odd = list(uni.odds)
-    images = [_image_in_subring(model, ring, model.d.of_generator(g.name)) for g in odd]
+    images = [restrict_element(model.d.of_generator(g.name), ring) for g in odd]
     attempts = 0
 
     def test(first_n: list[Element]):
@@ -643,7 +636,8 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
     while attempts < budget:
         matrix = [[Fraction(rng.randint(-3, 3)) for _ in range(size)]
                   for _ in range(size)]
-        if _det_rank(matrix) != size:
+        if rank_of_rows([{j: c for j, c in enumerate(row) if c}
+                         for row in matrix]) != size:
             attempts += 1
             continue
         first_n = []
@@ -660,13 +654,6 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
         f"no regular odd basis found within {budget} attempts (seed {seed})")
 
 
-def _det_rank(matrix: list[list[Fraction]]) -> int:
-    rows = []
-    for row in matrix:
-        rows.append(intify({j: c for j, c in enumerate(row) if c != 0})[0])
-    return rank_of_rows(rows)
-
-
 def _assemble(model: Model, ring: GeneratorUniverse, matrix, module,
               attempts: int, strategy: str) -> HalperinBasis:
     uni = model.universe
@@ -679,7 +666,7 @@ def _assemble(model: Model, ring: GeneratorUniverse, matrix, module,
             if matrix[i][j]:
                 z = z + Element.generator(uni, g.name).scale(matrix[i][j])
         combos.append(z)
-        images.append(_image_in_subring(model, ring, model.apply(z)))
+        images.append(restrict_element(model.apply(z), ring))
     return HalperinBasis(combos, images, module, attempts, strategy, matrix)
 
 
@@ -697,22 +684,22 @@ class CrossCheckReport:
     passes: bool
 
 
-def tor_via_model_cross_check(model: Model, seed: int = 0,
-                              budget: int = 64) -> CrossCheckReport:
-    """Run the full pipeline (odd-basis search, quotient, Tor) and compare
-    against the directly computed cohomology, totals and per odd count.
+def tor_via_model_cross_check(model: Model, basis: HalperinBasis) -> CrossCheckReport:
+    """Compare the Tor table of an odd basis's quotient module against the
+    directly computed cohomology, totals and per odd count.
 
     A mismatch contradicts the structural isomorphism between the cohomology
     of a pure elliptic model and the Tor table of its quotient module, so it
     raises :class:`ContradictionError`.
     """
-    from .cohomology import betti_complete, betti_by_odd_count, certify_elliptic
-    basis = halperin_basis(model, seed=seed, budget=budget)
+    from .cohomology import (ChainComplex, betti_by_odd_count, betti_complete,
+                             certify_elliptic)
     s = s_structure_from_halperin(basis)
     table = tor_table(basis.module, s)
     cert = certify_elliptic(model)
-    betti = betti_complete(model, cert)
-    per_q = betti_by_odd_count(model, cert)
+    cx = ChainComplex(model)
+    betti = betti_complete(model, cert, cx)
+    per_q = betti_by_odd_count(model, cert, cx)
     r = s.parameter_count
     rows = []
     ok = betti.total_dim == table.total

@@ -94,52 +94,26 @@ class Echelon:
         return not self.reduce(row)
 
 
-def rank_of_rows(rows) -> int:
+def rank_of_rows(rows: list[FracRow]) -> int:
+    """Rank of a list of sparse rational (or integer) rows."""
     ech = Echelon()
     for row in sorted(rows, key=len):
-        ech.add(row)
+        ech.add(intify(row)[0])
     return ech.rank
 
 
 def kernel_of_rows(rows: list[FracRow], ncols: int) -> list[FracRow]:
-    """Basis of ``{c : sum_i c_i row_i = 0}``, echelonized for determinism.
+    """Basis of ``{c : sum_i c_i row_i = 0}``, in reduced echelon form.
 
-    Augmented elimination: each input row is tagged with its own unit vector
-    in columns ``ncols..``; rows whose matrix part cancels yield kernel
-    combinations in the tag part.
+    Augmented elimination: row ``i`` is tagged with a 1 in column
+    ``ncols + i``.  The reduced rows whose pivot is a tag column have a zero
+    matrix part, so their tag parts are the canonical kernel basis.
     """
-    ech = Echelon()
-    raw_kernel: list[Row] = []
-    for i, frow in enumerate(rows):
-        irow, scale = intify(frow)
-        aug = dict(irow)
-        aug[ncols + i] = scale  # tag tracks coefficients on the *rational* rows
-        reduced = _reduce_augmented(ech, aug, ncols)
-        if reduced and min(reduced) >= ncols:
-            raw_kernel.append(reduced)
-        elif reduced:
-            ech.pivots[min(reduced)] = reduced
-    # Canonicalize the kernel vectors (reduced echelon over the tag columns).
-    out = Rref()
-    for vec in raw_kernel:
-        out.add({j - ncols: v for j, v in vec.items()})
-    vectors = [out.pivots[c] for c in sorted(out.pivots)]
-    return [{j: Fraction(v) for j, v in vec.items()} for vec in vectors]
-
-
-def _reduce_augmented(ech: Echelon, row: Row, ncols: int) -> Row:
-    # Like Echelon.reduce, but only matrix columns (< ncols) may be pivots.
-    row = dict(row)
-    while True:
-        cols = [c for c in row if c < ncols]
-        if not cols:
-            break
-        col = min(cols)
-        piv = ech.pivots.get(col)
-        if piv is None:
-            break
-        row = _eliminate(row, piv, col)
-    return _normalize(row)
+    rref = Rref()
+    for i, row in enumerate(rows):
+        rref.add({**row, ncols + i: 1})
+    return [{j - ncols: Fraction(v) for j, v in rref.pivots[col].items()}
+            for col in sorted(rref.pivots) if col >= ncols]
 
 
 class Rref:
@@ -156,12 +130,8 @@ class Rref:
     def pivot_columns(self) -> set[int]:
         return set(self.pivots)
 
-    def add(self, frow_or_row) -> int | None:
-        if frow_or_row and isinstance(next(iter(frow_or_row.values())), Fraction):
-            row, _ = intify(frow_or_row)
-        else:
-            row = dict(frow_or_row)
-        row = self._strip_pivots(row)
+    def add(self, row: FracRow) -> int | None:
+        row = self._strip_pivots(intify(row)[0])
         if not row:
             return None
         col = min(row)
@@ -176,7 +146,7 @@ class Rref:
         """Eliminate every pivot column from a row.  Stored rows never carry
         foreign pivot columns, so each elimination introduces non-pivot
         columns only and the loop terminates."""
-        row = _normalize(dict(row))
+        row = _normalize(row)
         while row:
             hits = [c for c in row if c in self.pivots]
             if not hits:

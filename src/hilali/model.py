@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import (Element, GeneratorUniverse, Monomial, _mul_monomials,
-                      format_element, universe)
+                      format_element, restrict_element, universe)
 from .errors import EngineError, InhomogeneousError, ModelError
 from .parsing import parse_expression
 
@@ -339,14 +339,13 @@ def tensor_with_odd_line(model: Model, name: str, degree: int) -> Model:
     uni = universe(specs)
     images = {}
     for gname, img in model.d.images.items():
-        images[gname] = _transport(img, uni)
+        images[gname] = restrict_element(img, uni)
     return Model(uni, images, name=model.name, allow_degree_one=True)
 
 
 def restrict_model(model: Model, dropped: set[str]) -> Model:
     """Quotient by the ideal of the dropped generators: keep the others and
     set the dropped ones to zero inside every differential image."""
-    from .algebra import restrict_element
     specs = [(g.name, g.degree) for g in model.universe.generators
              if g.name not in dropped]
     uni = universe(specs)
@@ -359,13 +358,3 @@ def restrict_model(model: Model, dropped: set[str]) -> Model:
             images[gname] = restricted
     return Model(uni, images, name=model.name, allow_degree_one=True)
 
-
-def _transport(e: Element, target: GeneratorUniverse) -> Element:
-    """Re-express an element over a universe extending its own."""
-    out = Element.zero(target)
-    src = e.universe
-    for m, c in e.terms.items():
-        powers = {g.name: exp for exp, g in zip(m.exps, src.evens) if exp}
-        odd_names = tuple(src.odds[k].name for k in m.odds)
-        out.terms[target.monomial(powers, odd_names)] = Fraction(c)
-    return out

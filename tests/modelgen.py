@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from hilali import Element, Model, universe
+from hilali.algebra import restrict_element
 from hilali.linalg import kernel_of_rows
 
 
@@ -89,7 +90,6 @@ def random_hyperelliptic_model(rng: random.Random, *, n_max: int = 3,
     uni = universe(specs)
     diff: dict[str, Element] = {}
     for j, (deg, anchor, power) in enumerate(odd_plan):
-        from hilali.algebra import restrict_element
         partial_uni = universe(specs[:n + j])
         rebuilt = {name: restrict_element(img, partial_uni)
                    for name, img in diff.items()}
@@ -99,8 +99,7 @@ def random_hyperelliptic_model(rng: random.Random, *, n_max: int = 3,
         if candidates and rng.random() < 0.9:
             image = _sparse_combination(rng, candidates, 2)
         if image is not None:
-            from hilali.model import _transport
-            image = _transport(image, uni)
+            image = restrict_element(image, uni)
         if anchor is not None:
             term = Element.generator(uni, f"x{anchor}")
             powered = term
@@ -129,7 +128,6 @@ def random_model(rng: random.Random, *, max_generators: int = 5,
         if rng.random() < 0.45:
             continue
         partial_uni = universe(specs[:j])
-        from hilali.algebra import restrict_element
         rebuilt = {name: restrict_element(img, partial_uni)
                    for name, img in diff.items()}
         partial = Model(partial_uni, rebuilt, allow_degree_one=True)
@@ -138,8 +136,7 @@ def random_model(rng: random.Random, *, max_generators: int = 5,
         candidates = closed_elements(partial, deg, min_word_length=min_word)
         image = _sparse_combination(rng, candidates, 3)
         if image is not None:
-            from hilali.model import _transport
-            diff[specs[j][0]] = _transport(image, uni)
+            diff[specs[j][0]] = restrict_element(image, uni)
     return Model(uni, diff, name="random-model")
 
 

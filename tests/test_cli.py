@@ -141,7 +141,14 @@ def test_explain_known(capsys):
                        "--corpus", str(CORPUS))
     assert code == 0
     assert "tor_via_model_cross_check" in out
-    assert "manifest" in out
+    assert "n1r1-powers" in out
+
+
+def test_explain_names_corpus_models(capsys):
+    code, out, _ = run(capsys, "explain", "nonregular-pairs",
+                       "--corpus", str(CORPUS))
+    assert code == 0
+    assert "corpus:    entangled-pairs-n2r1, nonelliptic-pair\n" in out
 
 
 def test_explain_unknown_lists_available(capsys):

@@ -1,17 +1,18 @@
 """Betti tables, ellipticity certificates, Euler signs, explicit bases."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from hilali import (EngineError, Model, ModelError, betti,
                     betti_by_odd_count, betti_complete, certify_elliptic,
                     coboundary_basis, cocycle_basis, euler_characteristics,
-                    hilali_verdict, is_exact, parse_expression,
+                    classify, hilali_verdict, is_exact, parse_expression,
                     tensor_with_odd_line, universe)
 from hilali.cohomology import ChainComplex
 
-from dense_oracle import betti_dense
+from dense_oracle import betti_dense, dense_rank, naive_differential
 from modelgen import random_model
 
 
@@ -122,7 +123,6 @@ def test_vanishing_window_above_bound(corpus_models):
 
 
 def test_euler_signs_on_certified_corpus(corpus_models):
-    from hilali import classify
     for m in corpus_models.values():
         cls = classify(m)
         if not (cls.is_hyperelliptic and cls.r >= 0):
@@ -192,6 +192,61 @@ def test_betti_by_odd_count_sums_to_total(corpus_models):
     cert = certify_elliptic(m)
     per_q = betti_by_odd_count(m, cert)
     assert per_q == {0: 2, 1: 2}
+
+
+def test_odd_count_split_needs_pure_model(corpus_models):
+    m = corpus_models["hyper-nonpure-n3r4"]
+    with pytest.raises(ModelError):
+        ChainComplex(m).rank(3, 1)
+    with pytest.raises(ModelError):
+        betti_by_odd_count(m, certify_elliptic(m))
+
+
+def _dense_block_betti(m, bound):
+    """Betti numbers per (degree p, odd count q) through ``bound``, from the
+    naive differential and dense elimination of each block."""
+    uni = m.universe
+
+    def block(p, q):
+        return [b for b in uni.basis(p) if len(b.odds) == q]
+
+    def rank(p, q):
+        if p < 0:
+            return 0
+        source, target = block(p, q), block(p + 1, q - 1)
+        if not source or not target:
+            return 0
+        index = {t: i for i, t in enumerate(target)}
+        matrix = []
+        for mono in source:
+            row = [Fraction(0)] * len(target)
+            for t, c in naive_differential(m, mono).items():
+                row[index[t]] = c
+            matrix.append(row)
+        return dense_rank(matrix)
+
+    return {(p, q): len(block(p, q)) - rank(p, q) - rank(p - 1, q + 1)
+            for p in range(bound + 1) for q in range(len(uni.odds) + 1)}
+
+
+def test_betti_by_odd_count_matches_dense_blocks(corpus_models):
+    checked = 0
+    for name, m in corpus_models.items():
+        if not classify(m).is_pure:
+            continue
+        cert = certify_elliptic(m)
+        if not cert.elliptic:
+            continue
+        oracle = _dense_block_betti(m, cert.formal_dimension_bound)
+        cx = ChainComplex(m)
+        assert {key: cx.betti_number(*key) for key in oracle} == oracle, name
+        per_q = {}
+        for (p, q), dim in oracle.items():
+            per_q[q] = per_q.get(q, 0) + dim
+        assert betti_by_odd_count(m, cert) == \
+            {q: dim for q, dim in per_q.items() if dim}, name
+        checked += 1
+    assert checked == 11
 
 
 def test_verdict_requires_minimal():

@@ -259,7 +259,8 @@ def test_halperin_random_stage_certificate():
 
 def test_cross_check_on_pure_corpus(corpus_models):
     for name in ("sphere-s3", "squarefree-n2", "n1r1-powers"):
-        report = tor_via_model_cross_check(corpus_models[name])
+        m = corpus_models[name]
+        report = tor_via_model_cross_check(m, halperin_basis(m))
         assert report.passes
         assert report.total_cohomology == report.total_tor
 
@@ -347,6 +348,6 @@ def test_cross_check_on_random_pure_models():
             continue
         if not certify_elliptic(m).elliptic:
             continue
-        report = tor_via_model_cross_check(m, seed=0)
+        report = tor_via_model_cross_check(m, halperin_basis(m, seed=0))
         assert report.passes, m.name
         checked += 1

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hilali.linalg import Echelon, Rref, intify, kernel_of_rows, rank_of_rows
+from hilali.linalg import Echelon, Rref, kernel_of_rows, rank_of_rows
 
 from dense_oracle import dense_rank
 
@@ -21,6 +21,11 @@ def _random_sparse(rng, rows, cols, density=0.4):
     return out
 
 
+def _integral(row):
+    # denominators of _random_sparse entries divide 12
+    return {c: int(v * 12) for c, v in row.items()}
+
+
 def _densify(rows, cols):
     return [[row.get(c, Fraction(0)) for c in range(cols)] for row in rows]
 
@@ -30,9 +35,9 @@ def test_rank_matches_dense_oracle():
     for _ in range(30):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
         rows = _random_sparse(rng, r, c)
-        sparse = rank_of_rows([intify(row)[0] for row in rows])
         dense = dense_rank(_densify(rows, c))
-        assert sparse == dense
+        assert rank_of_rows(rows) == dense
+        assert rank_of_rows([_integral(row) for row in rows]) == dense
 
 
 def test_kernel_vectors_annihilate_rows():
@@ -41,7 +46,7 @@ def test_kernel_vectors_annihilate_rows():
         r, c = rng.randint(1, 8), rng.randint(1, 6)
         rows = _random_sparse(rng, r, c)
         kernel = kernel_of_rows(rows, c)
-        rank = rank_of_rows([intify(row)[0] for row in rows])
+        rank = rank_of_rows(rows)
         assert len(kernel) == r - rank
         for vec in kernel:
             combo = {}
@@ -67,8 +72,11 @@ def test_rref_reduce_is_canonical_and_idempotent():
     for _ in range(20):
         rows = _random_sparse(rng, 6, 6)
         rref = Rref()
+        integral = Rref()
         for row in rows:
             rref.add(row)
+            integral.add(_integral(row))
+        assert integral.pivots == rref.pivots
         pivots = rref.pivot_columns()
         probe = _random_sparse(rng, 1, 6)[0]
         reduced = rref.reduce(probe)
