@@ -7,8 +7,8 @@ Run from the repository root:
 
 from hilali import (duality_pairing, format_element, halperin_basis,
                     is_regular_sequence, load_model, parse_expression,
-                    s_structure_from_halperin, tor_bounds_check, tor_table,
-                    tor_via_model_cross_check, universe)
+                    tor_bounds_check, tor_table, tor_via_model_cross_check,
+                    universe)
 
 # Regular sequences are recognized through finite quotient length.  For the
 # mixed-powers images, the two highest-degree ones share the branch
@@ -32,15 +32,14 @@ for z in basis.combinations:
 module = basis.module
 print(f"quotient length {module.length}, socle degree {module.socle_degree}")
 
-s = s_structure_from_halperin(basis)
-table = tor_table(module, s)
+table = tor_table(module, basis.structure)
 print("Tor dims by homological index:", dict(sorted(table.dims.items())),
       "| total", table.total)
 
-print("endpoint bounds:", tor_bounds_check(module, s))
+print("endpoint bounds:", tor_bounds_check(module, table))
 print("duality pairing:", duality_pairing(module))
 
 # The cross-check: total cohomology equals total Tor, matching the number of
 # odd factors to the homological index.
-check = tor_via_model_cross_check(model, basis)
+check = tor_via_model_cross_check(model, basis, table)
 print("\ncross-check (q, dim H_q, dim Tor^q):", list(check.by_odd_count))

@@ -13,9 +13,9 @@ from .algebra import (Element, Generator, GeneratorUniverse, Monomial, basis,
                       dimension_series, format_element, mul, universe)
 from .cohomology import (BettiTable, EllipticityCertificate, Verdict, betti,
                          betti_by_odd_count, betti_complete, certify_elliptic,
-                         coboundary_basis, cocycle_basis,
+                         coboundary_basis, cocycle_basis, cohomology_table,
                          euler_characteristics, formal_dimension_bound,
-                         hilali_verdict, is_exact)
+                         hilali_verdict, is_exact, require_elliptic)
 from .deformation import (FlatnessReport, ModuleFamily, PerturbedModel,
                           ReductionReport, SemicontinuityReport,
                           flatness_check, perturb_and_reduce, random_rational,
@@ -26,9 +26,8 @@ from .errors import (ContradictionError, EngineError, IndeterminateError,
 from .koszul import (CrossCheckReport, HalperinBasis, PairingReport,
                      QuotientModule, SModuleStructure, TorTable,
                      duality_pairing, even_subring, halperin_basis,
-                     is_regular_sequence, quotient_basis,
-                     s_structure_from_halperin, tor_bounds_check, tor_table,
-                     tor_via_model_cross_check)
+                     is_regular_sequence, odd_images, quotient_basis,
+                     tor_bounds_check, tor_table, tor_via_model_cross_check)
 from .model import (Classification, Derivation, Model, ValidationReport,
                     check_differential, check_minimal, classify, load_model,
                     lower_grading, model_from_dict, model_to_dict, pure_part,

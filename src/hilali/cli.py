@@ -19,18 +19,17 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .algebra import format_element, restrict_element
+from .algebra import format_element
 from .claims import CLAIMS, explain
-from .cohomology import (ChainComplex, betti, betti_complete,
-                         certify_elliptic, euler_characteristics,
-                         hilali_verdict)
+from .cohomology import (ChainComplex, certify_elliptic, cohomology_table,
+                         euler_characteristics, hilali_verdict)
 from .deformation import (flatness_check, perturb_and_reduce, standard_family,
                           tor_semicontinuity_check)
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError)
-from .koszul import (duality_pairing, even_subring, halperin_basis,
-                     is_regular_sequence, s_structure_from_halperin,
-                     tor_bounds_check, tor_table, tor_via_model_cross_check)
+from .koszul import (duality_pairing, halperin_basis, is_regular_sequence,
+                     odd_images, tor_bounds_check, tor_table,
+                     tor_via_model_cross_check)
 from .model import (check_differential, check_minimal, classify, load_model,
                     pure_part, read_model)
 from .parsing import parse_expression
@@ -134,20 +133,10 @@ def _classify_text(results: dict) -> tuple[list[str], int]:
 
 def _cohomology_results(model, args) -> dict:
     cx = ChainComplex(model)
-    if args.assume_elliptic:
-        if args.max_degree is None:
-            raise ModelError("--assume-elliptic requires --max-degree")
-        cert = None
-        table = betti(model, args.max_degree, cx)
-        complete = False
-    else:
-        cert = certify_elliptic(model, max_probe=args.max_probe)
-        if not cert.elliptic:
-            error = IndeterminateError if cert.indeterminate else ModelError
-            raise error(f"not certified elliptic: {cert.evidence}; "
-                        "rerun with --assume-elliptic --max-degree N")
-        table = betti_complete(model, cert, cx)
-        complete = True
+    table, cert = cohomology_table(
+        model, assume_elliptic=args.assume_elliptic,
+        max_degree=args.max_degree, max_probe=args.max_probe,
+        chain_complex=cx)
     rows = []
     for p in range(table.max_degree_computed + 1):
         rows.append({"degree": p, "chain_dim": cx.chain_dim(p),
@@ -156,10 +145,10 @@ def _cohomology_results(model, args) -> dict:
         "dims": {str(p): d for p, d in sorted(table.dims.items())},
         "total": table.total_dim,
         "max_degree": table.max_degree_computed,
-        "complete": complete,
+        "complete": cert is not None,
         "rows": rows,
     }
-    if complete:
+    if cert is not None:
         chi, chi_pi = euler_characteristics(model, table)
         results["chi"] = chi
         results["chi_pi"] = chi_pi
@@ -168,7 +157,6 @@ def _cohomology_results(model, args) -> dict:
         bound = table.max_degree_computed
         results["poincare_symmetric"] = all(
             table[p] == table[bound - p] for p in range(bound + 1))
-    if cert is not None:
         results["certificate"] = {**_certificate_fields(cert),
                                   "evidence": cert.evidence}
     return results
@@ -224,9 +212,8 @@ def _hilali_text(results: dict) -> tuple[list[str], int]:
 def _tor_results(model, args) -> dict:
     basis = halperin_basis(model, seed=args.seed, budget=args.budget,
                            max_probe=args.max_probe)
-    s = s_structure_from_halperin(basis)
-    table = tor_table(basis.module, s)
-    bounds = tor_bounds_check(basis.module, s)
+    table = tor_table(basis.module, basis.structure)
+    bounds = tor_bounds_check(basis.module, table)
     pairing = duality_pairing(basis.module, seed=args.seed)
     results = {
         "strategy": basis.strategy,
@@ -241,7 +228,7 @@ def _tor_results(model, args) -> dict:
                     "socle_dimension": pairing.socle_dimension},
     }
     if args.cross_check:
-        check = tor_via_model_cross_check(model, basis)
+        check = tor_via_model_cross_check(model, basis, table)
         results["cross_check"] = {
             "passes": check.passes,
             "total_cohomology": check.total_cohomology,
@@ -273,15 +260,11 @@ def _tor_text(results: dict) -> tuple[list[str], int]:
 
 
 def _regseq_results(model, args) -> dict:
-    ring = even_subring(model)
-    n = len(ring.evens)
-    odds = model.universe.odds
-    if len(odds) < n:
+    n = len(model.universe.evens)
+    if len(model.universe.odds) < n:
         raise ModelError("fewer odd generators than even ones; no candidate sequence")
-    pure = pure_part(model)
-    relations = [restrict_element(pure.d.of_generator(g.name), ring)
-                 for g in odds[:n]]
-    regular = is_regular_sequence(ring, relations, max_probe=args.max_probe)
+    ring, images = odd_images(pure_part(model))
+    regular = is_regular_sequence(ring, images[:n], max_probe=args.max_probe)
     return {"regular": regular, "relations": [str(i) for i in range(n)]}
 
 

@@ -4,14 +4,14 @@ bases, and the dimension-inequality verdict."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import Element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError)
 from .linalg import Rref, kernel_of_rows, rank_of_rows
-from .koszul import even_subring, quotient_basis
+from .koszul import odd_images, quotient_basis
 from .model import Model, check_differential, check_minimal, classify, pure_part
 
 
@@ -132,14 +132,7 @@ def certify_elliptic(model: Model, max_probe: int | None = None) -> EllipticityC
     if not cls.is_hyperelliptic:
         raise ModelError("ellipticity certification requires a hyperelliptic model")
     bound = formal_dimension_bound(model)
-    ring = even_subring(model)
-    pure = pure_part(model)
-    relations = []
-    for g in model.universe.odds:
-        img = pure.d.of_generator(g.name)
-        if not img.is_zero:
-            from .algebra import restrict_element
-            relations.append(restrict_element(img, ring))
+    ring, relations = odd_images(pure_part(model))
     try:
         module = quotient_basis(ring, relations, max_probe=max_probe)
     except NotFiniteLengthError as exc:
@@ -152,6 +145,36 @@ def certify_elliptic(model: Model, max_probe: int | None = None) -> EllipticityC
         f"pure-part quotient has finite length {module.length} "
         f"(socle degree {module.socle_degree})",
         module.length, module.socle_degree)
+
+
+def require_elliptic(model: Model,
+                     max_probe: int | None = None) -> EllipticityCertificate:
+    """The certificate of a model certified elliptic.  A certification whose
+    probe budget ran out raises :class:`IndeterminateError`; any other failed
+    certification raises :class:`ModelError`."""
+    certificate = certify_elliptic(model, max_probe=max_probe)
+    if not certificate.elliptic:
+        error = IndeterminateError if certificate.indeterminate else ModelError
+        raise error(f"not certified elliptic: {certificate.evidence}")
+    return certificate
+
+
+def cohomology_table(model: Model, *, assume_elliptic: bool = False,
+                     max_degree: int | None = None,
+                     max_probe: int | None = None,
+                     chain_complex: ChainComplex | None = None
+                     ) -> tuple[BettiTable, EllipticityCertificate | None]:
+    """The complete Betti table and the certificate behind it: through the
+    formal dimension bound of a model certified elliptic (see
+    :func:`require_elliptic`), or, under ``assume_elliptic``, through an
+    explicit ``max_degree``, complete by assumption, with no certificate."""
+    if assume_elliptic:
+        if max_degree is None:
+            raise ModelError("assume_elliptic requires an explicit max_degree")
+        return replace(betti(model, max_degree, chain_complex),
+                       complete=True), None
+    certificate = require_elliptic(model, max_probe)
+    return betti_complete(model, certificate, chain_complex), certificate
 
 
 def betti_complete(model: Model, certificate: EllipticityCertificate,
@@ -277,27 +300,17 @@ def hilali_verdict(model: Model, *, assume_elliptic: bool = False,
 
     Requires a minimal model certified elliptic (or an explicit truncation
     degree under ``assume_elliptic``).  Also evaluates the Euler
-    characteristic sign constraints of elliptic models.  A certification
-    whose probe budget ran out raises :class:`IndeterminateError`; any
-    other failed certification raises :class:`ModelError`.
+    characteristic sign constraints of elliptic models.  Certification
+    failures raise as in :func:`require_elliptic`.
     """
     report = check_differential(model)
     if not report.passed:
         raise ModelError("the differential fails validation; run check_differential")
     if not check_minimal(model):
         raise ModelError("the verdict is defined for minimal models only")
-    if assume_elliptic:
-        if max_degree is None:
-            raise ModelError("assume_elliptic requires an explicit max_degree")
-        raw = betti(model, max_degree)
-        table = BettiTable(raw.dims, raw.max_degree_computed, raw.total_dim, True)
-        certificate = None
-    else:
-        certificate = certify_elliptic(model, max_probe=max_probe)
-        if not certificate.elliptic:
-            error = IndeterminateError if certificate.indeterminate else ModelError
-            raise error(f"not certified elliptic: {certificate.evidence}")
-        table = betti_complete(model, certificate)
+    table, certificate = cohomology_table(
+        model, assume_elliptic=assume_elliptic, max_degree=max_degree,
+        max_probe=max_probe)
     chi, chi_pi = euler_characteristics(model, table)
     signs_ok = chi >= 0 and chi_pi <= 0 and ((chi_pi < 0) == (chi == 0))
     dim_v = len(model.universe.generators)

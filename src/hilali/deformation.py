@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Element
-from .cohomology import (betti_below, betti_complete, certify_elliptic,
+from .cohomology import (betti_below, cohomology_table,
                          formal_dimension_bound)
 from .errors import ContradictionError, IndeterminateError, ModelError
 from .koszul import (QuotientModule, SModuleStructure, _binomial,
@@ -31,6 +31,17 @@ def random_rational(rng: random.Random, bound: int = 10**6) -> Fraction:
     return Fraction(num, den)
 
 
+def _distinct_parameters(rng: random.Random, count: int) -> list[Fraction]:
+    """``count`` distinct nonzero rationals, in the order ``rng`` draws
+    them; a repeated draw is skipped."""
+    out: list[Fraction] = []
+    while len(out) < count:
+        xi = random_rational(rng)
+        if xi not in out:
+            out.append(xi)
+    return out
+
+
 # -- families of quotient modules ---------------------------------------------
 
 
@@ -42,13 +53,12 @@ class ModuleFamily:
     """
 
     def __init__(self, ring, base_relations: list[Element],
-                 perturbations: list[Element], max_probe: int | None = None):
+                 perturbations: list[Element]):
         if len(base_relations) != len(perturbations):
             raise ModelError("each relation needs a perturbation (possibly zero)")
         self.ring = ring
         self.base_relations = list(base_relations)
         self.perturbations = list(perturbations)
-        self.max_probe = max_probe
         self.fiber_cache: dict[Fraction, QuotientModule] = {}
 
     def relations_at(self, xi) -> list[Element]:
@@ -60,18 +70,18 @@ class ModuleFamily:
         """Quotient by the relations evaluated at ``t = xi``."""
         xi = Fraction(xi)
         if xi not in self.fiber_cache:
-            self.fiber_cache[xi] = quotient_basis(
-                self.ring, self.relations_at(xi), max_probe=self.max_probe)
+            self.fiber_cache[xi] = quotient_basis(self.ring,
+                                                  self.relations_at(xi))
         return self.fiber_cache[xi]
 
 
-def standard_family(model: Model, seed: int = 0, budget: int = 64):
+def standard_family(model: Model, seed: int = 0):
     """The family ``(P_i + t x_i)`` attached to a pure elliptic model.
 
     The P's come from the odd-basis search; the remaining images act as the
     module parameters.  Returns ``(family, action_polys)``.
     """
-    basis = halperin_basis(model, seed=seed, budget=budget)
+    basis = halperin_basis(model, seed=seed)
     ring = basis.module.ring
     n = len(ring.evens)
     perturbations = [Element.generator(ring, g.name) for g in ring.evens]
@@ -91,18 +101,13 @@ class FlatnessReport:
         return self.verdict == "flat"
 
 
-def flatness_check(family: ModuleFamily, samples: int = 5, seed: int = 0,
-                   numden_bound: int = 10**6) -> FlatnessReport:
+def flatness_check(family: ModuleFamily, samples: int = 5,
+                   seed: int = 0) -> FlatnessReport:
     """Flatness as constant fiber length: compare t = 0 against random
     nonzero rational parameters."""
     if samples < 2:
         raise ModelError("flatness sampling needs at least two fibers")
-    rng = random.Random(seed)
-    points = [Fraction(0)]
-    while len(points) < samples + 1:
-        xi = random_rational(rng, numden_bound)
-        if xi not in points:
-            points.append(xi)
+    points = [Fraction(0)] + _distinct_parameters(random.Random(seed), samples)
     lengths: list[tuple[Fraction, int | None]] = []
     indeterminate = False
     for xi in points:
@@ -136,8 +141,7 @@ class SemicontinuityReport:
 
 
 def tor_semicontinuity_check(family: ModuleFamily, action_polys: list[Element],
-                             samples: int = 5, seed: int = 0,
-                             numden_bound: int = 10**6) -> SemicontinuityReport:
+                             samples: int = 5, seed: int = 0) -> SemicontinuityReport:
     """Check dim Tor^k(fiber at xi) <= dim Tor^k(fiber at 0) for sampled xi.
 
     A violated inequality contradicts semicontinuity over a flat family, so
@@ -147,14 +151,8 @@ def tor_semicontinuity_check(family: ModuleFamily, action_polys: list[Element],
     base = family.fiber(0)
     base_table = tor_table(base, SModuleStructure(base, action_polys))
     r = len(action_polys)
-    rng = random.Random(seed)
     out = []
-    seen = {Fraction(0)}
-    for _ in range(samples):
-        xi = random_rational(rng, numden_bound)
-        while xi in seen:
-            xi = random_rational(rng, numden_bound)
-        seen.add(xi)
+    for xi in _distinct_parameters(random.Random(seed), samples):
         fiber = family.fiber(xi)
         table = tor_table(fiber, SModuleStructure(fiber, action_polys))
         dominated = all(table[k] <= base_table[k] for k in range(r + 1))
@@ -260,9 +258,8 @@ class ReductionReport:
         return self.chain_ok and self.lower_bound_ok
 
 
-def perturb_and_reduce(model: Model, samples: int = 2, seed: int = 0,
-                       numden_bound: int = 10**6,
-                       max_retries: int = 3) -> ReductionReport:
+def perturb_and_reduce(model: Model, samples: int = 2,
+                       seed: int = 0) -> ReductionReport:
     """Cancel the even generators one at a time against perturbed odd lines.
 
     Each step verifies, at ``samples`` random nonzero rationals: the
@@ -275,11 +272,8 @@ def perturb_and_reduce(model: Model, samples: int = 2, seed: int = 0,
     cls = classify(model)
     if not cls.is_hyperelliptic:
         raise ModelError("the reduction pipeline requires a hyperelliptic model")
-    cert = certify_elliptic(model)
-    if not cert.elliptic:
-        raise ModelError(f"not certified elliptic: {cert.evidence}")
     rng = random.Random(seed)
-    dim_h = betti_complete(model, cert).total_dim
+    dim_h = cohomology_table(model)[0].total_dim
     n = cls.n
     r = cls.r
     current = model
@@ -299,33 +293,24 @@ def perturb_and_reduce(model: Model, samples: int = 2, seed: int = 0,
                 f"doubling failed at {target.name}: dim H(W) = {dim_w0} != "
                 f"2 * {dim_current}")
         dim_next = betti_below(quotient, bound_w, window_w).total_dim
+        # every sample must give dim H(W, d_xi) = dim_next, so the
+        # semicontinuity inequality is the same for all of them
+        if dim_next > dim_w0:
+            raise ContradictionError(
+                f"semicontinuity failed at {target.name}: dim H(next) = "
+                f"{dim_next} > dim H(W, d_0) = {dim_w0}")
         taken: list[ReductionSample] = []
-        seen: set[Fraction] = set()
-        retries = 0
-        while len(taken) < samples:
-            xi = random_rational(rng, numden_bound)
-            if xi in seen:
-                continue
-            seen.add(xi)
+        for xi in _distinct_parameters(rng, samples):
             perturbed = pm.at_parameter(xi)
             if not check_differential(perturbed).passed:
                 raise ContradictionError(
                     f"(d + xi delta)^2 != 0 at xi = {xi}")
             dim_wxi = betti_below(perturbed, bound_w, window_w).total_dim
-            collapse_ok = dim_wxi == dim_next
-            dominated = dim_wxi <= dim_w0
-            if not collapse_ok:
+            if dim_wxi != dim_next:
                 raise ContradictionError(
                     f"cancellation equality failed at {target.name}, xi = {xi}: "
                     f"dim H(W, d_xi) = {dim_wxi} != {dim_next}")
-            if not dominated:
-                retries += 1
-                if retries > max_retries:
-                    raise ContradictionError(
-                        f"semicontinuity failed at {target.name} for every "
-                        f"retry (last xi = {xi}): {dim_wxi} > {dim_w0}")
-                continue
-            taken.append(ReductionSample(xi, dim_wxi, collapse_ok, dominated))
+            taken.append(ReductionSample(xi, dim_wxi, True, True))
         steps.append(ReductionStep(
             target.name, pm.w_model.universe.by_name[pm.ybar_name].degree,
             dim_current, dim_w0, doubling_ok, dim_next, tuple(taken),

@@ -15,12 +15,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .algebra import Element, GeneratorUniverse, Monomial, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError)
 from .linalg import Rref, rank_of_rows
 from .model import Model, classify
+
+if TYPE_CHECKING:
+    from .cohomology import EllipticityCertificate
 
 
 def _binomial(n: int, k: int) -> int:
@@ -45,6 +49,7 @@ class _MonomialIndex:
         self.ring = ring
         self.by_monomial: dict[Monomial, int] = {}
         self.monomials: list[Monomial] = []
+        self.ends: list[int] = []   # ends[d]: monomials of degree <= d
         self.degree_extent = -1
 
     def extend_to(self, degree: int) -> None:
@@ -53,6 +58,7 @@ class _MonomialIndex:
             for m in self.ring.basis(self.degree_extent):
                 self.by_monomial[m] = len(self.monomials)
                 self.monomials.append(m)
+            self.ends.append(len(self.monomials))
 
     def col(self, m: Monomial) -> int:
         return -(self.by_monomial[m] + 1)
@@ -75,26 +81,32 @@ class QuotientModule:
     and socle degree are exact).  ``filtered`` instances use the total-degree
     filtration for inhomogeneous relations; the closure certificate bounds
     the length and the stabilization window makes it exact in practice.
+
+    :func:`quotient_basis` builds one instance, extends its relation span
+    degree by degree, and sets its basis from the standard monomials of the
+    staircase; until then the basis is empty.
     """
 
     def __init__(self, ring: GeneratorUniverse, relations: list[Element],
-                 graded: bool, index: _MonomialIndex, rref: Rref,
-                 basis: list[Monomial], span_extent: int, max_probe: int):
+                 graded: bool, max_probe: int):
         self.ring = ring
         self.relations = relations
         self.graded = graded
-        self._index = index
-        self._rref = rref
-        self._span_extent = span_extent
+        self._index = _MonomialIndex(ring)
+        self._rref = Rref()
+        self._span_extent = -1
         self._max_probe = max_probe
         # inhomogeneous staircases need covering combinations from a few
         # stages above the degree being reduced
         self._slack = 0 if graded else max(
             (r.top_degree() or 0 for r in relations), default=0)
+        self._set_basis([])
+
+    def _set_basis(self, basis: list[Monomial]) -> None:
         self.standard_basis = basis
         self.basis_positions = {m: i for i, m in enumerate(basis)}
         self.length = len(basis)
-        degrees = [ring.degree_of(m) for m in basis]
+        degrees = [self.ring.degree_of(m) for m in basis]
         self.socle_degree = max(degrees) if degrees else 0
 
     def basis_by_degree(self) -> dict[int, list[Monomial]]:
@@ -103,18 +115,32 @@ class QuotientModule:
             table.setdefault(self.ring.degree_of(m), []).append(m)
         return table
 
+    def _standard_monomials(self, top: int) -> list[Monomial]:
+        """Monomials of degree at most ``top`` that lead no element of the
+        relation span computed so far."""
+        if top < 0:
+            return []
+        index = self._index
+        index.extend_to(top)
+        pivots = self._rref.pivots
+        return [m for i, m in enumerate(index.monomials[:index.ends[top]])
+                if -(i + 1) not in pivots]
+
     def _extend_spans(self, degree: int) -> None:
         while self._span_extent < degree:
             self._span_extent += 1
-            for row in _relation_rows(self.ring, self.relations, self._index,
-                                      self._span_extent, self.graded):
-                pivot = self._rref.add(row)
-                if pivot is not None and \
-                        self._index.monomial_of(pivot) in self.basis_positions:
-                    raise IndeterminateError(
-                        "a certified basis monomial became a leading term at "
-                        f"degree {self._span_extent}; the probe "
-                        f"(max degree {self._max_probe}) was too small")
+            # every row of the degree enters the span before the guard
+            # raises, so a caller that goes on probing loses none of them
+            pivots = [self._rref.add(row) for row in _relation_rows(
+                self.ring, self.relations, self._index, self._span_extent,
+                self.graded)]
+            if any(p is not None and
+                   self._index.monomial_of(p) in self.basis_positions
+                   for p in pivots):
+                raise IndeterminateError(
+                    "a certified basis monomial became a leading term at "
+                    f"degree {self._span_extent}; the probe "
+                    f"(max degree {self._max_probe}) was too small")
 
     def reduce(self, e: Element) -> dict[Monomial, Fraction]:
         """Coordinates of the class of ``e`` over the standard basis."""
@@ -204,88 +230,42 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
         top = max((r.top_degree() or 0 for r in relations), default=0)
         max_probe = (prediction if prediction is not None else 0) + 2 * top + window
 
-    index = _MonomialIndex(ring)
-    rref = Rref()
-    span_extent = -1
-
-    def extend_spans(to_degree: int) -> None:
-        nonlocal span_extent
-        while span_extent < to_degree:
-            span_extent += 1
-            for row in _relation_rows(ring, relations, index, span_extent, graded):
-                rref.add(row)
-
-    def nonpivot_upto(top: int) -> list[Monomial]:
-        index.extend_to(top)
-        piv = rref.pivot_columns()
-        return [m for m in index.monomials
-                if ring.degree_of(m) <= top and index.col(m) not in piv]
-
+    # Homogeneous relations: the degree-D span is exactly the ideal's
+    # degree-D piece, so the standard monomials through D are final once D
+    # is spanned.  Inhomogeneous relations: leading-term cancellations
+    # materialize a few stages after the degrees they correct, so the top
+    # slice of the staircase is always provisional; judge stabilization
+    # below a trailing cut, and on a failed closure certificate keep probing.
+    module = QuotientModule(ring, relations, graded, max_probe)
+    lag = 0 if graded else window
     wait_past = prediction if (is_ci and prediction is not None) else -1
-    if graded:
-        # Homogeneous relations: the degree-D span is exactly the ideal's
-        # degree-D piece, so per-degree quotient dimensions are exact.
-        degree = 0
-        stable_run = 0
-        while degree <= max_probe:
-            extend_spans(degree)
-            index.extend_to(degree)
-            piv = rref.pivot_columns()
-            q = sum(1 for m in ring.basis(degree) if index.col(m) not in piv)
-            if is_ci and prediction is not None and degree > prediction and q > 0:
-                raise NotFiniteLengthError(
-                    f"nonzero class in degree {degree} above the predicted socle "
-                    f"degree {prediction}; the relations are not a regular sequence")
-            stable_run = stable_run + 1 if q == 0 else 0
-            if stable_run >= window and degree > wait_past:
-                break
-            degree += 1
-        else:
-            raise IndeterminateError(
-                f"quotient dimensions did not stabilize by degree {max_probe} "
-                "(not finite length, or probe too small)")
-        basis = nonpivot_upto(degree)
-    else:
-        # Inhomogeneous relations: leading-term cancellations materialize a
-        # few stages after the degrees they correct, so the top slice of the
-        # staircase is always provisional.  Judge stabilization on the
-        # standard-monomial set below a trailing cut, then validate the
-        # candidate by the closure certificate; on failure keep probing.
-        degree = 0
-        stable_run = 0
-        previous: list[Monomial] | None = None
-        module = None
-        while degree <= max_probe:
-            extend_spans(degree)
-            current = nonpivot_upto(max(degree - window, -1))
-            if previous is not None and current == previous:
-                stable_run += 1
-            else:
+    previous: list[Monomial] = []
+    stable_run = 0
+    for degree in range(max_probe + 1):
+        module._extend_spans(degree)
+        current = module._standard_monomials(degree - lag)
+        if graded and is_ci and prediction is not None and \
+                degree > prediction and len(current) > len(previous):
+            raise NotFiniteLengthError(
+                f"nonzero class in degree {degree} above the predicted socle "
+                f"degree {prediction}; the relations are not a regular sequence")
+        stable_run = stable_run + 1 if current == previous else 0
+        previous = current
+        if stable_run >= window and degree > wait_past and (graded or current):
+            module._set_basis(current)
+            try:
+                _closure_certificate(module)
+            except IndeterminateError:
+                if graded:
+                    raise
+                module._set_basis([])
                 stable_run = 0
-            previous = current
-            if stable_run >= window and degree > wait_past and current:
-                candidate = QuotientModule(ring, relations, graded, index,
-                                           rref, current, span_extent,
-                                           max_probe)
-                try:
-                    _closure_certificate(candidate)
-                except IndeterminateError:
-                    stable_run = 0
-                    span_extent = candidate._span_extent
-                else:
-                    span_extent = candidate._span_extent
-                    module = candidate
-                    break
-            degree += 1
-        if module is None:
-            raise IndeterminateError(
-                f"the standard monomial set did not stabilize by degree "
-                f"{max_probe} (not finite length, or probe too small)")
-        return module
-    module = QuotientModule(ring, relations, graded, index, rref, basis,
-                            span_extent, max_probe)
-    _closure_certificate(module)
-    return module
+            else:
+                return module
+    raise IndeterminateError(
+        f"{'quotient dimensions' if graded else 'the standard monomial set'} "
+        f"did not stabilize by degree {max_probe} (not finite length, or "
+        "probe too small)")
 
 
 def _closure_certificate(module: QuotientModule) -> None:
@@ -440,12 +420,11 @@ class TorBoundsReport:
     passes: bool
 
 
-def tor_bounds_check(module: QuotientModule, s: SModuleStructure) -> TorBoundsReport:
-    """Endpoint bounds: dim Tor^0 >= n+1 and dim Tor^r >= n+1; for r = 0 the
-    quadratic-count bound length >= 2n."""
+def tor_bounds_check(module: QuotientModule, table: TorTable) -> TorBoundsReport:
+    """Endpoint bounds on the Tor table of ``module``: dim Tor^0 >= n+1 and
+    dim Tor^r >= n+1; for r = 0 the quadratic-count bound length >= 2n."""
     n = len(module.ring.evens)
-    r = s.parameter_count
-    table = tor_table(module, s)
+    r = max(table.dims)
     bottom_ok = table[0] >= n + 1
     top_ok = table[r] >= n + 1
     length_ok = module.length >= 2 * n if r == 0 else True
@@ -461,6 +440,9 @@ def tor_bounds_check(module: QuotientModule, s: SModuleStructure) -> TorBoundsRe
 # -- duality pairing ----------------------------------------------------------
 
 
+_PAIRING_ATTEMPTS = 8
+
+
 @dataclass(frozen=True)
 class PairingReport:
     perfect: bool
@@ -469,14 +451,13 @@ class PairingReport:
     detail: str = ""
 
 
-def duality_pairing(module: QuotientModule, seed: int = 0,
-                    attempts: int = 8) -> PairingReport:
+def duality_pairing(module: QuotientModule, seed: int = 0) -> PairingReport:
     """Certify the multiplication pairing of a complete-intersection quotient.
 
     Graded quotients: the top degree must be one-dimensional and each block
     ``M_a x M_{s-a} -> M_s`` nondegenerate.  Filtered quotients (relations of
-    mixed degrees): sample linear functionals and certify that some Gram
-    matrix ``phi(b_i b_j)`` is nonsingular.
+    mixed degrees): sample up to eight linear functionals and certify that
+    some Gram matrix ``phi(b_i b_j)`` is nonsingular.
     """
     if len(module.relations) != len(module.ring.evens):
         raise ModelError("duality pairing requires a complete intersection "
@@ -485,7 +466,7 @@ def duality_pairing(module: QuotientModule, seed: int = 0,
         return PairingReport(False, "graded", 0, "zero module")
     if module.graded:
         return _graded_pairing(module)
-    return _functional_pairing(module, seed, attempts)
+    return _functional_pairing(module, seed)
 
 
 def _graded_pairing(module: QuotientModule) -> PairingReport:
@@ -520,7 +501,7 @@ def _graded_pairing(module: QuotientModule) -> PairingReport:
                          f"socle degree {socle}, all blocks nondegenerate")
 
 
-def _functional_pairing(module: QuotientModule, seed: int, attempts: int) -> PairingReport:
+def _functional_pairing(module: QuotientModule, seed: int) -> PairingReport:
     dim = module.length
     socle_dim = _socle_dimension(module)
     products: list[list[dict[int, Fraction]]] = []
@@ -532,7 +513,7 @@ def _functional_pairing(module: QuotientModule, seed: int, attempts: int) -> Pai
             row.append(module.reduce_vector(prod))
         products.append(row)
     rng = random.Random(seed)
-    for attempt in range(attempts):
+    for attempt in range(_PAIRING_ATTEMPTS):
         phi = [rng.randint(-9, 9) for _ in range(dim)]
         rows = []
         for i in range(dim):
@@ -546,7 +527,8 @@ def _functional_pairing(module: QuotientModule, seed: int, attempts: int) -> Pai
             return PairingReport(True, "functional", socle_dim,
                                  f"nonsingular Gram matrix at attempt {attempt}")
     return PairingReport(False, "functional", socle_dim,
-                         f"no certifying functional in {attempts} attempts")
+                         f"no certifying functional in {_PAIRING_ATTEMPTS} "
+                         "attempts")
 
 
 def _socle_dimension(module: QuotientModule) -> int:
@@ -576,6 +558,8 @@ class HalperinBasis:
     combinations: list[Element]     # z_j as combinations of the odd generators
     images: list[Element]           # d z_j, elements of the even subring
     module: QuotientModule          # the finite-length certificate for the first n
+    structure: SModuleStructure     # the last r images acting on the module
+    certificate: EllipticityCertificate     # the model's, from before the search
     attempts: int
     strategy: str
     matrix: list[list[Fraction]] = field(repr=False, default_factory=list)
@@ -584,6 +568,14 @@ class HalperinBasis:
 def even_subring(model: Model) -> GeneratorUniverse:
     from .algebra import universe as _universe
     return _universe([(g.name, g.degree) for g in model.universe.evens])
+
+
+def odd_images(model: Model) -> tuple[GeneratorUniverse, list[Element]]:
+    """The even subring and the odd generators' images restricted to it,
+    which drops every term with an odd factor (the pure part)."""
+    ring = even_subring(model)
+    return ring, [restrict_element(model.d.of_generator(g.name), ring)
+                  for g in model.universe.odds]
 
 
 def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
@@ -599,15 +591,11 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
     cls = classify(model)
     if not cls.is_pure:
         raise ModelError("the odd-basis search requires a pure model")
-    from .cohomology import certify_elliptic
-    cert = certify_elliptic(model)
-    if not cert.elliptic:
-        raise ModelError("the model is not certified elliptic; no such basis exists")
-    ring = even_subring(model)
-    uni = model.universe
-    n = len(uni.evens)
-    odd = list(uni.odds)
-    images = [restrict_element(model.d.of_generator(g.name), ring) for g in odd]
+    from .cohomology import require_elliptic
+    certificate = require_elliptic(model)
+    ring, images = odd_images(model)
+    n = len(ring.evens)
+    size = len(images)
     attempts = 0
 
     def test(first_n: list[Element]):
@@ -621,18 +609,17 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
             return None
 
     # Stage 1: subsets of the given images, identity order first.
-    for subset in combinations(range(len(odd)), n):
+    for subset in combinations(range(size), n):
         module = test([images[i] for i in subset])
         if module is not None:
-            order = list(subset) + [i for i in range(len(odd)) if i not in subset]
+            order = list(subset) + [i for i in range(size) if i not in subset]
             matrix = [[Fraction(1) if j == order[i] else Fraction(0)
-                       for j in range(len(odd))] for i in range(len(odd))]
-            return _assemble(model, ring, matrix, module, attempts,
+                       for j in range(size)] for i in range(size)]
+            return _assemble(model, certificate, matrix, module, attempts,
                              "permutation" if list(subset) != list(range(n)) else "identity")
 
     # Stage 2: random invertible integer matrices.
     rng = random.Random(seed)
-    size = len(odd)
     while attempts < budget:
         matrix = [[Fraction(rng.randint(-3, 3)) for _ in range(size)]
                   for _ in range(size)]
@@ -649,14 +636,16 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
             first_n.append(combo)
         module = test(first_n)
         if module is not None:
-            return _assemble(model, ring, matrix, module, attempts, "random")
+            return _assemble(model, certificate, matrix, module, attempts,
+                             "random")
     raise IndeterminateError(
         f"no regular odd basis found within {budget} attempts (seed {seed})")
 
 
-def _assemble(model: Model, ring: GeneratorUniverse, matrix, module,
+def _assemble(model: Model, certificate, matrix, module: QuotientModule,
               attempts: int, strategy: str) -> HalperinBasis:
     uni = model.universe
+    ring = module.ring
     odd = list(uni.odds)
     combos = []
     images = []
@@ -667,12 +656,9 @@ def _assemble(model: Model, ring: GeneratorUniverse, matrix, module,
                 z = z + Element.generator(uni, g.name).scale(matrix[i][j])
         combos.append(z)
         images.append(restrict_element(model.apply(z), ring))
-    return HalperinBasis(combos, images, module, attempts, strategy, matrix)
-
-
-def s_structure_from_halperin(basis: HalperinBasis) -> SModuleStructure:
-    n = len(basis.module.ring.evens)
-    return SModuleStructure(basis.module, basis.images[n:])
+    structure = SModuleStructure(module, images[len(ring.evens):])
+    return HalperinBasis(combos, images, module, structure, certificate,
+                         attempts, strategy, matrix)
 
 
 @dataclass(frozen=True)
@@ -684,23 +670,21 @@ class CrossCheckReport:
     passes: bool
 
 
-def tor_via_model_cross_check(model: Model, basis: HalperinBasis) -> CrossCheckReport:
-    """Compare the Tor table of an odd basis's quotient module against the
-    directly computed cohomology, totals and per odd count.
+def tor_via_model_cross_check(model: Model, basis: HalperinBasis,
+                              table: TorTable) -> CrossCheckReport:
+    """Compare ``table``, the Tor table of an odd basis's quotient module
+    (``tor_table(basis.module, basis.structure)``), against the directly
+    computed cohomology, totals and per odd count.
 
     A mismatch contradicts the structural isomorphism between the cohomology
     of a pure elliptic model and the Tor table of its quotient module, so it
     raises :class:`ContradictionError`.
     """
-    from .cohomology import (ChainComplex, betti_by_odd_count, betti_complete,
-                             certify_elliptic)
-    s = s_structure_from_halperin(basis)
-    table = tor_table(basis.module, s)
-    cert = certify_elliptic(model)
+    from .cohomology import ChainComplex, betti_by_odd_count, betti_complete
     cx = ChainComplex(model)
-    betti = betti_complete(model, cert, cx)
-    per_q = betti_by_odd_count(model, cert, cx)
-    r = s.parameter_count
+    betti = betti_complete(model, basis.certificate, cx)
+    per_q = betti_by_odd_count(model, basis.certificate, cx)
+    r = basis.structure.parameter_count
     rows = []
     ok = betti.total_dim == table.total
     for q in range(max(r, max(per_q, default=0)) + 1):

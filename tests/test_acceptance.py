@@ -23,8 +23,8 @@ from hilali import (Element, Model, NotFiniteLengthError, SModuleStructure,
                     halperin_basis, hilali_verdict, is_exact,
                     is_regular_sequence, parse_expression,
                     perturb_and_reduce, quotient_basis, restrict_model,
-                    s_structure_from_halperin, standard_family, tor_bounds_check,
-                    tor_table, tor_via_model_cross_check, universe)
+                    standard_family, tor_bounds_check, tor_table,
+                    tor_via_model_cross_check, universe)
 from hilali.algebra import format_element, restrict_element
 from hilali.koszul import _binomial
 
@@ -204,7 +204,9 @@ def test_c04_cohomology_tor_cross_check(corpus_models):
     ok = True
     for name, m in eligible.items():
         t0 = time.monotonic()
-        check = tor_via_model_cross_check(m, halperin_basis(m, seed=0))
+        basis = halperin_basis(m, seed=0)
+        table = tor_table(basis.module, basis.structure)
+        check = tor_via_model_cross_check(m, basis, table)
         worst = max(worst, time.monotonic() - t0)
         ok = ok and check.passes and check.total_cohomology == check.total_tor
         ok = ok and all(hq == tq for _, hq, tq in check.by_odd_count)
@@ -218,8 +220,8 @@ def test_c05_tor_endpoint_bounds(corpus_models):
     checked = 0
     for name, m in pure_elliptic_corpus(corpus_models).items():
         basis = halperin_basis(m, seed=0)
-        s = s_structure_from_halperin(basis)
-        bounds = tor_bounds_check(basis.module, s)
+        bounds = tor_bounds_check(basis.module,
+                                  tor_table(basis.module, basis.structure))
         n = classify(m).n
         r = classify(m).r
         ok = ok and bounds.tor_bottom >= n + 1 and bounds.tor_top >= n + 1

@@ -226,7 +226,7 @@ def test_certification_budget_exhaustion_exit_3(capsys):
     # a quotient proven to have infinite length is still an input error
     for name in ("nonelliptic-pair", "nonelliptic-even-only"):
         assert not certify_elliptic(load_model(model(name))).indeterminate
-        for command in ("hilali", "cohomology"):
+        for command in ("hilali", "cohomology", "tor", "deform", "reduce"):
             code, _, err = run(capsys, command, model(name))
             assert code == 2
             assert err.startswith("error: not certified elliptic: not elliptic")
@@ -336,3 +336,42 @@ def test_run_manifest_loads_the_model_once(monkeypatch):
     entry = run_manifest(str(CORPUS / "n1r1-powers.manifest.json"), 0)
     assert all(r["ok"] for r in entry["results"])
     assert calls == {"load_model": 1, "standard_family": 1}
+
+
+def test_tor_cross_check_certifies_once_and_builds_one_table(monkeypatch, capsys):
+    import hilali
+    calls = {"certify_elliptic": 0, "tor_table": 0}
+
+    def counted(name):
+        original = getattr(hilali, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        for module in (hilali.cli, hilali.cohomology, hilali.koszul,
+                       hilali.deformation):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    counted("certify_elliptic")
+    counted("tor_table")
+    code, out, _ = run(capsys, "tor", model("n1r1-powers"), "--cross-check")
+    assert code == 0 and "cross-check: total H = 4 = total Tor = 4 (ok)" in out
+    assert calls == {"certify_elliptic": 1, "tor_table": 1}
+
+
+def test_corpus_jobs_2_prints_what_jobs_1_prints(tmp_path, capsys):
+    import multiprocessing
+    for name in ("n1r1-powers", "sphere-s3"):
+        for kind in ("manifest", "model"):
+            path = CORPUS / f"{name}.{kind}.json"
+            (tmp_path / path.name).write_text(path.read_text())
+    outputs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "corpus", str(tmp_path), "--jobs", jobs,
+                           "--format", "machine")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["results"]["failed"] == 0
+    assert multiprocessing.active_children() == []

@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 
 from hilali import (Element, IndeterminateError, Model, ModelError,
-                    NotFiniteLengthError, SModuleStructure, duality_pairing,
-                    halperin_basis, is_regular_sequence,
-                    parse_expression, quotient_basis,
-                    tor_bounds_check, tor_table,
-                    tor_via_model_cross_check, universe)
-from hilali.koszul import _binomial, koszul_differential_rows
+                    NotFiniteLengthError, QuotientModule, SModuleStructure,
+                    duality_pairing, halperin_basis, is_regular_sequence,
+                    parse_expression, quotient_basis, tor_bounds_check,
+                    tor_table, tor_via_model_cross_check, universe)
+from hilali.koszul import _binomial, _relation_rows, koszul_differential_rows
 
 
 def ring2():
@@ -75,6 +74,21 @@ def test_probe_exhaustion_is_indeterminate():
     with pytest.raises(IndeterminateError):
         quotient_basis(ring, [pe("x1^6 + x2^2", ring), pe("x1^9 + x2^3", ring)],
                        max_probe=6)
+
+
+def test_leading_term_guard_keeps_every_row_of_its_degree():
+    # A filtered probe goes on past a failed candidate basis, so the guard
+    # may raise only after every relation multiple of its degree is spanned.
+    ring = universe([("x1", 2), ("x2", 2)])
+    relations = [pe("x1^2", ring), pe("x2^2", ring)]
+    module = QuotientModule(ring, relations, graded=True, max_probe=8)
+    module._extend_spans(3)
+    module._set_basis(module._standard_monomials(4))   # holds x1^2 and x2^2
+    with pytest.raises(IndeterminateError, match="leading term at degree 4"):
+        module._extend_spans(4)
+    rows = _relation_rows(ring, relations, module._index, 4, True)
+    assert len(rows) == 2
+    assert all(not module._rref.reduce(row) for row in rows)
 
 
 def test_regular_sequence_requires_count_match():
@@ -168,17 +182,18 @@ def test_tor_bounds_examples():
     ring = universe([("x", 2)])
     module = quotient_basis(ring, [pe("x^2", ring)])
     s = SModuleStructure(module, [pe("x^3", ring)])
-    report = tor_bounds_check(module, s)
+    report = tor_bounds_check(module, tor_table(module, s))
     assert report.passes and report.tor_bottom == 2 and report.tor_top == 2
 
     ring2v = universe([("x1", 2), ("x2", 2)])
     module2 = quotient_basis(ring2v, [pe("x1^2", ring2v), pe("x2^2", ring2v)])
-    report = tor_bounds_check(module2, SModuleStructure(module2, []))
+    report = tor_bounds_check(module2,
+                              tor_table(module2, SModuleStructure(module2, [])))
     assert report.passes and report.length == 4 >= 2 * 2
 
     empty = universe([])
     one = quotient_basis(empty, [])
-    report = tor_bounds_check(one, SModuleStructure(one, []))
+    report = tor_bounds_check(one, tor_table(one, SModuleStructure(one, [])))
     assert report.passes and report.tor_bottom == 1
 
 
@@ -260,7 +275,9 @@ def test_halperin_random_stage_certificate():
 def test_cross_check_on_pure_corpus(corpus_models):
     for name in ("sphere-s3", "squarefree-n2", "n1r1-powers"):
         m = corpus_models[name]
-        report = tor_via_model_cross_check(m, halperin_basis(m))
+        basis = halperin_basis(m)
+        table = tor_table(basis.module, basis.structure)
+        report = tor_via_model_cross_check(m, basis, table)
         assert report.passes
         assert report.total_cohomology == report.total_tor
 
@@ -348,6 +365,8 @@ def test_cross_check_on_random_pure_models():
             continue
         if not certify_elliptic(m).elliptic:
             continue
-        report = tor_via_model_cross_check(m, halperin_basis(m, seed=0))
+        basis = halperin_basis(m, seed=0)
+        table = tor_table(basis.module, basis.structure)
+        report = tor_via_model_cross_check(m, basis, table)
         assert report.passes, m.name
         checked += 1
