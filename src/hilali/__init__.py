@@ -10,7 +10,7 @@ dim V <= dim H* for minimal elliptic models of pure and hyperelliptic type.
 __version__ = "0.1.0"
 
 from .algebra import (Element, Generator, GeneratorUniverse, Monomial, basis,
-                      dimension_series, format_element, mul, universe)
+                      dimension_series, format_element, universe)
 from .cohomology import (BettiTable, EllipticityCertificate, Verdict, betti,
                          betti_by_odd_count, betti_complete, certify_elliptic,
                          coboundary_basis, cocycle_basis, cohomology_table,
@@ -18,7 +18,8 @@ from .cohomology import (BettiTable, EllipticityCertificate, Verdict, betti,
                          hilali_verdict, is_exact, require_elliptic)
 from .deformation import (FlatnessReport, ModuleFamily, PerturbedModel,
                           ReductionReport, SemicontinuityReport,
-                          flatness_check, perturb_and_reduce, random_rational,
+                          check_ybar_rescaling, flatness_check,
+                          perturb_and_reduce, random_rational,
                           standard_family, tor_semicontinuity_check)
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      InhomogeneousError, ModelError, NotFiniteLengthError,
@@ -30,9 +31,8 @@ from .koszul import (CrossCheckReport, HalperinBasis, PairingReport,
                      tor_bounds_check, tor_table, tor_via_model_cross_check)
 from .model import (Classification, Derivation, Model, ValidationReport,
                     check_differential, check_minimal, classify, load_model,
-                    lower_grading, model_from_dict, model_to_dict, pure_part,
-                    read_model, restrict_model, save_model,
-                    tensor_with_odd_line)
+                    model_from_dict, model_to_dict, pure_part, read_model,
+                    restrict_model, save_model, tensor_with_odd_line)
 from .parsing import parse_expression
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -391,11 +391,6 @@ def format_element(e: Element) -> str:
     return " ".join(parts)
 
 
-def mul(a: Element, b: Element) -> Element:
-    """Graded-commutative product (module-level alias of ``a * b``)."""
-    return a * b
-
-
 def basis(uni: GeneratorUniverse, degree: int) -> list[Monomial]:
     """Complete, duplicate-free, canonically ordered basis in one degree."""
     return uni.basis(degree)

@@ -76,7 +76,10 @@ _CLAIMS = [
     Claim("ks-collapse",
           "At a nonzero parameter the adjoined pair (x, ybar) becomes "
           "contractible: the perturbed total cohomology equals that of the "
-          "model with the pair removed.",
+          "model with the pair removed.  For every xi != 0, ybar -> ybar/xi "
+          "is a DGA isomorphism (W, d_1) -> (W, d_xi), so this holds exactly "
+          "for every nonzero xi at once; the sampled xi are labels, each "
+          "backed by an exact check of the isomorphism.",
           "perturb_and_reduce", "hilali reduce"),
     Claim("doubling",
           "Tensoring with a free odd line exactly doubles total cohomology.",

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import Element
+from .algebra import Element, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError)
 from .linalg import Rref, kernel_of_rows, rank_of_rows
@@ -81,6 +81,44 @@ class ChainComplex:
         below = None if q is None else q + 1
         return (self.chain_dim(degree, q) - self.rank(degree, q)
                 - self.rank(degree - 1, below))
+
+
+class FreeOddLineComplex(ChainComplex):
+    """The complex of ``W = base ⊗ Λ(ybar)`` with ``d(ybar) = 0``.
+
+    d keeps the ybar-free monomials and the multiples of ybar apart, so in
+    each degree W is the direct sum of two blocks: the ybar-free block,
+    which is the base model's complex and is ranked by ``base``, and the
+    ybar-block, which this complex assembles and eliminates on W itself.
+    ``basis`` and ``rows`` cover the ybar-block only; ``chain_dim`` and
+    ``rank`` add up both blocks.
+    """
+
+    def __init__(self, model: Model, base: ChainComplex, ybar: str):
+        uni = model.universe
+        rest = [(g.name, g.degree) for g in uni.generators if g.name != ybar]
+        embedded = {name: restrict_element(img, uni)
+                    for name, img in base.model.d.images.items()}
+        if (ybar not in uni.by_name or not uni.by_name[ybar].is_odd
+                or rest != [(g.name, g.degree)
+                            for g in base.model.universe.generators]
+                or model.d.images != embedded):
+            raise ModelError(f"the model is not the base model with a free "
+                             f"odd line {ybar} adjoined")
+        super().__init__(model)
+        self.base = base
+        self.ybar_position = uni.odds.index(uni.by_name[ybar])
+
+    def basis(self, degree: int):
+        return [m for m in super().basis(degree)
+                if self.ybar_position in m.odds]
+
+    def chain_dim(self, degree: int, q: int | None = None) -> int:
+        return (self.base.chain_dim(degree, q)
+                + super().chain_dim(degree, q))
+
+    def rank(self, degree: int, q: int | None = None) -> int:
+        return self.base.rank(degree, q) + super().rank(degree, q)
 
 
 def betti(model: Model, max_degree: int,
@@ -252,6 +290,8 @@ def is_exact(model: Model, e: Element) -> bool:
     degree = e.degree()
     if degree is None:
         return True
+    if degree == 0:
+        return False        # im(d) is zero in degree 0
     cx = ChainComplex(model)
     index = {m: i for i, m in enumerate(cx.basis(degree))}
     rref = Rref()

@@ -3,9 +3,10 @@
 Two pipelines live here.  Quotient-module families ``(P_i + t Q_i)`` support
 fiber evaluation at exact rational parameters, the constant-length flatness
 test, and Tor semicontinuity sampling.  Differential perturbations adjoin a
-contractible odd line, verify the cancellation and doubling identities at
-random parameters, and drive the stepwise reduction to the all-odd model,
-producing the 2^r lower bound on total cohomology.
+contractible odd line, verify the cancellation and doubling identities
+(the first at one random parameter, carried to the others by an exact
+rescaling isomorphism), and drive the stepwise reduction to the all-odd
+model, producing the 2^r lower bound on total cohomology.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Element
-from .cohomology import (betti_below, cohomology_table,
-                         formal_dimension_bound)
+from .cohomology import (ChainComplex, FreeOddLineComplex, betti_below,
+                         cohomology_table, formal_dimension_bound)
 from .errors import ContradictionError, IndeterminateError, ModelError
 from .koszul import (QuotientModule, SModuleStructure, _binomial,
                      halperin_basis, quotient_basis, tor_table)
@@ -222,6 +223,34 @@ class PerturbedModel:
                 "graded_anticommute": anti}
 
 
+def check_ybar_rescaling(source: Model, target: Model, ybar: str,
+                         factor: Fraction) -> None:
+    """Check on generators that ``ybar -> factor * ybar``, with every other
+    generator fixed, is a DGA isomorphism ``(W, d_source) -> (W, d_target)``.
+
+    Both sides of ``phi d_source = d_target phi`` are derivations along the
+    algebra map phi, so they agree everywhere once they agree on generators:
+    ``d_source(ybar) = factor * d_target(ybar)``, every other image is the
+    same in both, and no image mentions ybar (phi fixes ybar-free elements).
+    A nonzero factor makes phi invertible.  A failed check raises
+    :class:`ContradictionError`.
+    """
+    uni = source.universe
+    if target.universe != uni or factor == 0:
+        raise ContradictionError(
+            f"{ybar} -> {factor} * {ybar} is not an isomorphism between the "
+            "perturbed models")
+    position = uni.odds.index(uni.by_name[ybar])
+    for g in uni.generators:
+        image = source.d.of_generator(g.name)
+        other = target.d.of_generator(g.name)
+        expected = other.scale(factor) if g.name == ybar else other
+        if image != expected or any(position in m.odds for m in image.terms):
+            raise ContradictionError(
+                f"{ybar} -> {factor} * {ybar} does not carry d({g.name}) of "
+                "one perturbed model to the other")
+
+
 @dataclass(frozen=True)
 class ReductionSample:
     xi: Fraction
@@ -262,18 +291,36 @@ def perturb_and_reduce(model: Model, samples: int = 2,
                        seed: int = 0) -> ReductionReport:
     """Cancel the even generators one at a time against perturbed odd lines.
 
-    Each step verifies, at ``samples`` random nonzero rationals: the
-    cancellation equality ``dim H(W, d_xi) = dim H(quotient)`` and the
-    semicontinuity inequality ``dim H(W, d_xi) <= dim H(W, d_0)``, plus the
-    exact doubling ``dim H(W, d_0) = 2 dim H(current)``.  The terminal model
-    is all-odd with zero differential and total dimension ``2^(n+r)``,
-    yielding ``2^n dim H >= 2^(n+r)`` and the lower bound ``dim H >= 2^r``.
+    Each step adjoins ybar with ``d_xi(ybar) = xi * x`` for the lowest even
+    generator x of the current model and checks: the cancellation equality
+    ``dim H(W, d_xi) = dim H(quotient)``, the semicontinuity inequality
+    ``dim H(W, d_xi) <= dim H(W, d_0)``, and the doubling
+    ``dim H(W, d_0) = 2 dim H(current)``.  The terminal model is all-odd with
+    zero differential and total dimension ``2^(n+r)``, yielding
+    ``2^n dim H >= 2^(n+r)`` and the lower bound ``dim H >= 2^r``.
+
+    For ``xi != 0``, ``ybar -> ybar / xi`` with every other generator fixed
+    is a DGA isomorphism ``(W, d_1) -> (W, d_xi)``: x is closed and no image
+    mentions ybar.  So dim H(W, d_xi) is the same for every nonzero xi.  It
+    is computed at the first of ``samples`` drawn parameters; every further
+    one is reported with that dimension after an exact check, on
+    generators, that ``ybar -> (xi_1 / xi) ybar`` carries d_{xi_1} to d_xi
+    (see :func:`check_ybar_rescaling`).
+
+    With ``d_0(ybar) = 0``, ``(W, d_0)`` splits into the ybar-free block,
+    which is the current model's complex, and the ybar-block (see
+    :class:`FreeOddLineComplex`).  The first block's ranks come from the
+    current model's chain complex, the one built for ``dim H`` or for the
+    previous step's quotient; only the ybar-block is eliminated on W.
     """
+    if samples < 1:
+        raise ModelError("reduction sampling needs at least one parameter")
     cls = classify(model)
     if not cls.is_hyperelliptic:
         raise ModelError("the reduction pipeline requires a hyperelliptic model")
     rng = random.Random(seed)
-    dim_h = cohomology_table(model)[0].total_dim
+    current_cx = ChainComplex(model)
+    dim_h = cohomology_table(model, chain_complex=current_cx)[0].total_dim
     n = cls.n
     r = cls.r
     current = model
@@ -286,13 +333,17 @@ def perturb_and_reduce(model: Model, samples: int = 2,
         quotient = restrict_model(current, {target.name})
         bound_w = formal_dimension_bound(pm.w_model)
         window_w = max(g.degree for g in pm.w_model.universe.generators)
-        dim_w0 = betti_below(pm.w_model, bound_w, window_w).total_dim
+        w_zero = FreeOddLineComplex(pm.w_model, current_cx, pm.ybar_name)
+        dim_w0 = betti_below(pm.w_model, bound_w, window_w,
+                             w_zero).total_dim
         doubling_ok = dim_w0 == 2 * dim_current
         if not doubling_ok:
             raise ContradictionError(
                 f"doubling failed at {target.name}: dim H(W) = {dim_w0} != "
                 f"2 * {dim_current}")
-        dim_next = betti_below(quotient, bound_w, window_w).total_dim
+        quotient_cx = ChainComplex(quotient)
+        dim_next = betti_below(quotient, bound_w, window_w,
+                               quotient_cx).total_dim
         # every sample must give dim H(W, d_xi) = dim_next, so the
         # semicontinuity inequality is the same for all of them
         if dim_next > dim_w0:
@@ -305,18 +356,23 @@ def perturb_and_reduce(model: Model, samples: int = 2,
             if not check_differential(perturbed).passed:
                 raise ContradictionError(
                     f"(d + xi delta)^2 != 0 at xi = {xi}")
-            dim_wxi = betti_below(perturbed, bound_w, window_w).total_dim
-            if dim_wxi != dim_next:
-                raise ContradictionError(
-                    f"cancellation equality failed at {target.name}, xi = {xi}: "
-                    f"dim H(W, d_xi) = {dim_wxi} != {dim_next}")
+            if not taken:
+                xi_1, first = xi, perturbed
+                dim_wxi = betti_below(perturbed, bound_w,
+                                      window_w).total_dim
+                if dim_wxi != dim_next:
+                    raise ContradictionError(
+                        f"cancellation equality failed at {target.name}, "
+                        f"xi = {xi}: dim H(W, d_xi) = {dim_wxi} != {dim_next}")
+            else:
+                check_ybar_rescaling(first, perturbed, pm.ybar_name,
+                                     xi_1 / xi)
             taken.append(ReductionSample(xi, dim_wxi, True, True))
         steps.append(ReductionStep(
             target.name, pm.w_model.universe.by_name[pm.ybar_name].degree,
             dim_current, dim_w0, doubling_ok, dim_next, tuple(taken),
             pm.anticommutator_report()))
-        current = quotient
-        dim_current = dim_next
+        current, current_cx, dim_current = quotient, quotient_cx, dim_next
     # terminal all-odd model: differential must vanish, total dim is 2^odd
     if any(not img.is_zero for img in current.d.images.values()):
         raise ContradictionError("terminal all-odd model has nonzero differential")

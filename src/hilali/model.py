@@ -226,11 +226,6 @@ def classify(model: Model) -> Classification:
     )
 
 
-def lower_grading(e: Element) -> dict[int, Element]:
-    """Split an element by its number of odd factors; parts sum back to it."""
-    return e.split_by_odd_count()
-
-
 def pure_part(model: Model) -> Model:
     """Replace each odd image by its zero-odd-factor component.
 
@@ -242,7 +237,7 @@ def pure_part(model: Model) -> Model:
     images = {}
     for g in model.universe.odds:
         img = model.d.of_generator(g.name)
-        part = lower_grading(img).get(0)
+        part = img.split_by_odd_count().get(0)
         if part is not None and not part.is_zero:
             images[g.name] = part
     return Model(model.universe, images, name=model.name + ".pure" if model.name else "",

@@ -136,6 +136,18 @@ def test_reduce_report(capsys):
     assert doc["results"]["terminal_dim"] == 4
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_reduce_needs_one_sample(capsys, samples):
+    for fmt in ("text", "machine"):
+        code, out, err = run(capsys, "reduce", model("squarefree-n2"),
+                             "--samples", samples, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == \
+            "error: reduction sampling needs at least one parameter"
+        assert "Traceback" not in err
+
+
 def test_explain_known(capsys):
     code, out, _ = run(capsys, "explain", "tor-isomorphism",
                        "--corpus", str(CORPUS))

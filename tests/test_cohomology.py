@@ -10,7 +10,7 @@ from hilali import (EngineError, Model, ModelError, betti,
                     coboundary_basis, cocycle_basis, euler_characteristics,
                     classify, hilali_verdict, is_exact, parse_expression,
                     tensor_with_odd_line, universe)
-from hilali.cohomology import ChainComplex
+from hilali.cohomology import ChainComplex, FreeOddLineComplex
 
 from dense_oracle import betti_dense, dense_rank, naive_differential
 from modelgen import random_model
@@ -161,6 +161,13 @@ def test_boundary_of_triple_product_in_coboundary_span():
     assert is_exact(m, boundary)
 
 
+def test_degree_zero_element_is_not_exact():
+    # im(d) is zero in degree 0, so no nonzero constant bounds
+    m = build([("x", 2), ("y", 3)], {"y": "x^2"})
+    assert not is_exact(m, parse_expression("1", m.universe))
+    assert coboundary_basis(m, 0) == []
+
+
 def test_cocycle_span_contains_coboundary_span():
     m = build([("x1", 2), ("y1", 3), ("y2", 5)], {"y1": "x1^2", "y2": "x1^3"})
     from hilali.linalg import Rref
@@ -185,6 +192,40 @@ def test_doubling_with_free_odd_line(corpus_models):
     window = max(g.degree for g in extended.universe.generators)
     table = betti(extended, bound + window)
     assert table.total_dim == 2 * base.total_dim
+
+
+@pytest.mark.parametrize("name", ["pure-n2r1-diag", "squarefree-n2",
+                                  "odd-triple"])
+def test_free_odd_line_blocks_add_up_to_the_whole_complex(corpus_models, name):
+    m = corpus_models[name]
+    extended = tensor_with_odd_line(m, "ybar", 3)
+    split = FreeOddLineComplex(extended, ChainComplex(m), "ybar")
+    whole = ChainComplex(extended)
+    assert split.pure == whole.pure
+    for p in range(16):
+        assert split.chain_dim(p) == whole.chain_dim(p)
+        assert split.rank(p) == whole.rank(p)
+        if whole.pure:
+            for q in range(len(extended.universe.odds) + 1):
+                assert split.rank(p, q) == whole.rank(p, q)
+        # the split assembles the multiples of ybar only
+        assert len(split.rows(p)) == whole.chain_dim(p) - ChainComplex(
+            m).chain_dim(p)
+
+
+def test_free_odd_line_needs_the_base_with_a_closed_line(corpus_models):
+    m = corpus_models["pure-n2r1-diag"]
+    extended = tensor_with_odd_line(m, "ybar", 3)
+    other = corpus_models["squarefree-n2"]
+    with pytest.raises(ModelError):
+        FreeOddLineComplex(extended, ChainComplex(other), "ybar")
+    uni = extended.universe
+    x = uni.evens[0].name
+    perturbed = Model(uni, {**extended.d.images,
+                           "ybar": parse_expression(x + "^2", uni)},
+                     allow_degree_one=True)
+    with pytest.raises(ModelError):
+        FreeOddLineComplex(perturbed, ChainComplex(m), "ybar")
 
 
 def test_betti_by_odd_count_sums_to_total(corpus_models):

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hilali import (Element, Model, ModelError, ModuleFamily, PerturbedModel,
-                    check_differential, flatness_check, parse_expression,
-                    perturb_and_reduce, random_rational, standard_family,
-                    tor_semicontinuity_check, universe)
+from hilali import (ContradictionError, Element, Model, ModelError,
+                    ModuleFamily, PerturbedModel, check_differential,
+                    check_ybar_rescaling, flatness_check,
+                    formal_dimension_bound, parse_expression,
+                    perturb_and_reduce, random_rational, restrict_model,
+                    standard_family, tor_semicontinuity_check, universe)
+from hilali.cohomology import ChainComplex, betti_below
 
 
 def pe(text, uni):
@@ -174,6 +177,87 @@ def test_reduce_stable_across_seeds():
     results = {perturb_and_reduce(m, samples=2, seed=seed).dim_h
                for seed in (0, 1, 2)}
     assert results == {6}
+
+
+# corpus models certified elliptic whose reduction takes well under a second
+SMALL_REDUCIBLE = ("entangled-pairs-n2r1", "n1r1-powers", "odd-triple",
+                   "pairwise-nonregular-n2r1", "pure-n2r1-diag", "sphere-s3",
+                   "squarefree-n1", "squarefree-n2", "squarefree-n3",
+                   "squarefree-n4")
+
+
+def test_reduce_dimensions_match_whole_complexes(corpus_models):
+    """dim H(W, d_0) from the block split, and dim H(W, d_xi) carried by
+    rescaling, equal the whole complexes of W eliminated directly."""
+    for name in SMALL_REDUCIBLE:
+        for seed in range(5):
+            current = corpus_models[name]
+            report = perturb_and_reduce(current, samples=3, seed=seed)
+            for step in report.steps:
+                pm = PerturbedModel(current, step.x_name)
+                bound = formal_dimension_bound(pm.w_model)
+                window = max(g.degree for g in pm.w_model.universe.generators)
+                assert step.dim_w_zero == \
+                    betti_below(pm.w_model, bound, window).total_dim
+                assert len(step.samples) == 3
+                for sample in step.samples:
+                    assert sample.dim_w_xi == betti_below(
+                        pm.at_parameter(sample.xi), bound, window).total_dim
+                current = restrict_model(current, {step.x_name})
+
+
+def test_perturbed_complex_is_eliminated_once_per_step(corpus_models,
+                                                       monkeypatch):
+    perturbed = []
+    assembled = set()
+    at_parameter, rows = PerturbedModel.at_parameter, ChainComplex.rows
+
+    def recorded(self, xi):
+        perturbed.append(at_parameter(self, xi))
+        return perturbed[-1]
+
+    def assembling(self, degree):
+        assembled.add(id(self.model))
+        return rows(self, degree)
+
+    monkeypatch.setattr(PerturbedModel, "at_parameter", recorded)
+    monkeypatch.setattr(ChainComplex, "rows", assembling)
+    for samples in (1, 2, 4):
+        perturbed.clear()
+        report = perturb_and_reduce(corpus_models["pairwise-nonregular-n2r1"],
+                                    samples=samples, seed=0)
+        assert len(perturbed) == samples * len(report.steps) == samples * 2
+        eliminated = [m for m in perturbed if id(m) in assembled]
+        assert len(eliminated) == len(report.steps)
+
+
+def test_rescaling_check_rejects_unrelated_perturbations():
+    uni = universe([("x", 2), ("y", 3)])
+    pm = PerturbedModel(Model(uni, {"y": pe("x^2", uni)}), "x")
+    first, other = pm.at_parameter(Fraction(1, 2)), pm.at_parameter(3)
+    check_ybar_rescaling(first, other, "ybar", Fraction(1, 6))
+    with pytest.raises(ContradictionError):
+        check_ybar_rescaling(first, other, "ybar", Fraction(1, 3))
+    w = pm.w_model.universe
+
+    def with_dy(text):
+        return Model(w, {**other.d.images, "y": pe(text, w)},
+                     allow_degree_one=True)
+
+    for changed in (with_dy("2*x^2"), with_dy("x^2 + ybar*y")):
+        with pytest.raises(ContradictionError):
+            check_ybar_rescaling(first, changed, "ybar", Fraction(1, 6))
+    # an image that mentions ybar is not fixed by the rescaling, even when
+    # both models agree on it
+    mentions_ybar = with_dy("x^2 + ybar*y")
+    with pytest.raises(ContradictionError):
+        check_ybar_rescaling(mentions_ybar, mentions_ybar, "ybar", Fraction(1))
+
+
+def test_reduce_needs_one_sample():
+    uni = universe([("x", 2), ("y", 3)])
+    with pytest.raises(ModelError):
+        perturb_and_reduce(Model(uni, {"y": pe("x^2", uni)}), samples=0)
 
 
 def test_semicontinuity_on_random_pure_models():
