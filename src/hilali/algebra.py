@@ -31,10 +31,6 @@ class Generator:
     def is_odd(self) -> bool:
         return self.degree % 2 == 1
 
-    @property
-    def parity(self) -> str:
-        return "odd" if self.is_odd else "even"
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -264,9 +260,6 @@ class Element:
         else:
             m = universe.monomial({name: 1})
         return Element.from_monomial(universe, m)
-
-    def copy(self) -> "Element":
-        return Element(self.universe, dict(self.terms))
 
     # -- structure ----------------------------------------------------------
 

@@ -132,11 +132,10 @@ def _classify_text(results: dict) -> tuple[list[str], int]:
 
 
 def _cohomology_results(model, args) -> dict:
-    cx = ChainComplex(model)
     table, cert = cohomology_table(
         model, assume_elliptic=args.assume_elliptic,
-        max_degree=args.max_degree, max_probe=args.max_probe,
-        chain_complex=cx)
+        max_degree=args.max_degree, max_probe=args.max_probe)
+    cx = ChainComplex(model)
     rows = []
     for p in range(table.max_degree_computed + 1):
         rows.append({"degree": p, "chain_dim": cx.chain_dim(p),

@@ -27,17 +27,22 @@ class BettiTable:
 
 
 class ChainComplex:
-    """Per-degree bases and differential ranks of one model; cached.
+    """Per-degree bases and differential ranks of one model.
 
     In a pure model d lowers the odd-factor count q by one, so each degree
     splits into q-blocks and ranks are taken block by block; ``q=None``
     means the whole degree.  A non-pure model has one block per degree.
+
+    The ranks are memoized on the model's differential (``model.d.ranks``),
+    not on the complex, so every complex built over one model object
+    eliminates each degree once.  The memo holds only ints and refers back
+    to nothing, so a model and its ranks are freed together.
     """
 
     def __init__(self, model: Model):
         self.model = model
         self.pure = classify(model).is_pure
-        self._ranks: dict[int, dict[int | None, int]] = {}
+        self._ranks = model.d.ranks
 
     def basis(self, degree: int):
         return self.model.universe.basis(degree)
@@ -91,7 +96,8 @@ class FreeOddLineComplex(ChainComplex):
     which is the base model's complex and is ranked by ``base``, and the
     ybar-block, which this complex assembles and eliminates on W itself.
     ``basis`` and ``rows`` cover the ybar-block only; ``chain_dim`` and
-    ``rank`` add up both blocks.
+    ``rank`` add up both blocks.  The ybar-block ranks are not W's ranks,
+    so they go into a memo of this complex, not into W's shared one.
     """
 
     def __init__(self, model: Model, base: ChainComplex, ybar: str):
@@ -106,6 +112,7 @@ class FreeOddLineComplex(ChainComplex):
             raise ModelError(f"the model is not the base model with a free "
                              f"odd line {ybar} adjoined")
         super().__init__(model)
+        self._ranks = {}
         self.base = base
         self.ybar_position = uni.odds.index(uni.by_name[ybar])
 
@@ -199,31 +206,31 @@ def require_elliptic(model: Model,
 
 def cohomology_table(model: Model, *, assume_elliptic: bool = False,
                      max_degree: int | None = None,
-                     max_probe: int | None = None,
-                     chain_complex: ChainComplex | None = None
+                     max_probe: int | None = None
                      ) -> tuple[BettiTable, EllipticityCertificate | None]:
     """The complete Betti table and the certificate behind it: through the
     formal dimension bound of a model certified elliptic (see
     :func:`require_elliptic`), or, under ``assume_elliptic``, through an
-    explicit ``max_degree``, complete by assumption, with no certificate."""
+    explicit ``max_degree``, complete by assumption, with no certificate.
+    ``max_degree`` without ``assume_elliptic`` raises :class:`ModelError`."""
     if assume_elliptic:
         if max_degree is None:
             raise ModelError("assume_elliptic requires an explicit max_degree")
-        return replace(betti(model, max_degree, chain_complex),
-                       complete=True), None
+        return replace(betti(model, max_degree), complete=True), None
+    if max_degree is not None:
+        raise ModelError("max_degree truncates only under assume_elliptic")
     certificate = require_elliptic(model, max_probe)
-    return betti_complete(model, certificate, chain_complex), certificate
+    return betti_complete(model, certificate), certificate
 
 
-def betti_complete(model: Model, certificate: EllipticityCertificate,
-                   chain_complex: ChainComplex | None = None) -> BettiTable:
+def betti_complete(model: Model,
+                   certificate: EllipticityCertificate) -> BettiTable:
     """Betti table through the formal dimension bound, certified complete by
     an explicit vanishing window of one maximal generator degree above it."""
     if not certificate.elliptic:
         raise ModelError("a complete table requires an ellipticity certificate")
     window = max(g.degree for g in model.universe.generators)
-    return betti_below(model, certificate.formal_dimension_bound, window,
-                       chain_complex)
+    return betti_below(model, certificate.formal_dimension_bound, window)
 
 
 def betti_below(model: Model, bound: int, window: int,
@@ -301,16 +308,16 @@ def is_exact(model: Model, e: Element) -> bool:
     return not residue
 
 
-def betti_by_odd_count(model: Model, certificate: EllipticityCertificate,
-                       chain_complex: ChainComplex | None = None) -> dict[int, int]:
+def betti_by_odd_count(model: Model,
+                       certificate: EllipticityCertificate) -> dict[int, int]:
     """Total cohomology dimension split by the lower grading (odd factor
     count): the block Betti numbers of :func:`betti_complete`'s table.
     Requires a pure model, where d maps each piece q to q-1 and the complex
     splits."""
-    cx = chain_complex if chain_complex is not None else ChainComplex(model)
+    cx = ChainComplex(model)
     if not cx.pure:
         raise ModelError("the lower-grading split of cohomology needs a pure model")
-    table = betti_complete(model, certificate, cx)
+    table = betti_complete(model, certificate)
     totals: dict[int, int] = {}
     for q in range(len(model.universe.odds) + 1):
         total = sum(cx.betti_number(p, q)

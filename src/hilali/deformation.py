@@ -309,9 +309,9 @@ def perturb_and_reduce(model: Model, samples: int = 2,
 
     With ``d_0(ybar) = 0``, ``(W, d_0)`` splits into the ybar-free block,
     which is the current model's complex, and the ybar-block (see
-    :class:`FreeOddLineComplex`).  The first block's ranks come from the
-    current model's chain complex, the one built for ``dim H`` or for the
-    previous step's quotient; only the ybar-block is eliminated on W.
+    :class:`FreeOddLineComplex`).  The first block's ranks are the current
+    model's, memoized on its differential when ``dim H`` or the previous
+    step's quotient was computed; only the ybar-block is eliminated on W.
     """
     if samples < 1:
         raise ModelError("reduction sampling needs at least one parameter")
@@ -319,8 +319,7 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     if not cls.is_hyperelliptic:
         raise ModelError("the reduction pipeline requires a hyperelliptic model")
     rng = random.Random(seed)
-    current_cx = ChainComplex(model)
-    dim_h = cohomology_table(model, chain_complex=current_cx)[0].total_dim
+    dim_h = cohomology_table(model)[0].total_dim
     n = cls.n
     r = cls.r
     current = model
@@ -333,7 +332,8 @@ def perturb_and_reduce(model: Model, samples: int = 2,
         quotient = restrict_model(current, {target.name})
         bound_w = formal_dimension_bound(pm.w_model)
         window_w = max(g.degree for g in pm.w_model.universe.generators)
-        w_zero = FreeOddLineComplex(pm.w_model, current_cx, pm.ybar_name)
+        w_zero = FreeOddLineComplex(pm.w_model, ChainComplex(current),
+                                    pm.ybar_name)
         dim_w0 = betti_below(pm.w_model, bound_w, window_w,
                              w_zero).total_dim
         doubling_ok = dim_w0 == 2 * dim_current
@@ -341,9 +341,7 @@ def perturb_and_reduce(model: Model, samples: int = 2,
             raise ContradictionError(
                 f"doubling failed at {target.name}: dim H(W) = {dim_w0} != "
                 f"2 * {dim_current}")
-        quotient_cx = ChainComplex(quotient)
-        dim_next = betti_below(quotient, bound_w, window_w,
-                               quotient_cx).total_dim
+        dim_next = betti_below(quotient, bound_w, window_w).total_dim
         # every sample must give dim H(W, d_xi) = dim_next, so the
         # semicontinuity inequality is the same for all of them
         if dim_next > dim_w0:
@@ -372,7 +370,7 @@ def perturb_and_reduce(model: Model, samples: int = 2,
             target.name, pm.w_model.universe.by_name[pm.ybar_name].degree,
             dim_current, dim_w0, doubling_ok, dim_next, tuple(taken),
             pm.anticommutator_report()))
-        current, current_cx, dim_current = quotient, quotient_cx, dim_next
+        current, dim_current = quotient, dim_next
     # terminal all-odd model: differential must vanish, total dim is 2^odd
     if any(not img.is_zero for img in current.d.images.values()):
         raise ContradictionError("terminal all-odd model has nonzero differential")

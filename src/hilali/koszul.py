@@ -680,10 +680,9 @@ def tor_via_model_cross_check(model: Model, basis: HalperinBasis,
     of a pure elliptic model and the Tor table of its quotient module, so it
     raises :class:`ContradictionError`.
     """
-    from .cohomology import ChainComplex, betti_by_odd_count, betti_complete
-    cx = ChainComplex(model)
-    betti = betti_complete(model, basis.certificate, cx)
-    per_q = betti_by_odd_count(model, basis.certificate, cx)
+    from .cohomology import betti_by_odd_count, betti_complete
+    betti = betti_complete(model, basis.certificate)
+    per_q = betti_by_odd_count(model, basis.certificate)
     r = basis.structure.parameter_count
     rows = []
     ok = betti.total_dim == table.total

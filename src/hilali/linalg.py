@@ -90,9 +90,6 @@ class Echelon:
         self.pivots[col] = row
         return col
 
-    def contains(self, row: Row) -> bool:
-        return not self.reduce(row)
-
 
 def rank_of_rows(rows: list[FracRow]) -> int:
     """Rank of a list of sparse rational (or integer) rows."""
@@ -126,9 +123,6 @@ class Rref:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def pivot_columns(self) -> set[int]:
-        return set(self.pivots)
 
     def add(self, row: FracRow) -> int | None:
         row = self._strip_pivots(intify(row)[0])

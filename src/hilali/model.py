@@ -26,6 +26,9 @@ class Derivation:
 
     Extends by the signed Leibniz rule ``D(ab) = D(a) b + (-1)^{deg a} a D(b)``.
     Image lookups are by generator name; missing names mean image zero.
+    Monomial images are memoized, and so are the ranks that
+    :class:`~hilali.cohomology.ChainComplex` takes of the derivation: per
+    degree, by block key (the odd-factor count, or None for a whole degree).
     """
 
     def __init__(self, uni: GeneratorUniverse, images: dict[str, Element]):
@@ -37,6 +40,7 @@ class Derivation:
         self.universe = uni
         self.images = {name: img for name, img in images.items() if not img.is_zero}
         self._mono_cache: dict[Monomial, Element] = {}
+        self.ranks: dict[int, dict[int | None, int]] = {}
 
     def of_generator(self, name: str) -> Element:
         img = self.images.get(name)
@@ -119,10 +123,6 @@ class Model:
         self.universe = uni
         self.name = name
         self.d = Derivation(uni, differential)
-
-    @property
-    def differential(self) -> dict[str, Element]:
-        return dict(self.d.images)
 
     def apply(self, e: Element) -> Element:
         """Extend d over a general element by linearity and Leibniz."""

@@ -16,8 +16,6 @@ from fractions import Fraction
 from .algebra import Element, GeneratorUniverse
 from .errors import ParseError
 
-_TOKEN_KINDS = ("number", "name", "op", "end")
-
 
 class _Token:
     __slots__ = ("kind", "text", "pos")

@@ -68,6 +68,17 @@ def test_cohomology_needs_certificate_or_flag(tmp_path, capsys):
     assert "truncated" in out
 
 
+@pytest.mark.parametrize("command", ["cohomology", "hilali"])
+def test_max_degree_needs_assume_elliptic(capsys, command):
+    code, out, err = run(capsys, command, model("n1r1-powers"),
+                         "--max-degree", "2")
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == ["error: max_degree truncates only under assume_elliptic"]
+    assert "Traceback" not in err
+
+
 def test_hilali_verdict_holds(capsys):
     code, out, _ = run(capsys, "hilali", model("pairwise-nonregular-n2r1"))
     assert code == 0
@@ -348,6 +359,25 @@ def test_run_manifest_loads_the_model_once(monkeypatch):
     entry = run_manifest(str(CORPUS / "n1r1-powers.manifest.json"), 0)
     assert all(r["ok"] for r in entry["results"])
     assert calls == {"load_model": 1, "standard_family": 1}
+
+
+def test_run_manifest_assembles_each_degree_of_a_differential_once(
+        monkeypatch):
+    from hilali.cohomology import ChainComplex
+    rows = ChainComplex.rows
+    assembled = []
+
+    def recorded(self, degree):
+        assembled.append((self.model.d, degree))
+        return rows(self, degree)
+
+    monkeypatch.setattr(ChainComplex, "rows", recorded)
+    entry = run_manifest(str(CORPUS / "squarefree-n2.manifest.json"), 0)
+    assert {r["operation"] for r in entry["results"]} >= {
+        "cohomology", "hilali_verdict", "reduce", "cross_check"}
+    assert all(r["ok"] for r in entry["results"])
+    # the list keeps every differential alive, so no identity is reused
+    assert len(set(assembled)) == len(assembled)
 
 
 def test_tor_cross_check_certifies_once_and_builds_one_table(monkeypatch, capsys):

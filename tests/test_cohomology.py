@@ -11,6 +11,7 @@ from hilali import (EngineError, Model, ModelError, betti,
                     classify, hilali_verdict, is_exact, parse_expression,
                     tensor_with_odd_line, universe)
 from hilali.cohomology import ChainComplex, FreeOddLineComplex
+from hilali.linalg import rank_of_rows
 
 from dense_oracle import betti_dense, dense_rank, naive_differential
 from modelgen import random_model
@@ -211,6 +212,35 @@ def test_free_odd_line_blocks_add_up_to_the_whole_complex(corpus_models, name):
         # the split assembles the multiples of ybar only
         assert len(split.rows(p)) == whole.chain_dim(p) - ChainComplex(
             m).chain_dim(p)
+
+
+def test_complexes_of_one_model_share_its_ranks(corpus_models, monkeypatch):
+    models = [corpus_models[name]
+              for name in ("squarefree-n2", "hyper-nonpure-n3r4")]
+    first = ChainComplex(models[0]), ChainComplex(models[1])
+    ranks = [[cx.rank(p) for p in range(16)] for cx in first]
+    rows = ChainComplex.rows
+    assembled = []
+
+    def recorded(self, degree):
+        assembled.append(degree)
+        return rows(self, degree)
+
+    monkeypatch.setattr(ChainComplex, "rows", recorded)
+    assert [[ChainComplex(m).rank(p) for p in range(16)]
+            for m in models] == ranks
+    assert assembled == []
+
+
+@pytest.mark.parametrize("name", ["pure-n2r1-diag", "hyper-nonpure-n3r4"])
+def test_free_odd_line_ranks_stay_out_of_the_shared_memo(corpus_models, name):
+    m = corpus_models[name]
+    w = tensor_with_odd_line(m, "ybar", 3)
+    split = FreeOddLineComplex(w, ChainComplex(m), "ybar")
+    for p in range(16):
+        split.rank(p)
+    for p in range(16):
+        assert ChainComplex(w).rank(p) == rank_of_rows(ChainComplex(w).rows(p))
 
 
 def test_free_odd_line_needs_the_base_with_a_closed_line(corpus_models):
