@@ -284,9 +284,9 @@ def coboundary_basis(model: Model, degree: int) -> list[Element]:
     for row in cx.rows(degree - 1):
         rref.add(row)
     out = []
-    for col in sorted(rref.pivots):
+    for row in rref.reduced().values():
         e = Element.zero(model.universe)
-        for j, c in rref.pivots[col].items():
+        for j, c in row.items():
             e.terms[basis[j]] = Fraction(c)
         out.append(e)
     return out

@@ -12,7 +12,7 @@ reduces back into the basis span).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -211,6 +211,8 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
     with a class above its predicted socle degree), and
     :class:`IndeterminateError` when the probe budget runs out undecided.
     """
+    if max_probe is not None and max_probe < 0:
+        raise ModelError(f"max_probe must be at least 0, not {max_probe}")
     if ring.odds:
         raise EngineError("quotient rings are built over even generators only")
     relations = [r for r in relations if not r.is_zero]
@@ -562,7 +564,6 @@ class HalperinBasis:
     certificate: EllipticityCertificate     # the model's, from before the search
     attempts: int
     strategy: str
-    matrix: list[list[Fraction]] = field(repr=False, default_factory=list)
 
 
 def even_subring(model: Model) -> GeneratorUniverse:
@@ -588,6 +589,8 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
     n-subsets of the given images, then random invertible integer matrices
     with entries in [-3, 3].  Deterministic for a fixed seed.
     """
+    if budget < 0:
+        raise ModelError(f"budget must be at least 0, not {budget}")
     cls = classify(model)
     if not cls.is_pure:
         raise ModelError("the odd-basis search requires a pure model")
@@ -658,7 +661,7 @@ def _assemble(model: Model, certificate, matrix, module: QuotientModule,
         images.append(restrict_element(model.apply(z), ring))
     structure = SModuleStructure(module, images[len(ring.evens):])
     return HalperinBasis(combos, images, module, structure, certificate,
-                         attempts, strategy, matrix)
+                         attempts, strategy)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Rows are dicts mapping column index to a nonzero integer; rational input rows
 are scaled to integers first (scaling never changes ranks, kernels or spans).
 Elimination is fraction-free with eager content removal, which keeps entry
-growth near determinant size.
+growth near determinant size.  Row spaces are stored as echelon rows only.
+Clearing pivot columns smallest-first leaves a remainder on the non-pivot
+columns, which is canonical; the reduced echelon form is built only where a
+canonical basis is returned (:func:`kernel_of_rows`, ``coboundary_basis``).
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ class Echelon:
 
     def add(self, row: Row) -> int | None:
         """Insert a row; returns its pivot column, or None if dependent."""
-        row = self.reduce(row)
+        # not self.reduce: on an Rref that is the rational full remainder
+        row = Echelon.reduce(self, row)
         if not row:
             return None
         col = min(row)
@@ -109,59 +113,44 @@ def kernel_of_rows(rows: list[FracRow], ncols: int) -> list[FracRow]:
     rref = Rref()
     for i, row in enumerate(rows):
         rref.add({**row, ncols + i: 1})
-    return [{j - ncols: Fraction(v) for j, v in rref.pivots[col].items()}
-            for col in sorted(rref.pivots) if col >= ncols]
+    return [{j - ncols: Fraction(v) for j, v in row.items()}
+            for col, row in rref.reduced().items() if col >= ncols]
 
 
-class Rref:
-    """Reduced row echelon form supporting incremental insertion and exact
-    reduction of rational vectors modulo the row space."""
-
-    def __init__(self):
-        self.pivots: dict[int, Row] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+class Rref(Echelon):
+    """Echelon rows of a rational row space, with exact reduction of rational
+    vectors modulo the space; the reduced echelon form is built on demand."""
 
     def add(self, row: FracRow) -> int | None:
-        row = self._strip_pivots(intify(row)[0])
-        if not row:
-            return None
-        col = min(row)
-        # back-substitute the new pivot column out of existing rows
-        for pcol, prow in list(self.pivots.items()):
-            if col in prow:
-                self.pivots[pcol] = _normalize(_eliminate(prow, row, col))
-        self.pivots[col] = row
-        return col
-
-    def _strip_pivots(self, row: Row) -> Row:
-        """Eliminate every pivot column from a row.  Stored rows never carry
-        foreign pivot columns, so each elimination introduces non-pivot
-        columns only and the loop terminates."""
-        row = _normalize(row)
-        while row:
-            hits = [c for c in row if c in self.pivots]
-            if not hits:
-                break
-            col = min(hits)
-            row = _normalize(_eliminate(row, self.pivots[col], col))
-        return row
+        return Echelon.add(self, intify(row)[0])
 
     def reduce(self, fvec: FracRow) -> FracRow:
         """Canonical representative of ``fvec`` modulo the row space; the
         result is supported on non-pivot columns only."""
-        out = {j: Fraction(v) for j, v in fvec.items() if v != 0}
-        for col in sorted(out):
-            piv = self.pivots.get(col)
-            if piv is None or col not in out:
-                continue
-            coeff = out[col] / piv[col]
-            for j, v in piv.items():
-                w = out.get(j, Fraction(0)) - coeff * v
-                if w:
-                    out[j] = w
-                elif j in out:
-                    del out[j]
-        return out
+        row, scale = intify(fvec)
+        while True:
+            hits = [c for c in row if c in self.pivots]
+            if not hits:
+                break
+            col = min(hits)
+            piv = self.pivots[col]
+            g = gcd(piv[col], row[col])
+            scale *= piv[col] // g
+            row = _eliminate(row, piv, col)
+            g = gcd(scale, *row.values())
+            if g != 1:
+                scale //= g
+                row = {j: v // g for j, v in row.items()}
+        return {j: Fraction(v, scale) for j, v in row.items()}
+
+    def reduced(self) -> dict[int, Row]:
+        """The reduced echelon rows by pivot column, in increasing order:
+        each row carries no other pivot column, and is normalized as
+        :class:`Echelon` stores it."""
+        out: dict[int, Row] = {}
+        for col in sorted(self.pivots, reverse=True):
+            row = self.pivots[col]
+            for c in [c for c in row if c != col and c in self.pivots]:
+                row = _normalize(_eliminate(row, out[c], c))
+            out[col] = row
+        return dict(reversed(out.items()))

@@ -26,9 +26,9 @@ class Derivation:
 
     Extends by the signed Leibniz rule ``D(ab) = D(a) b + (-1)^{deg a} a D(b)``.
     Image lookups are by generator name; missing names mean image zero.
-    Monomial images are memoized, and so are the ranks that
-    :class:`~hilali.cohomology.ChainComplex` takes of the derivation: per
-    degree, by block key (the odd-factor count, or None for a whole degree).
+    The ranks that :class:`~hilali.cohomology.ChainComplex` takes of the
+    derivation are memoized: per degree, by block key (the odd-factor count,
+    or None for a whole degree).
     """
 
     def __init__(self, uni: GeneratorUniverse, images: dict[str, Element]):
@@ -39,7 +39,6 @@ class Derivation:
                 raise ModelError(f"image of {name!r} lives over a different universe")
         self.universe = uni
         self.images = {name: img for name, img in images.items() if not img.is_zero}
-        self._mono_cache: dict[Monomial, Element] = {}
         self.ranks: dict[int, dict[int | None, int]] = {}
 
     def of_generator(self, name: str) -> Element:
@@ -55,9 +54,6 @@ class Derivation:
         return out
 
     def apply_monomial(self, m: Monomial) -> Element:
-        cached = self._mono_cache.get(m)
-        if cached is not None:
-            return cached
         uni = self.universe
         out: dict[Monomial, Fraction] = {}
 
@@ -100,9 +96,7 @@ class Derivation:
             prefix = Monomial(m.exps, m.odds[:k])
             suffix = Monomial(zero_exps, m.odds[k + 1:])
             accumulate(-1 if k % 2 else 1, prefix, img, suffix)
-        result = Element._raw(uni, out)
-        self._mono_cache[m] = result
-        return result
+        return Element._raw(uni, out)
 
 
 class Model:

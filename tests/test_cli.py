@@ -159,6 +159,24 @@ def test_reduce_needs_one_sample(capsys, samples):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, name, option", [
+    ("cohomology", "sphere-s3", "--max-probe"),
+    ("hilali", "sphere-s3", "--max-probe"),
+    ("tor", "n1r1-powers", "--max-probe"),
+    ("regseq", "n1r1-powers", "--max-probe"),
+    ("tor", "n1r1-powers", "--budget"),
+])
+def test_negative_probe_or_budget_exit_2(capsys, command, name, option):
+    message = f"error: {option[2:].replace('-', '_')} must be at least 0, not -1"
+    for fmt in ("text", "machine"):
+        code, out, err = run(capsys, command, model(name), option, "-1",
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == message
+        assert "Traceback" not in err
+
+
 def test_explain_known(capsys):
     code, out, _ = run(capsys, "explain", "tor-isomorphism",
                        "--corpus", str(CORPUS))

@@ -8,8 +8,8 @@ import pytest
 from hilali import (EngineError, Model, ModelError, betti,
                     betti_by_odd_count, betti_complete, certify_elliptic,
                     coboundary_basis, cocycle_basis, euler_characteristics,
-                    classify, hilali_verdict, is_exact, parse_expression,
-                    tensor_with_odd_line, universe)
+                    classify, cohomology_table, hilali_verdict, is_exact,
+                    parse_expression, tensor_with_odd_line, universe)
 from hilali.cohomology import ChainComplex, FreeOddLineComplex
 from hilali.linalg import rank_of_rows
 
@@ -230,6 +230,14 @@ def test_complexes_of_one_model_share_its_ranks(corpus_models, monkeypatch):
     assert [[ChainComplex(m).rank(p) for p in range(16)]
             for m in models] == ranks
     assert assembled == []
+
+
+def test_differential_keeps_only_images_and_ranks(corpus_models):
+    # monomial images are computed and dropped; only the ranks stay
+    m = corpus_models["all-quadrics-n3r3"]
+    table, _ = cohomology_table(m)
+    assert table.complete and m.d.ranks
+    assert set(vars(m.d)) == {"universe", "images", "ranks"}
 
 
 @pytest.mark.parametrize("name", ["pure-n2r1-diag", "hyper-nonpure-n3r4"])

@@ -95,8 +95,28 @@ def test_rref_rows_clean_of_foreign_pivots():
         for row in rows:
             rref.add(row)
         pivots = set(rref.pivots)
-        for col, row in rref.pivots.items():
+        for col, row in rref.reduced().items():
             assert set(row) & pivots == {col}
+
+
+def test_rref_reduced_form_and_remainder_ignore_insertion_order():
+    rng = random.Random(15)
+    for _ in range(20):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        rows = _random_sparse(rng, r, c)
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        first, second = Rref(), Rref()
+        for row in rows:
+            first.add(row)
+        for row in shuffled:
+            second.add(row)
+        assert first.reduced() == second.reduced()
+        probe = _random_sparse(rng, 1, c)[0]
+        assert first.reduce(probe) == second.reduce(probe)
+        for row in rows:
+            assert first.reduce(row) == {}
+            assert second.reduce(row) == {}
 
 
 def test_echelon_rank_only():
