@@ -505,6 +505,8 @@ def _lookup(value, op: str, check: str):
 
 
 def _cmd_corpus(args) -> int:
+    if args.jobs < 1:
+        raise ModelError(f"jobs must be at least 1, not {args.jobs}")
     directory = Path(args.directory)
     if not directory.is_dir():
         _diag(f"{directory} is not a directory")
@@ -516,8 +518,9 @@ def _cmd_corpus(args) -> int:
                       {"entries": [], "total": 0, "failed": 0}),
               ["0 expectations"], args.format)
         return EXIT_OK
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(manifests))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             entries = list(pool.map(run_manifest, [str(p) for p in manifests],
                                     [args.seed] * len(manifests)))
     else:

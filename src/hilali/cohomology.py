@@ -9,10 +9,11 @@ from fractions import Fraction
 
 from .algebra import Element, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
-                     ModelError, NotFiniteLengthError)
+                     ModelError, NotFiniteLengthError, UniverseMismatchError)
 from .linalg import Rref, kernel_of_rows, rank_of_rows
 from .koszul import odd_images, quotient_basis
-from .model import Model, check_differential, check_minimal, classify, pure_part
+from .model import (Model, _leibniz, check_differential, check_minimal,
+                    classify, pure_part)
 
 
 @dataclass(frozen=True)
@@ -43,18 +44,23 @@ class ChainComplex:
         self.model = model
         self.pure = classify(model).is_pure
         self._ranks = model.d.ranks
+        self._tables = model.d.tables()
 
     def basis(self, degree: int):
         return self.model.universe.basis(degree)
 
-    def rows(self, degree: int) -> list[dict[int, Fraction]]:
-        """Images of the degree-p basis as vectors over the (p+1)-basis."""
-        target = {m: i for i, m in enumerate(self.basis(degree + 1))}
-        rows = []
-        for m in self.basis(degree):
-            img = self.model.d.apply_monomial(m)
-            rows.append({target[t]: c for t, c in img.terms.items()})
-        return rows
+    def rows(self, degree: int) -> list[dict[int, int]]:
+        """Images of the degree-p basis as integer vectors over the
+        (p+1)-basis: D times the differential, by the Leibniz kernel on the
+        integer image tables of :meth:`~hilali.model.Derivation.tables`,
+        with no monomial, element or fraction per term.  The common scale D
+        changes no rank, kernel or span."""
+        target = {(m.exps, m.odds): i
+                  for i, m in enumerate(self.basis(degree + 1))}
+        tables = self._tables
+        return [{target[key]: c
+                 for key, c in _leibniz(tables, m.exps, m.odds).items()}
+                for m in self.basis(degree)]
 
     def rank(self, degree: int, q: int | None = None) -> int:
         if q is not None and not self.pure:
@@ -294,6 +300,9 @@ def coboundary_basis(model: Model, degree: int) -> list[Element]:
 
 def is_exact(model: Model, e: Element) -> bool:
     """Does a homogeneous cocycle bound?  Checks membership in im(d)."""
+    if e.universe != model.universe:
+        raise UniverseMismatchError(
+            "the element and the model live over different universes")
     degree = e.degree()
     if degree is None:
         return True

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from pathlib import Path
 
-from .algebra import (Element, GeneratorUniverse, Monomial, _mul_monomials,
-                      format_element, restrict_element, universe)
+from .algebra import (Element, GeneratorUniverse, Monomial, format_element,
+                      restrict_element, universe)
 from .errors import EngineError, InhomogeneousError, ModelError
 from .parsing import parse_expression
 
@@ -26,6 +28,11 @@ class Derivation:
 
     Extends by the signed Leibniz rule ``D(ab) = D(a) b + (-1)^{deg a} a D(b)``.
     Image lookups are by generator name; missing names mean image zero.
+    One integer kernel, :func:`_leibniz`, extends the images to monomials:
+    it reads the integer image tables of :meth:`tables` (the images scaled
+    by one common denominator D) and takes reordering signs as popcounts on
+    bit masks of odd positions.  :meth:`apply_monomial` and calls on
+    elements divide by D again; ``ChainComplex.rows`` keeps the integer rows.
     The ranks that :class:`~hilali.cohomology.ChainComplex` takes of the
     derivation are memoized: per degree, by block key (the odd-factor count,
     or None for a whole degree).
@@ -45,58 +52,87 @@ class Derivation:
         img = self.images.get(name)
         return img if img is not None else Element.zero(self.universe)
 
+    def tables(self) -> tuple[int, tuple, tuple]:
+        """The integer image tables ``(D, even tables, odd tables)``.
+
+        D is the lcm of the denominators of all image coefficients.  Each
+        generator, in universe order, gets the tuple of its image terms
+        ``(exps, odds, D*c)``.  Built on each call; nothing is kept.
+        """
+        denom = lcm(*[c.denominator for img in self.images.values()
+                      for c in img.terms.values()])
+        scaled = {name: tuple([(m.exps, m.odds,
+                                c.numerator * (denom // c.denominator))
+                               for m, c in img.terms.items()])
+                  for name, img in self.images.items()}
+        uni = self.universe
+        return (denom, tuple([scaled.get(g.name, ()) for g in uni.evens]),
+                tuple([scaled.get(g.name, ()) for g in uni.odds]))
+
     def __call__(self, e: Element) -> Element:
         if e.universe != self.universe:
             raise ModelError("element lives over a different universe")
+        tables = self.tables()
         out = Element.zero(self.universe)
         for m, c in e.terms.items():
-            out = out + self.apply_monomial(m).scale(c)
+            out = out + self._image(tables, m).scale(c)
         return out
 
     def apply_monomial(self, m: Monomial) -> Element:
-        uni = self.universe
-        out: dict[Monomial, Fraction] = {}
+        return self._image(self.tables(), m)
 
-        def accumulate(factor: int, left: Monomial, img: Element, right: Monomial):
-            for mi, ci in img.terms.items():
-                p1 = _mul_monomials(left, mi)
-                if p1 is None:
-                    continue
-                s1, m1 = p1
-                p2 = _mul_monomials(m1, right)
-                if p2 is None:
-                    continue
-                s2, m2 = p2
-                c = ci * (factor * s1 * s2)
-                s = out.get(m2, 0) + c
+    def _image(self, tables, m: Monomial) -> Element:
+        return Element._raw(self.universe, {
+            Monomial(*key): Fraction(c, tables[0])
+            for key, c in _leibniz(tables, m.exps, m.odds).items()})
+
+
+def _leibniz(tables, exps: tuple[int, ...],
+             odds: tuple[int, ...]) -> dict[tuple, int]:
+    """D times d(x^exps y_odds) as ``{(exps, odds): int}``, no zero entries.
+
+    x_i^e gives e x^(e-1) d(x_i) in place; the k-th odd factor gives (-1)^k
+    times its image in its slot.  Moving an image's odd factor t past the
+    larger odd factors of the prefix and the smaller ones of the suffix
+    counts inversions, as popcounts on bit masks of odd positions (an even
+    factor's prefix has none); a factor already on the mask kills the term.
+    """
+    _, even_tables, odd_tables = tables
+    mask = 0
+    for t in odds:
+        mask |= 1 << t
+    # per factor with an image: (factor, even part, other odd factors,
+    # prefix mask, suffix mask, image terms)
+    slots = [(e, exps[:i] + (e - 1,) + exps[i + 1:], odds, 0, mask,
+              even_tables[i])
+             for i, e in enumerate(exps) if e and even_tables[i]]
+    for k, t in enumerate(odds):
+        if odd_tables[t]:
+            bit = 1 << t
+            prefix = mask & (bit - 1)
+            slots.append((-1 if k % 2 else 1, exps, odds[:k] + odds[k + 1:],
+                          prefix, mask ^ prefix ^ bit, odd_tables[t]))
+    out: dict[tuple, int] = {}
+    for factor, base, rest, prefix, suffix, terms in slots:
+        taken = prefix | suffix
+        for iexps, iodds, c in terms:
+            inversions = 0
+            for t in iodds:
+                bit = 1 << t
+                if taken & bit:
+                    break
+                inversions += ((prefix >> (t + 1)).bit_count()
+                               + (suffix & (bit - 1)).bit_count())
+            else:
+                key = (tuple(map(add, base, iexps)),
+                       tuple(sorted(rest + iodds)) if iodds else rest)
+                s = out.get(key, 0) + (-c * factor if inversions & 1
+                                       else c * factor)
                 if s:
-                    out[m2] = s
-                elif m2 in out:
-                    del out[m2]
-
-        # Even factors: the prefix has even degree, so no sign appears and
-        # d(x^e) = e x^{e-1} dx may be inserted in place.
-        zero_exps = (0,) * len(uni.evens)
-        odd_tail = Monomial(zero_exps, m.odds)
-        for i, (e, g) in enumerate(zip(m.exps, uni.evens)):
-            if e == 0:
-                continue
-            img = self.images.get(g.name)
-            if img is None:
-                continue
-            reduced = Monomial(m.exps[:i] + (e - 1,) + m.exps[i + 1:], ())
-            accumulate(e, reduced, img, odd_tail)
-        # Odd factors: the k-th odd factor sits past k odd factors of the
-        # prefix, contributing (-1)^k.
-        for k, pos in enumerate(m.odds):
-            g = uni.odds[pos]
-            img = self.images.get(g.name)
-            if img is None:
-                continue
-            prefix = Monomial(m.exps, m.odds[:k])
-            suffix = Monomial(zero_exps, m.odds[k + 1:])
-            accumulate(-1 if k % 2 else 1, prefix, img, suffix)
-        return Element._raw(uni, out)
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
 
 
 class Model:

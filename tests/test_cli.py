@@ -435,3 +435,47 @@ def test_corpus_jobs_2_prints_what_jobs_1_prints(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["results"]["failed"] == 0
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_jobs_below_one_exit_2(capsys, jobs):
+    for fmt in ("text", "machine"):
+        code, out, err = run(capsys, "corpus", str(CORPUS), "--jobs", jobs,
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == \
+            f"error: jobs must be at least 1, not {jobs}"
+        assert "Traceback" not in err
+
+
+def test_corpus_starts_at_most_one_worker_per_manifest(tmp_path, capsys,
+                                                       monkeypatch):
+    import hilali.cli
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(hilali.cli, "ProcessPoolExecutor", SerialPool)
+    for name in ("n1r1-powers", "sphere-s3"):
+        for kind in ("manifest", "model"):
+            path = CORPUS / f"{name}.{kind}.json"
+            (tmp_path / path.name).write_text(path.read_text())
+    code, _, _ = run(capsys, "corpus", str(tmp_path), "--jobs", "64")
+    assert code == 0
+    assert workers == [2]
+    (tmp_path / "sphere-s3.manifest.json").unlink()
+    code, _, _ = run(capsys, "corpus", str(tmp_path), "--jobs", "64")
+    assert code == 0
+    assert workers == [2]      # one manifest runs serially

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hilali import (EngineError, Model, ModelError, betti,
+from hilali import (Element, EngineError, Model, ModelError,
+                    PerturbedModel, UniverseMismatchError, betti,
                     betti_by_odd_count, betti_complete, certify_elliptic,
                     coboundary_basis, cocycle_basis, euler_characteristics,
-                    classify, cohomology_table, hilali_verdict, is_exact,
-                    parse_expression, tensor_with_odd_line, universe)
+                    classify, cohomology_table, formal_dimension_bound,
+                    hilali_verdict, is_exact, parse_expression,
+                    tensor_with_odd_line, universe)
 from hilali.cohomology import ChainComplex, FreeOddLineComplex
 from hilali.linalg import rank_of_rows
 
@@ -167,6 +169,14 @@ def test_degree_zero_element_is_not_exact():
     m = build([("x", 2), ("y", 3)], {"y": "x^2"})
     assert not is_exact(m, parse_expression("1", m.universe))
     assert coboundary_basis(m, 0) == []
+
+
+def test_is_exact_rejects_an_element_over_another_universe(corpus_models):
+    m = corpus_models["sphere-s3"]
+    for specs, name in (([("a", 3)], "a"), ([("a", 2), ("b", 5)], "b")):
+        e = Element.generator(universe(specs), name)
+        with pytest.raises(UniverseMismatchError):
+            is_exact(m, e)
 
 
 def test_cocycle_span_contains_coboundary_span():
@@ -359,3 +369,47 @@ def test_betti_against_dense_oracle_fixed_models():
         m = random_model(rng)
         maxdeg = rng.randint(4, 10)
         assert betti(m, maxdeg).dims == betti_dense(m, maxdeg)
+
+
+def _check_rows_against_oracle(m, cap=200):
+    """In every degree through N + w (and at least through 10) with at most
+    ``cap`` monomials, each assembled row is an integer row equal to D times
+    the naive differential, and ``apply_monomial`` is the naive differential
+    itself.  Returns the number of rows checked."""
+    cx = ChainComplex(m)
+    denom = m.d.tables()[0]
+    top = max(formal_dimension_bound(m)
+              + max(g.degree for g in m.universe.generators), 10)
+    checked = 0
+    for p in range(top + 1):
+        source = cx.basis(p)
+        if len(source) > cap:
+            continue
+        index = {t: i for i, t in enumerate(cx.basis(p + 1))}
+        for mono, row in zip(source, cx.rows(p)):
+            naive = naive_differential(m, mono)
+            assert all(type(c) is int for c in row.values()), (m, mono)
+            assert row == {index[t]: denom * c for t, c in naive.items()}, \
+                (m, mono)
+            assert m.d.apply_monomial(mono).terms == naive, (m, mono)
+            checked += 1
+    return checked
+
+
+def test_rows_are_the_scaled_naive_differential_on_the_corpus(corpus_models):
+    for name, m in corpus_models.items():
+        assert _check_rows_against_oracle(m), name
+
+
+def test_rows_are_the_scaled_naive_differential_on_a_perturbed_model(
+        corpus_models):
+    m = corpus_models["hyper-nonpure-n3r4"]
+    w = PerturbedModel(m, m.universe.evens[0].name).at_parameter(
+        Fraction(-37, 11))
+    assert m.d.tables()[0] == 1 and w.d.tables()[0] == 11
+    assert _check_rows_against_oracle(w)
+
+
+def test_rows_are_the_scaled_naive_differential_on_random_models():
+    for seed in range(6):
+        assert _check_rows_against_oracle(random_model(random.Random(seed)))
