@@ -164,7 +164,7 @@ class GeneratorUniverse:
                 for subset in subsets:
                     for vec in evens:
                         monos.append(Monomial(vec, subset))
-            monos.sort(key=self.sort_key)
+            monos.sort(key=lambda m: (m.exps, m.odds))
             self._basis_cache[degree] = monos
         return list(self._basis_cache[degree])
 

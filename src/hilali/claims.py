@@ -82,7 +82,10 @@ _CLAIMS = [
           "backed by an exact check of the isomorphism.",
           "perturb_and_reduce", "hilali reduce"),
     Claim("doubling",
-          "Tensoring with a free odd line exactly doubles total cohomology.",
+          "Tensoring with a free odd line exactly doubles total cohomology.  "
+          "dim H(W, d_0) is read from the current model's ranks through the "
+          "shift isomorphism m ybar -> m, checked on generators; the "
+          "vanishing window above the W bound is still checked.",
           "perturb_and_reduce", "hilali reduce"),
     Claim("exp-r-lower-bound",
           "Iterating the cancellation over all n even generators yields "

@@ -5,7 +5,6 @@ bases, and the dimension-inequality verdict."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .algebra import Element, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
@@ -94,16 +93,13 @@ class ChainComplex:
                 - self.rank(degree - 1, below))
 
 
-class FreeOddLineComplex(ChainComplex):
-    """The complex of ``W = base ⊗ Λ(ybar)`` with ``d(ybar) = 0``.
+class FreeOddLineComplex:
+    """The complex of ``W = base ⊗ Λ(ybar)`` with ``d(ybar) = 0``, read
+    from ``base``: nothing is assembled, eliminated or memoized on W.
 
-    d keeps the ybar-free monomials and the multiples of ybar apart, so in
-    each degree W is the direct sum of two blocks: the ybar-free block,
-    which is the base model's complex and is ranked by ``base``, and the
-    ybar-block, which this complex assembles and eliminates on W itself.
-    ``basis`` and ``rows`` cover the ybar-block only; ``chain_dim`` and
-    ``rank`` add up both blocks.  The ybar-block ranks are not W's ranks,
-    so they go into a memo of this complex, not into W's shared one.
+    The constructor checks exactly that ybar is closed and no image mentions
+    it, so W is the base complex plus the ybar-block, which ``m ybar -> m``
+    carries isomorphically onto the base complex shifted by deg ybar.
     """
 
     def __init__(self, model: Model, base: ChainComplex, ybar: str):
@@ -117,21 +113,21 @@ class FreeOddLineComplex(ChainComplex):
                 or model.d.images != embedded):
             raise ModelError(f"the model is not the base model with a free "
                              f"odd line {ybar} adjoined")
-        super().__init__(model)
-        self._ranks = {}
         self.base = base
-        self.ybar_position = uni.odds.index(uni.by_name[ybar])
-
-    def basis(self, degree: int):
-        return [m for m in super().basis(degree)
-                if self.ybar_position in m.odds]
+        self.pure = base.pure
+        self.shift = uni.by_name[ybar].degree
 
     def chain_dim(self, degree: int, q: int | None = None) -> int:
-        return (self.base.chain_dim(degree, q)
-                + super().chain_dim(degree, q))
+        below = degree - self.shift
+        ybar_block = (0 if below < 0 else self.base.chain_dim(
+            below, None if q is None else q - 1))
+        return self.base.chain_dim(degree, q) + ybar_block
 
     def rank(self, degree: int, q: int | None = None) -> int:
-        return self.base.rank(degree, q) + super().rank(degree, q)
+        return (self.base.rank(degree, q) + self.base.rank(
+            degree - self.shift, None if q is None else q - 1))
+
+    betti_number = ChainComplex.betti_number
 
 
 def betti(model: Model, max_degree: int,
@@ -271,13 +267,8 @@ def cocycle_basis(model: Model, degree: int) -> list[Element]:
     cx = ChainComplex(model)
     basis = cx.basis(degree)
     vectors = kernel_of_rows(cx.rows(degree), len(cx.basis(degree + 1)))
-    out = []
-    for vec in vectors:
-        e = Element.zero(model.universe)
-        for j, c in vec.items():
-            e.terms[basis[j]] = Fraction(c)
-        out.append(e)
-    return out
+    return [Element(model.universe, {basis[j]: c for j, c in vec.items()})
+            for vec in vectors]
 
 
 def coboundary_basis(model: Model, degree: int) -> list[Element]:
@@ -289,13 +280,8 @@ def coboundary_basis(model: Model, degree: int) -> list[Element]:
     rref = Rref()
     for row in cx.rows(degree - 1):
         rref.add(row)
-    out = []
-    for row in rref.reduced().values():
-        e = Element.zero(model.universe)
-        for j, c in row.items():
-            e.terms[basis[j]] = Fraction(c)
-        out.append(e)
-    return out
+    return [Element(model.universe, {basis[j]: c for j, c in row.items()})
+            for row in rref.reduced().values()]
 
 
 def is_exact(model: Model, e: Element) -> bool:

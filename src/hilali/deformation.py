@@ -5,8 +5,10 @@ fiber evaluation at exact rational parameters, the constant-length flatness
 test, and Tor semicontinuity sampling.  Differential perturbations adjoin a
 contractible odd line, verify the cancellation and doubling identities
 (the first at one random parameter, carried to the others by an exact
-rescaling isomorphism), and drive the stepwise reduction to the all-odd
-model, producing the 2^r lower bound on total cohomology.
+rescaling isomorphism; the second on the current model's ranks, by an
+exact shift isomorphism, with no block of (W, d_0) eliminated), and drive
+the stepwise reduction to the all-odd model, producing the 2^r lower bound
+on total cohomology.
 """
 
 from __future__ import annotations
@@ -307,11 +309,11 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     generators, that ``ybar -> (xi_1 / xi) ybar`` carries d_{xi_1} to d_xi
     (see :func:`check_ybar_rescaling`).
 
-    With ``d_0(ybar) = 0``, ``(W, d_0)`` splits into the ybar-free block,
-    which is the current model's complex, and the ybar-block (see
-    :class:`FreeOddLineComplex`).  The first block's ranks are the current
-    model's, memoized on its differential when ``dim H`` or the previous
-    step's quotient was computed; only the ybar-block is eliminated on W.
+    With ``d_0(ybar) = 0``, ``(W, d_0)`` is the current model's complex
+    plus its shift by ``deg ybar`` under ``m ybar -> m`` (see
+    :class:`FreeOddLineComplex`), so its ranks are the current model's
+    memoized ones: no block of ``(W, d_0)`` is eliminated.  The doubling and
+    the vanishing window above W's bound are still checked on those ranks.
     """
     if samples < 1:
         raise ModelError("reduction sampling needs at least one parameter")

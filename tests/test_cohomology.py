@@ -205,23 +205,42 @@ def test_doubling_with_free_odd_line(corpus_models):
     assert table.total_dim == 2 * base.total_dim
 
 
-@pytest.mark.parametrize("name", ["pure-n2r1-diag", "squarefree-n2",
-                                  "odd-triple"])
-def test_free_odd_line_blocks_add_up_to_the_whole_complex(corpus_models, name):
+@pytest.mark.parametrize("name, shift", [
+    *(pytest.param(name, 3, id=name)
+      for name in ("pure-n2r1-diag", "squarefree-n2", "odd-triple",
+                   "hyper-nonpure-n3r4")),
+    # the shift reduce uses for a degree-2 x; degree 0 lies below it
+    pytest.param("pure-n2r1-diag", 1, id="pure-n2r1-diag-ybar-degree-1")])
+def test_free_odd_line_blocks_add_up_to_the_whole_complex(corpus_models,
+                                                          monkeypatch, name,
+                                                          shift):
     m = corpus_models[name]
-    extended = tensor_with_odd_line(m, "ybar", 3)
-    split = FreeOddLineComplex(extended, ChainComplex(m), "ybar")
+    extended = tensor_with_odd_line(m, "ybar", shift)
+    base = ChainComplex(m)
+    split = FreeOddLineComplex(extended, base, "ybar")
     whole = ChainComplex(extended)
     assert split.pure == whole.pure
+    blocks = range(len(extended.universe.odds) + 1) if whole.pure else ()
+
+    def numbers(cx):
+        return [(cx.chain_dim(p), cx.rank(p), cx.betti_number(p),
+                 [(cx.chain_dim(p, q), cx.rank(p, q), cx.betti_number(p, q))
+                  for q in blocks]) for p in range(16)]
+
+    expected = numbers(whole)
     for p in range(16):
-        assert split.chain_dim(p) == whole.chain_dim(p)
-        assert split.rank(p) == whole.rank(p)
-        if whole.pure:
-            for q in range(len(extended.universe.odds) + 1):
-                assert split.rank(p, q) == whole.rank(p, q)
-        # the split assembles the multiples of ybar only
-        assert len(split.rows(p)) == whole.chain_dim(p) - ChainComplex(
-            m).chain_dim(p)
+        base.rank(p)
+    # once the base is ranked, the split assembles nothing
+    rows = ChainComplex.rows
+    assembled = []
+
+    def recorded(self, degree):
+        assembled.append(degree)
+        return rows(self, degree)
+
+    monkeypatch.setattr(ChainComplex, "rows", recorded)
+    assert numbers(split) == expected
+    assert assembled == []
 
 
 def test_complexes_of_one_model_share_its_ranks(corpus_models, monkeypatch):
@@ -257,6 +276,7 @@ def test_free_odd_line_ranks_stay_out_of_the_shared_memo(corpus_models, name):
     split = FreeOddLineComplex(w, ChainComplex(m), "ybar")
     for p in range(16):
         split.rank(p)
+    assert w.d.ranks == {}
     for p in range(16):
         assert ChainComplex(w).rank(p) == rank_of_rows(ChainComplex(w).rows(p))
 

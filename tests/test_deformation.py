@@ -209,26 +209,37 @@ def test_reduce_dimensions_match_whole_complexes(corpus_models):
 def test_perturbed_complex_is_eliminated_once_per_step(corpus_models,
                                                        monkeypatch):
     perturbed = []
-    assembled = set()
+    extended = []
+    assembled = {}      # id -> model, which keeps every id distinct
     at_parameter, rows = PerturbedModel.at_parameter, ChainComplex.rows
+    init = PerturbedModel.__init__
 
     def recorded(self, xi):
         perturbed.append(at_parameter(self, xi))
         return perturbed[-1]
 
+    def extending(self, base, x_name):
+        init(self, base, x_name)
+        extended.append(self.w_model)
+
     def assembling(self, degree):
-        assembled.add(id(self.model))
+        assembled[id(self.model)] = self.model
         return rows(self, degree)
 
     monkeypatch.setattr(PerturbedModel, "at_parameter", recorded)
+    monkeypatch.setattr(PerturbedModel, "__init__", extending)
     monkeypatch.setattr(ChainComplex, "rows", assembling)
     for samples in (1, 2, 4):
         perturbed.clear()
+        extended.clear()
         report = perturb_and_reduce(corpus_models["pairwise-nonregular-n2r1"],
                                     samples=samples, seed=0)
         assert len(perturbed) == samples * len(report.steps) == samples * 2
         eliminated = [m for m in perturbed if id(m) in assembled]
         assert len(eliminated) == len(report.steps)
+        # (W, d_0) is read from the current model's ranks, never assembled
+        assert len(extended) == len(report.steps)
+        assert not any(id(w) in assembled for w in extended)
 
 
 def test_rescaling_check_rejects_unrelated_perturbations():
