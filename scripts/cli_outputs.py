@@ -2,21 +2,25 @@
 
 Run from the repository root:
 
-    python3 scripts/cli_outputs.py > outputs.txt
+    python3 scripts/cli_outputs.py [--seed S] > outputs.txt
 
 Each line is one invocation: the argv, the exit code, the sha256 of stdout,
 and the sha256 of stderr with its ``# wall time`` line removed.  The matrix
 is every corpus model under {validate, classify, cohomology, hilali, tor,
 tor --cross-check, regseq, deform, reduce} in both formats, plus
 ``corpus corpus --seed 0`` with ``--jobs 1`` and ``--jobs 2`` in both
-formats (256 invocations for the 14 bundled models).  Two trees give the
-same output exactly when their lines are equal, so a byte check of a change
-is a ``diff`` of two runs.  Each invocation runs in a fresh process of
+formats (256 invocations for the 14 bundled models).  With ``--seed S``,
+every command that takes a seed (``tor``, ``tor --cross-check``, ``deform``,
+``reduce`` and ``corpus``) runs at seed S; without it, those commands run at
+their default seed and ``corpus`` at seed 0.  Two trees give the same output
+exactly when their lines are equal, so a byte check of a change is a
+``diff`` of two runs per seed.  Each invocation runs in a fresh process of
 ``python3 -m hilali.cli`` against this checkout's ``src/``.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -28,15 +32,18 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = (["validate"], ["classify"], ["cohomology"], ["hilali"], ["tor"],
             ["tor", "--cross-check"], ["regseq"], ["deform"], ["reduce"])
 FORMATS = ("text", "machine")
+SEEDED = ("tor", "deform", "reduce")
 
 
-def invocations() -> list[list[str]]:
+def invocations(seed: int | None = None) -> list[list[str]]:
     models = sorted(p.relative_to(ROOT).as_posix()
                     for p in (ROOT / "corpus").glob("*.model.json"))
-    out = [[command[0], path, *command[1:], "--format", fmt]
+    seeded = [] if seed is None else ["--seed", str(seed)]
+    out = [[command[0], path, *command[1:],
+            *(seeded if command[0] in SEEDED else []), "--format", fmt]
            for path in models for command in COMMANDS for fmt in FORMATS]
-    out += [["corpus", "corpus", "--seed", "0", "--jobs", jobs, "--format", fmt]
-            for jobs in ("1", "2") for fmt in FORMATS]
+    out += [["corpus", "corpus", "--seed", str(seed or 0), "--jobs", jobs,
+             "--format", fmt] for jobs in ("1", "2") for fmt in FORMATS]
     return out
 
 
@@ -45,8 +52,12 @@ def sha256(data: bytes) -> str:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for every command that takes one")
+    seed = parser.parse_args().seed
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for argv in invocations():
+    for argv in invocations(seed):
         proc = subprocess.run([sys.executable, "-m", "hilali.cli", *argv],
                               capture_output=True, cwd=ROOT, env=env)
         stderr = b"".join(line for line in proc.stderr.splitlines(keepends=True)

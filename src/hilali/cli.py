@@ -435,12 +435,11 @@ def run_manifest(path: str, seed: int) -> dict:
         model = load_model(model_path)
     except (OSError, ValueError, EngineError) as exc:
         return {"manifest": name, "error": str(exc), "results": []}
-    parser = build_parser()
     cache: dict = {}
 
     def command_results(command: str, extra: tuple) -> dict:
         if (command, extra) not in cache:
-            args = parser.parse_args([command, str(model_path), *extra])
+            args = _PARSER.parse_args([command, str(model_path), *extra])
             if hasattr(args, "seed"):
                 args.seed = seed
             cache[command, extra] = _MODEL_COMMANDS[command][0](model, args)
@@ -614,12 +613,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, at import; parsing leaves it unchanged
+_PARSER = build_parser()
 _HANDLERS = {**{command: _cmd_model for command in _MODEL_COMMANDS},
              "corpus": _cmd_corpus, "explain": _cmd_explain}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler = _HANDLERS[args.command]
     start = time.monotonic()
     try:

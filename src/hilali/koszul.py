@@ -6,7 +6,11 @@ The central primitive is :func:`quotient_basis`: a degree-truncated linear
 algebra construction of ``R/(P_1..P_k)`` with a certified monomial basis.  It
 avoids Groebner machinery; finiteness is certified by a vanishing window of
 quotient dimensions plus a multiplicative closure check (every ``x_j * b``
-reduces back into the basis span).
+reduces back into the basis span).  Every product on the staircase, whether
+a relation multiple ``m * P_i``, a closure product ``b * x_j`` or a column
+``b * poly`` of a multiplication matrix, is formed on exponent vectors, with
+each relation's terms scaled once to integers; no ``Element`` is multiplied
+per product.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import TYPE_CHECKING
 
 from .algebra import Element, GeneratorUniverse, Monomial, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
-                     ModelError, NotFiniteLengthError)
-from .linalg import Rref, rank_of_rows
+                     ModelError, NotFiniteLengthError, UniverseMismatchError)
+from .linalg import Rref, intify, rank_of_rows
 from .model import Model, classify
 
 if TYPE_CHECKING:
@@ -42,12 +46,14 @@ class _MonomialIndex:
     Columns are negated so that the elimination pivot (the smallest column)
     is the *leading* monomial: highest degree, then highest canonical key.
     Standard monomial bases below the staircase then stabilize as the
-    truncation degree grows, also for inhomogeneous ideals.
+    truncation degree grows, also for inhomogeneous ideals.  The ring has
+    no odd generators, so a monomial's exponent vector is its key, and a
+    product's column is looked up from the sum of two exponent vectors.
     """
 
     def __init__(self, ring: GeneratorUniverse):
         self.ring = ring
-        self.by_monomial: dict[Monomial, int] = {}
+        self.cols: dict[tuple[int, ...], int] = {}
         self.monomials: list[Monomial] = []
         self.ends: list[int] = []   # ends[d]: monomials of degree <= d
         self.degree_extent = -1
@@ -56,21 +62,18 @@ class _MonomialIndex:
         while self.degree_extent < degree:
             self.degree_extent += 1
             for m in self.ring.basis(self.degree_extent):
-                self.by_monomial[m] = len(self.monomials)
                 self.monomials.append(m)
+                self.cols[m.exps] = -len(self.monomials)
             self.ends.append(len(self.monomials))
-
-    def col(self, m: Monomial) -> int:
-        return -(self.by_monomial[m] + 1)
 
     def monomial_of(self, col: int) -> Monomial:
         return self.monomials[-col - 1]
 
-    def vector(self, e: Element) -> dict[int, Fraction]:
-        top = e.top_degree()
-        if top is not None:
-            self.extend_to(top)
-        return {self.col(m): c for m, c in e.terms.items()}
+    def product(self, exps: tuple[int, ...], terms) -> dict:
+        """Vector of ``x^exps`` times the ``(exps, coefficient)`` terms;
+        monomial multiplication is injective, so no two terms merge."""
+        cols = self.cols
+        return {cols[tuple(map(int.__add__, exps, e))]: c for e, c in terms}
 
 
 class QuotientModule:
@@ -132,8 +135,7 @@ class QuotientModule:
             # every row of the degree enters the span before the guard
             # raises, so a caller that goes on probing loses none of them
             pivots = [self._rref.add(row) for row in _relation_rows(
-                self.ring, self.relations, self._index, self._span_extent,
-                self.graded)]
+                self.ring, self.relations, self._index, self._span_extent)]
             if any(p is not None and
                    self._index.monomial_of(p) in self.basis_positions
                    for p in pivots):
@@ -142,6 +144,17 @@ class QuotientModule:
                     f"degree {self._span_extent}; the probe "
                     f"(max degree {self._max_probe}) was too small")
 
+    def _remainder(self, vector: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Reduce ``vector`` modulo the span; the result must lie on basis
+        columns."""
+        reduced = self._rref.reduce(vector)
+        for j in reduced:
+            if self._index.monomial_of(j) not in self.basis_positions:
+                raise IndeterminateError(
+                    "reduction left the certified basis span; the probe "
+                    f"(max degree {self._max_probe}) was too small")
+        return reduced
+
     def reduce(self, e: Element) -> dict[Monomial, Fraction]:
         """Coordinates of the class of ``e`` over the standard basis."""
         if e.universe != self.ring:
@@ -149,44 +162,51 @@ class QuotientModule:
         top = e.top_degree()
         if top is None:
             return {}
-        self._extend_spans(top + self._slack)
-        reduced = self._rref.reduce(self._index.vector(e))
-        out: dict[Monomial, Fraction] = {}
-        for j, c in reduced.items():
-            m = self._index.monomial_of(j)
-            if m not in self.basis_positions:
-                raise IndeterminateError(
-                    "reduction left the certified basis span; the probe "
-                    f"(max degree {self._max_probe}) was too small")
-            out[m] = c
-        return out
+        self._extend_spans(top + self._slack)   # extends the index there too
+        index = self._index
+        reduced = self._remainder({index.cols[m.exps]: c
+                                   for m, c in e.terms.items()})
+        return {index.monomial_of(j): c for j, c in reduced.items()}
 
     def reduce_vector(self, e: Element) -> dict[int, Fraction]:
         return {self.basis_positions[m]: c for m, c in self.reduce(e).items()}
 
     def multiplication_matrix(self, poly: Element) -> list[dict[int, Fraction]]:
-        """Columns of multiplication by ``poly`` on the standard basis."""
+        """Columns of multiplication by ``poly`` on the standard basis.
+
+        Each product b * poly is formed on exponent vectors and reduced as
+        :meth:`reduce` would reduce it, in basis order: the span is first
+        extended to its top degree (plus the filtered slack), which also
+        extends the monomial index there.
+        """
+        if poly.universe != self.ring:
+            raise UniverseMismatchError("operands live over different universes")
+        top = poly.top_degree()
+        if top is None:
+            return [{} for _ in self.standard_basis]
+        terms = [(m.exps, c) for m, c in poly.terms.items()]
+        index, positions = self._index, self.basis_positions
         cols = []
         for b in self.standard_basis:
-            prod = Element.from_monomial(self.ring, b) * poly
-            cols.append(self.reduce_vector(prod))
+            self._extend_spans(self.ring.degree_of(b) + top + self._slack)
+            reduced = self._remainder(index.product(b.exps, terms))
+            cols.append({positions[index.monomial_of(j)]: c
+                         for j, c in reduced.items()})
         return cols
 
 
-def _relation_rows(ring, relations, index, degree, graded):
-    """Vectors of all multiples m * P_i whose (top) degree equals ``degree``."""
+def _relation_rows(ring, relations, index, degree):
+    """Integer vectors of all multiples m * P_i whose (top) degree equals
+    ``degree``: each is D times the vector of m * P_i, where D is the lcm of
+    P_i's denominators."""
+    index.extend_to(degree)
     rows = []
     for rel in relations:
         top = rel.top_degree()
-        if top is None:
+        if top is None or top > degree:
             continue
-        mult_degree = degree - top
-        if mult_degree < 0:
-            continue
-        for m in ring.basis(mult_degree):
-            prod = Element.from_monomial(ring, m) * rel
-            if not prod.is_zero:
-                rows.append(index.vector(prod))
+        terms = [(m.exps, c) for m, c in intify(rel.terms)[0].items()]
+        rows += [index.product(m.exps, terms) for m in ring.basis(degree - top)]
     return rows
 
 
@@ -279,9 +299,7 @@ def _closure_certificate(module: QuotientModule) -> None:
     """
     ring = module.ring
     for g in ring.evens:
-        x = Element.generator(ring, g.name)
-        for b in module.standard_basis:
-            module.reduce(Element.from_monomial(ring, b) * x)
+        module.multiplication_matrix(Element.generator(ring, g.name))
 
 
 def is_regular_sequence(ring: GeneratorUniverse, relations: list[Element],
@@ -506,14 +524,9 @@ def _graded_pairing(module: QuotientModule) -> PairingReport:
 def _functional_pairing(module: QuotientModule, seed: int) -> PairingReport:
     dim = module.length
     socle_dim = _socle_dimension(module)
-    products: list[list[dict[int, Fraction]]] = []
-    for i, u in enumerate(module.standard_basis):
-        row = []
-        for v in module.standard_basis:
-            prod = Element.from_monomial(module.ring, u) * \
-                Element.from_monomial(module.ring, v)
-            row.append(module.reduce_vector(prod))
-        products.append(row)
+    # products[i][j]: the reduced vector of b_j * b_i
+    products = [module.multiplication_matrix(Element.from_monomial(
+        module.ring, u)) for u in module.standard_basis]
     rng = random.Random(seed)
     for attempt in range(_PAIRING_ATTEMPTS):
         phi = [rng.randint(-9, 9) for _ in range(dim)]

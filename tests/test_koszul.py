@@ -3,6 +3,7 @@ endpoint bounds, and the duality pairing."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -86,7 +87,7 @@ def test_leading_term_guard_keeps_every_row_of_its_degree():
     module._set_basis(module._standard_monomials(4))   # holds x1^2 and x2^2
     with pytest.raises(IndeterminateError, match="leading term at degree 4"):
         module._extend_spans(4)
-    rows = _relation_rows(ring, relations, module._index, 4, True)
+    rows = _relation_rows(ring, relations, module._index, 4)
     assert len(rows) == 2
     assert all(not module._rref.reduce(row) for row in rows)
 
@@ -370,3 +371,96 @@ def test_cross_check_on_random_pure_models():
         report = tor_via_model_cross_check(m, basis, table)
         assert report.passes, m.name
         checked += 1
+
+
+def _pure_elliptic_models(corpus_models):
+    """The pure elliptic corpus models, then the first pure elliptic minimal
+    model with an even generator that ``random_hyperelliptic_model`` draws
+    at each seed 0-4."""
+    from hilali import certify_elliptic, check_minimal, classify
+    from modelgen import random_hyperelliptic_model
+    models = [m for m in corpus_models.values()
+              if classify(m).is_pure and certify_elliptic(m).elliptic]
+    for seed in range(5):
+        rng = random.Random(seed)
+        while True:
+            m = random_hyperelliptic_model(rng, n_max=2, r_max=2)
+            if m.universe.evens and classify(m).is_pure and \
+                    check_minimal(m) and certify_elliptic(m).elliptic:
+                models.append(m)
+                break
+    return models
+
+
+def _standard_fibers(model):
+    """The graded fiber at 0 and two filtered fibers at the parameters
+    ``flatness_check`` draws first, with the module's action polynomials."""
+    from hilali.deformation import _distinct_parameters, standard_family
+    family, actions = standard_family(model, seed=0)
+    points = [0] + _distinct_parameters(random.Random(0), 2)
+    return [family.fiber(xi) for xi in points], actions
+
+
+def test_integer_products_match_element_products(corpus_models):
+    # Relation rows and multiplication columns are formed on exponent
+    # vectors; each must agree with the Element product it replaces.
+    graded = filtered = 0
+    for model in _pure_elliptic_models(corpus_models):
+        fibers, actions = _standard_fibers(model)
+        for module in fibers:
+            ring, index, relations = module.ring, module._index, module.relations
+            graded += module.graded
+            filtered += not module.graded
+            for degree in range(module._span_extent + 1):
+                rows = iter(_relation_rows(ring, relations, index, degree))
+                for rel in relations:
+                    top = rel.top_degree()
+                    if top is None or top > degree:
+                        continue
+                    for m in ring.basis(degree - top):
+                        prod = Element.from_monomial(ring, m) * rel
+                        expected = {index.cols[p.exps]: c
+                                    for p, c in prod.terms.items()}
+                        row = next(rows)
+                        assert row.keys() == expected.keys()
+                        ratios = {Fraction(row[j]) / c
+                                  for j, c in expected.items()}
+                        assert len(ratios) == 1 and ratios.pop() > 0
+                assert next(rows, None) is None
+            gens = [Element.generator(ring, g.name) for g in ring.evens]
+            for p in actions + gens:
+                assert module.multiplication_matrix(p) == [
+                    module.reduce_vector(Element.from_monomial(ring, b) * p)
+                    for b in module.standard_basis]
+    assert graded and filtered
+
+
+def test_filtered_fiber_lengths_match_groebner_staircase(corpus_models):
+    # An independent oracle for the filtered ("exact in practice") path:
+    # the number of standard monomials of a Groebner basis of P_i + xi x_i.
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for name in ("n1r1-powers", "pure-n2r1-diag", "squarefree-n2",
+                 "pairwise-nonregular-n2r1"):
+        fibers, _ = _standard_fibers(corpus_models[name])
+        for module in fibers[1:]:
+            ring = module.ring
+            xs = sympy.symbols([g.name for g in ring.evens])
+            polys = [sum(sympy.Rational(c.numerator, c.denominator) *
+                         sympy.prod([x ** e for x, e in zip(xs, m.exps)])
+                         for m, c in rel.terms.items())
+                     for rel in module.relations]
+            basis = sympy.groebner(polys, *xs, order="grevlex")
+            leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0]
+                     for g in basis.exprs]
+            # a zero-dimensional ideal has a pure power of every variable
+            # among its leading monomials, which bounds the staircase
+            bounds = [min(lead[i] for lead in leads
+                          if sum(lead) == lead[i]) for i in range(len(xs))]
+            staircase = [e for e in product(*(range(b) for b in bounds))
+                         if not any(all(a >= b for a, b in zip(e, lead))
+                                    for lead in leads)]
+            assert not module.graded
+            assert module.length == len(staircase), name
+            checked += 1
+    assert checked == 8
