@@ -3,6 +3,7 @@
 Run from the repository root:
 
     python3 scripts/cli_outputs.py [--seed S] > outputs.txt
+    python3 scripts/cli_outputs.py --corpus-seeds A-B > corpus.txt
 
 Each line is one invocation: the argv, the exit code, the sha256 of stdout,
 and the sha256 of stderr with its ``# wall time`` line removed.  The matrix
@@ -12,10 +13,12 @@ tor --cross-check, regseq, deform, reduce} in both formats, plus
 formats (256 invocations for the 14 bundled models).  With ``--seed S``,
 every command that takes a seed (``tor``, ``tor --cross-check``, ``deform``,
 ``reduce`` and ``corpus``) runs at seed S; without it, those commands run at
-their default seed and ``corpus`` at seed 0.  Two trees give the same output
-exactly when their lines are equal, so a byte check of a change is a
-``diff`` of two runs per seed.  Each invocation runs in a fresh process of
-``python3 -m hilali.cli`` against this checkout's ``src/``.
+their default seed and ``corpus`` at seed 0.  With ``--corpus-seeds A-B``,
+the matrix is only ``corpus corpus --seed s --format machine`` for each s
+from A to B inclusive.  Two trees give the same output exactly when their
+lines are equal, so a byte check of a change is a ``diff`` of two runs.
+Each invocation runs in a fresh process of ``python3 -m hilali.cli``
+against this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -47,17 +50,36 @@ def invocations(seed: int | None = None) -> list[list[str]]:
     return out
 
 
+def corpus_invocations(seeds: range) -> list[list[str]]:
+    return [["corpus", "corpus", "--seed", str(s), "--format", "machine"]
+            for s in seeds]
+
+
+def seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    try:
+        return range(int(first), int(last) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a seed range A-B, not {text!r}") from None
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for every command that takes one")
-    seed = parser.parse_args().seed
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--seed", type=int, default=None,
+                       help="seed for every command that takes one")
+    group.add_argument("--corpus-seeds", type=seed_range, metavar="A-B",
+                       help="only the machine-format corpus run at each seed "
+                            "from A to B")
+    args = parser.parse_args()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for argv in invocations(seed):
+    for argv in (invocations(args.seed) if args.corpus_seeds is None
+                 else corpus_invocations(args.corpus_seeds)):
         proc = subprocess.run([sys.executable, "-m", "hilali.cli", *argv],
                               capture_output=True, cwd=ROOT, env=env)
         stderr = b"".join(line for line in proc.stderr.splitlines(keepends=True)

@@ -35,13 +35,16 @@ class ChainComplex:
 
     The ranks are memoized on the model's differential (``model.d.ranks``),
     not on the complex, so every complex built over one model object
-    eliminates each degree once.  The memo holds only ints and refers back
-    to nothing, so a model and its ranks are freed together.
+    eliminates each degree once and classifies the model once
+    (``model.d.pure``).  The memo holds only ints and refers back to
+    nothing, so a model and its ranks are freed together.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        self.pure = classify(model).is_pure
+        if model.d.pure is None:
+            model.d.pure = classify(model).is_pure
+        self.pure = model.d.pure
         self._ranks = model.d.ranks
         self._tables = model.d.tables()
 

@@ -10,7 +10,10 @@ reduces back into the basis span).  Every product on the staircase, whether
 a relation multiple ``m * P_i``, a closure product ``b * x_j`` or a column
 ``b * poly`` of a multiplication matrix, is formed on exponent vectors, with
 each relation's terms scaled once to integers; no ``Element`` is multiplied
-per product.
+per product.  A multiple ``m * P_i`` whose ``m`` is divisible by the leading
+monomial of an earlier relation is never formed: it lies in the span of the
+other rows of its degree and below (Buchberger's product criterion), so it
+would only reduce to zero.
 """
 
 from __future__ import annotations
@@ -96,13 +99,14 @@ class QuotientModule:
         self.relations = relations
         self.graded = graded
         self._index = _MonomialIndex(ring)
+        self._relation_terms = _relation_terms(self._index, relations)
         self._rref = Rref()
         self._span_extent = -1
         self._max_probe = max_probe
         # inhomogeneous staircases need covering combinations from a few
         # stages above the degree being reduced
         self._slack = 0 if graded else max(
-            (r.top_degree() or 0 for r in relations), default=0)
+            (top for top, _, _ in self._relation_terms), default=0)
         self._set_basis([])
 
     def _set_basis(self, basis: list[Monomial]) -> None:
@@ -133,9 +137,10 @@ class QuotientModule:
         while self._span_extent < degree:
             self._span_extent += 1
             # every row of the degree enters the span before the guard
-            # raises, so a caller that goes on probing loses none of them
+            # raises, so a caller that goes on probing loses none of them;
+            # the skipped multiples lie in the span already
             pivots = [self._rref.add(row) for row in _relation_rows(
-                self.ring, self.relations, self._index, self._span_extent)]
+                self._index, self._relation_terms, self._span_extent)]
             if any(p is not None and
                    self._index.monomial_of(p) in self.basis_positions
                    for p in pivots):
@@ -195,18 +200,47 @@ class QuotientModule:
         return cols
 
 
-def _relation_rows(ring, relations, index, degree):
-    """Integer vectors of all multiples m * P_i whose (top) degree equals
-    ``degree``: each is D times the vector of m * P_i, where D is the lcm of
-    P_i's denominators."""
-    index.extend_to(degree)
-    rows = []
+def _relation_terms(index, relations):
+    """Each nonzero relation P_i as ``(top degree, leading exponents,
+    integer terms)``: the terms are ``(exps, D*c)`` with D the lcm of P_i's
+    denominators, and the leading monomial is the term with the smallest
+    column, the largest in the index's monomial order (degree first, then
+    exponent vector)."""
+    out = []
     for rel in relations:
         top = rel.top_degree()
-        if top is None or top > degree:
+        if top is None:
             continue
+        index.extend_to(top)
         terms = [(m.exps, c) for m, c in intify(rel.terms)[0].items()]
-        rows += [index.product(m.exps, terms) for m in ring.basis(degree - top)]
+        lead = min(terms, key=lambda t: index.cols[t[0]])[0]
+        out.append((top, lead, terms))
+    return out
+
+
+def _relation_rows(index, relation_terms, degree):
+    """Integer vectors of the multiples m * P_i whose (top) degree equals
+    ``degree`` and whose m no earlier leading monomial LM(P_j), j < i,
+    divides; each is D times the vector of m * P_i.
+
+    A skipped m = u * LM(P_j) adds nothing.  With P_j scaled to leading
+    coefficient 1, m * P_i = u * P_i * P_j - u * (P_j - LM(P_j)) * P_i is a
+    sum of multiples t * P_j (t a monomial of u * P_i) and s * P_i (s below
+    m in the monomial order), all of top degree at most ``degree``.  By
+    induction on (i, m) each of those is spanned by rows that are kept, so
+    the span through every degree, its pivots and every remainder are those
+    of all the multiples.
+    """
+    index.extend_to(degree)
+    basis = index.ring.basis
+    rows = []
+    leads = []
+    for top, lead, terms in relation_terms:
+        if top <= degree:
+            rows += [index.product(m.exps, terms) for m in basis(degree - top)
+                     if not any(all(map(int.__ge__, m.exps, earlier))
+                                for earlier in leads)]
+        leads.append(lead)
     return rows
 
 

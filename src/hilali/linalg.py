@@ -22,10 +22,15 @@ def intify(row: FracRow) -> tuple[Row, int]:
     """Scale a rational row to an integer row.
 
     Returns ``(irow, scale)`` with ``irow == scale * row`` exactly, so callers
-    can track combinations of the original rational rows.
+    can track combinations of the original rational rows.  A row of ints
+    is returned as it is, less any zeros, with scale 1.
     """
     if not row:
         return {}, 1
+    if {int}.issuperset(map(type, row.values())):
+        if 0 in row.values():
+            row = {j: c for j, c in row.items() if c}
+        return row, 1
     denom = 1
     for c in row.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)

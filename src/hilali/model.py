@@ -35,7 +35,8 @@ class Derivation:
     elements divide by D again; ``ChainComplex.rows`` keeps the integer rows.
     The ranks that :class:`~hilali.cohomology.ChainComplex` takes of the
     derivation are memoized: per degree, by block key (the odd-factor count,
-    or None for a whole degree).
+    or None for a whole degree); so is the model's purity, which decides
+    the blocks (None until a complex first classifies the model).
     """
 
     def __init__(self, uni: GeneratorUniverse, images: dict[str, Element]):
@@ -47,6 +48,7 @@ class Derivation:
         self.universe = uni
         self.images = {name: img for name, img in images.items() if not img.is_zero}
         self.ranks: dict[int, dict[int | None, int]] = {}
+        self.pure: bool | None = None
 
     def of_generator(self, name: str) -> Element:
         img = self.images.get(name)

@@ -261,12 +261,29 @@ def test_complexes_of_one_model_share_its_ranks(corpus_models, monkeypatch):
     assert assembled == []
 
 
+def test_complexes_of_one_model_classify_it_once(corpus_models, monkeypatch):
+    import hilali.cohomology
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return classify(model)
+
+    monkeypatch.setattr(hilali.cohomology, "classify", counted)
+    for name, pure in (("squarefree-n2", True), ("hyper-nonpure-n3r4", False)):
+        m = corpus_models[name]
+        m.d.pure = None
+        assert [ChainComplex(m).pure for _ in range(2)] == [pure, pure]
+        assert calls.count(m) == 1 and m.d.pure is pure
+
+
 def test_differential_keeps_only_images_and_ranks(corpus_models):
-    # monomial images are computed and dropped; only the ranks stay
+    # monomial images are computed and dropped; only the ranks and the
+    # model's purity stay
     m = corpus_models["all-quadrics-n3r3"]
     table, _ = cohomology_table(m)
     assert table.complete and m.d.ranks
-    assert set(vars(m.d)) == {"universe", "images", "ranks"}
+    assert set(vars(m.d)) == {"universe", "images", "ranks", "pure"}
 
 
 @pytest.mark.parametrize("name", ["pure-n2r1-diag", "hyper-nonpure-n3r4"])

@@ -13,6 +13,7 @@ from hilali import (Element, IndeterminateError, Model, ModelError,
                     parse_expression, quotient_basis, tor_bounds_check,
                     tor_table, tor_via_model_cross_check, universe)
 from hilali.koszul import _binomial, _relation_rows, koszul_differential_rows
+from hilali.linalg import Rref
 
 
 def ring2():
@@ -87,7 +88,7 @@ def test_leading_term_guard_keeps_every_row_of_its_degree():
     module._set_basis(module._standard_monomials(4))   # holds x1^2 and x2^2
     with pytest.raises(IndeterminateError, match="leading term at degree 4"):
         module._extend_spans(4)
-    rows = _relation_rows(ring, relations, module._index, 4)
+    rows = _relation_rows(module._index, module._relation_terms, 4)
     assert len(rows) == 2
     assert all(not module._rref.reduce(row) for row in rows)
 
@@ -401,26 +402,40 @@ def _standard_fibers(model):
     return [family.fiber(xi) for xi in points], actions
 
 
+def _leading_exponents(index, rel):
+    """The exponents of the term of ``rel`` with the smallest column."""
+    return min((m.exps for m in rel.terms), key=index.cols.__getitem__)
+
+
 def test_integer_products_match_element_products(corpus_models):
     # Relation rows and multiplication columns are formed on exponent
-    # vectors; each must agree with the Element product it replaces.
-    graded = filtered = 0
+    # vectors; each must agree with the Element product it replaces, and
+    # each multiple skipped by the product criterion must already lie in
+    # the span.
+    graded = filtered = skipped = 0
     for model in _pure_elliptic_models(corpus_models):
         fibers, actions = _standard_fibers(model)
         for module in fibers:
             ring, index, relations = module.ring, module._index, module.relations
             graded += module.graded
             filtered += not module.graded
+            leads = [_leading_exponents(index, rel) for rel in relations]
             for degree in range(module._span_extent + 1):
-                rows = iter(_relation_rows(ring, relations, index, degree))
-                for rel in relations:
+                rows = iter(_relation_rows(index, module._relation_terms,
+                                           degree))
+                for i, rel in enumerate(relations):
                     top = rel.top_degree()
-                    if top is None or top > degree:
+                    if top > degree:
                         continue
                     for m in ring.basis(degree - top):
                         prod = Element.from_monomial(ring, m) * rel
                         expected = {index.cols[p.exps]: c
                                     for p, c in prod.terms.items()}
+                        if any(all(a >= b for a, b in zip(m.exps, lead))
+                               for lead in leads[:i]):
+                            assert module._rref.reduce(expected) == {}
+                            skipped += 1
+                            continue
                         row = next(rows)
                         assert row.keys() == expected.keys()
                         ratios = {Fraction(row[j]) / c
@@ -432,7 +447,65 @@ def test_integer_products_match_element_products(corpus_models):
                 assert module.multiplication_matrix(p) == [
                     module.reduce_vector(Element.from_monomial(ring, b) * p)
                     for b in module.standard_basis]
-    assert graded and filtered
+    assert graded and filtered and skipped
+
+
+def _pivots_by_degree(module, rows_of_degree):
+    """Pivot columns after each degree through the module's span extent,
+    of an Rref fed ``rows_of_degree(degree)`` degree by degree."""
+    rref = Rref()
+    out = []
+    for degree in range(module._span_extent + 1):
+        for row in rows_of_degree(degree):
+            rref.add(row)
+        out.append(set(rref.pivots))
+    return out
+
+
+def _every_multiple(module):
+    """Rows of every relation multiple m * P_i, by (top) degree."""
+    ring, index = module.ring, module._index
+
+    def rows(degree):
+        return [{index.cols[p.exps]: c
+                 for p, c in (Element.from_monomial(ring, m) * rel).terms.items()}
+                for rel in module.relations if rel.top_degree() <= degree
+                for m in ring.basis(degree - rel.top_degree())]
+    return rows
+
+
+def _assert_skip_keeps_span(module):
+    kept = _pivots_by_degree(module, lambda degree: _relation_rows(
+        module._index, module._relation_terms, degree))
+    assert kept == _pivots_by_degree(module, _every_multiple(module))
+    assert kept[-1] == set(module._rref.pivots)
+
+
+def test_product_criterion_keeps_the_span(corpus_models):
+    # The staircase skips m * P_i when an earlier leading monomial divides
+    # m; its pivots must be those of all the multiples, degree by degree.
+    ring = universe([("x1", 2), ("x2", 2)])
+    for texts, graded in ((("x1^2", "x1^2", "x2^3"), True),
+                          (("x1^2", "x1*x2"), True),
+                          (("x1^2 + 3*x1", "x2^2 - 1/2*x2"), False)):
+        module = QuotientModule(ring, [pe(t, ring) for t in texts], graded,
+                                max_probe=12)
+        module._extend_spans(12)
+        _assert_skip_keeps_span(module)
+    # on the non-regular pair, x1^2 * (x1*x2) is skipped: it is
+    # (x1*x2) * x1^2, a multiple of the first relation
+    relations = [pe("x1^2", ring), pe("x1*x2", ring)]
+    module = QuotientModule(ring, relations, graded=True, max_probe=12)
+    assert len(_relation_rows(module._index, module._relation_terms, 8)) == 5
+    relations = [pe(t, ring) for t in ("x1^2", "x1^2", "x2^3")]
+    assert quotient_basis(ring, relations).length == 6
+    filtered = 0
+    for model in _pure_elliptic_models(corpus_models):
+        fibers, _ = _standard_fibers(model)
+        for module in fibers:
+            _assert_skip_keeps_span(module)
+            filtered += not module.graded
+    assert filtered
 
 
 def test_filtered_fiber_lengths_match_groebner_staircase(corpus_models):

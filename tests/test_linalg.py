@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hilali.linalg import Echelon, Rref, kernel_of_rows, rank_of_rows
+from hilali.linalg import Echelon, Rref, intify, kernel_of_rows, rank_of_rows
 
 from dense_oracle import dense_rank
 
@@ -38,6 +38,15 @@ def test_rank_matches_dense_oracle():
         dense = dense_rank(_densify(rows, c))
         assert rank_of_rows(rows) == dense
         assert rank_of_rows([_integral(row) for row in rows]) == dense
+
+
+def test_intify_takes_integer_rows_as_they_are():
+    assert intify({0: 3, 2: 0, 5: -4}) == ({0: 3, 5: -4}, 1)
+    assert intify({1: 6, 2: Fraction(1, 4), 3: 0}) == ({1: 24, 2: 1}, 4)
+    for row in ({0: Fraction(2), 1: -1}, {0: 2, 1: -1}):
+        irow, scale = intify(row)
+        assert (irow, scale) == ({0: 2, 1: -1}, 1)
+        assert all(type(v) is int for v in irow.values())
 
 
 def test_kernel_vectors_annihilate_rows():
