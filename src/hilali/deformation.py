@@ -16,13 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .algebra import Element
 from .cohomology import (ChainComplex, FreeOddLineComplex, betti_below,
                          cohomology_table, formal_dimension_bound)
 from .errors import ContradictionError, IndeterminateError, ModelError
-from .koszul import (QuotientModule, SModuleStructure, _binomial,
-                     halperin_basis, quotient_basis, tor_table)
+from .koszul import (QuotientModule, SModuleStructure, halperin_basis,
+                     quotient_basis, tor_table)
 from .model import (Derivation, Model, check_differential, classify,
                     restrict_model, tensor_with_odd_line)
 
@@ -163,7 +164,7 @@ def tor_semicontinuity_check(family: ModuleFamily, action_polys: list[Element],
             raise ContradictionError(
                 f"Tor semicontinuity violated at xi = {xi}: "
                 f"{table.dims} exceeds {base_table.dims}")
-        pattern = all(table[k] == _binomial(r, k) for k in range(r + 1))
+        pattern = all(table[k] == comb(r, k) for k in range(r + 1))
         out.append(SemicontinuitySample(xi, dict(table.dims), dominated, pattern))
     return SemicontinuityReport(dict(base_table.dims), tuple(out), True, seed)
 

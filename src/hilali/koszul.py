@@ -14,6 +14,11 @@ per product.  A multiple ``m * P_i`` whose ``m`` is divisible by the leading
 monomial of an earlier relation is never formed: it lies in the span of the
 other rows of its degree and below (Buchberger's product criterion), so it
 would only reduce to zero.
+
+The Koszul complex ``M (x) Lambda^* W`` behind :func:`tor_table` is built
+from the columns of the multiplication matrices.  The k faces of a k-subset
+are k distinct (k-1)-subsets, so each row of d_k is the signed columns of
+its k actions placed in disjoint blocks, and no entry is ever summed.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import TYPE_CHECKING
 
-from .algebra import Element, GeneratorUniverse, Monomial, restrict_element
+from .algebra import (Element, GeneratorUniverse, Monomial, restrict_element,
+                      universe)
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError, UniverseMismatchError)
 from .linalg import Rref, intify, rank_of_rows
@@ -32,15 +39,6 @@ from .model import Model, classify
 
 if TYPE_CHECKING:
     from .cohomology import EllipticityCertificate
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 class _MonomialIndex:
@@ -111,7 +109,8 @@ class QuotientModule:
 
     def _set_basis(self, basis: list[Monomial]) -> None:
         self.standard_basis = basis
-        self.basis_positions = {m: i for i, m in enumerate(basis)}
+        cols = self._index.cols
+        self.basis_positions = {cols[m.exps]: i for i, m in enumerate(basis)}
         self.length = len(basis)
         degrees = [self.ring.degree_of(m) for m in basis]
         self.socle_degree = max(degrees) if degrees else 0
@@ -141,9 +140,7 @@ class QuotientModule:
             # the skipped multiples lie in the span already
             pivots = [self._rref.add(row) for row in _relation_rows(
                 self._index, self._relation_terms, self._span_extent)]
-            if any(p is not None and
-                   self._index.monomial_of(p) in self.basis_positions
-                   for p in pivots):
+            if any(p in self.basis_positions for p in pivots):
                 raise IndeterminateError(
                     "a certified basis monomial became a leading term at "
                     f"degree {self._span_extent}; the probe "
@@ -154,7 +151,7 @@ class QuotientModule:
         columns."""
         reduced = self._rref.reduce(vector)
         for j in reduced:
-            if self._index.monomial_of(j) not in self.basis_positions:
+            if j not in self.basis_positions:
                 raise IndeterminateError(
                     "reduction left the certified basis span; the probe "
                     f"(max degree {self._max_probe}) was too small")
@@ -174,7 +171,9 @@ class QuotientModule:
         return {index.monomial_of(j): c for j, c in reduced.items()}
 
     def reduce_vector(self, e: Element) -> dict[int, Fraction]:
-        return {self.basis_positions[m]: c for m, c in self.reduce(e).items()}
+        cols = self._index.cols
+        return {self.basis_positions[cols[m.exps]]: c
+                for m, c in self.reduce(e).items()}
 
     def multiplication_matrix(self, poly: Element) -> list[dict[int, Fraction]]:
         """Columns of multiplication by ``poly`` on the standard basis.
@@ -195,8 +194,7 @@ class QuotientModule:
         for b in self.standard_basis:
             self._extend_spans(self.ring.degree_of(b) + top + self._slack)
             reduced = self._remainder(index.product(b.exps, terms))
-            cols.append({positions[index.monomial_of(j)]: c
-                         for j, c in reduced.items()})
+            cols.append({positions[j]: c for j, c in reduced.items()})
         return cols
 
 
@@ -406,39 +404,24 @@ class TorTable:
         return self.dims.get(k, 0)
 
 
-def koszul_chain_basis(length: int, r: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Basis of M tensor Lambda^k W: pairs (basis position, ascending subset)."""
-    return [(i, subset) for subset in combinations(range(r), k)
-            for i in range(length)]
-
-
 def koszul_differential_rows(s: SModuleStructure, k: int):
     """Rows of d_k : M (x) Lambda^k W -> M (x) Lambda^{k-1} W.
 
     d(m (x) w_{i_1}...w_{i_k}) = sum_l (-1)^{l-1} (lambda_{i_l} m) (x) (drop i_l).
+
+    Chains are ordered subset-major: basis position i of the p-th ascending
+    k-subset is chain position ``p * dim + i``.  The k faces of a k-subset
+    are distinct (k-1)-subsets, so a row is the signed columns
+    ``mats[lambda_l][i]`` in disjoint blocks and no two entries merge.
     """
-    module = s.module
-    r = s.parameter_count
     mats = s.matrices()
-    dim = module.length
-    source = koszul_chain_basis(dim, r, k)
-    target_index = {key: pos for pos, key in
-                    enumerate(koszul_chain_basis(dim, r, k - 1))}
-    rows = []
-    for i, subset in source:
-        row: dict[int, Fraction] = {}
-        for l, lam in enumerate(subset):
-            rest = subset[:l] + subset[l + 1:]
-            sign = -1 if l % 2 else 1
-            for tgt, c in mats[lam][i].items():
-                col = target_index[(tgt, rest)]
-                v = row.get(col, Fraction(0)) + sign * c
-                if v:
-                    row[col] = v
-                elif col in row:
-                    del row[col]
-        rows.append(row)
-    return rows
+    dim = s.module.length
+    r = s.parameter_count
+    face = {rest: pos * dim
+            for pos, rest in enumerate(combinations(range(r), k - 1))}
+    return [{face[subset[:l] + subset[l + 1:]] + t: -c if l % 2 else c
+             for l, lam in enumerate(subset) for t, c in mats[lam][i].items()}
+            for subset in combinations(range(r), k) for i in range(dim)]
 
 
 def tor_table(module: QuotientModule, s: SModuleStructure) -> TorTable:
@@ -456,7 +439,7 @@ def tor_table(module: QuotientModule, s: SModuleStructure) -> TorTable:
         ranks[k] = rank_of_rows(koszul_differential_rows(s, k))
     dims = {}
     for k in range(r + 1):
-        chain_dim = dim * _binomial(r, k)
+        chain_dim = dim * comb(r, k)
         dims[k] = chain_dim - ranks.get(k, 0) - ranks.get(k + 1, 0)
     return TorTable(dims, sum(dims.values()))
 
@@ -614,8 +597,7 @@ class HalperinBasis:
 
 
 def even_subring(model: Model) -> GeneratorUniverse:
-    from .algebra import universe as _universe
-    return _universe([(g.name, g.degree) for g in model.universe.evens])
+    return universe([(g.name, g.degree) for g in model.universe.evens])
 
 
 def odd_images(model: Model) -> tuple[GeneratorUniverse, list[Element]]:
@@ -663,51 +645,49 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
         module = test([images[i] for i in subset])
         if module is not None:
             order = list(subset) + [i for i in range(size) if i not in subset]
-            matrix = [[Fraction(1) if j == order[i] else Fraction(0)
-                       for j in range(size)] for i in range(size)]
-            return _assemble(model, certificate, matrix, module, attempts,
-                             "permutation" if list(subset) != list(range(n)) else "identity")
+            matrix = [[int(j == order[i]) for j in range(size)]
+                      for i in range(size)]
+            strategy = ("permutation" if list(subset) != list(range(n))
+                        else "identity")
+            return _assemble(model, certificate, matrix, images, module,
+                             attempts, strategy)
 
     # Stage 2: random invertible integer matrices.
     rng = random.Random(seed)
     while attempts < budget:
-        matrix = [[Fraction(rng.randint(-3, 3)) for _ in range(size)]
+        matrix = [[rng.randint(-3, 3) for _ in range(size)]
                   for _ in range(size)]
         if rank_of_rows([{j: c for j, c in enumerate(row) if c}
                          for row in matrix]) != size:
             attempts += 1
             continue
-        first_n = []
-        for i in range(n):
-            combo = Element.zero(ring)
-            for j in range(size):
-                if matrix[i][j]:
-                    combo = combo + images[j].scale(matrix[i][j])
-            first_n.append(combo)
-        module = test(first_n)
+        module = test([_combination(row, images, ring) for row in matrix[:n]])
         if module is not None:
-            return _assemble(model, certificate, matrix, module, attempts,
-                             "random")
+            return _assemble(model, certificate, matrix, images, module,
+                             attempts, "random")
     raise IndeterminateError(
         f"no regular odd basis found within {budget} attempts (seed {seed})")
 
 
-def _assemble(model: Model, certificate, matrix, module: QuotientModule,
-              attempts: int, strategy: str) -> HalperinBasis:
-    uni = model.universe
-    ring = module.ring
-    odd = list(uni.odds)
-    combos = []
-    images = []
-    for i in range(len(odd)):
-        z = Element.zero(uni)
-        for j, g in enumerate(odd):
-            if matrix[i][j]:
-                z = z + Element.generator(uni, g.name).scale(matrix[i][j])
-        combos.append(z)
-        images.append(restrict_element(model.apply(z), ring))
-    structure = SModuleStructure(module, images[len(ring.evens):])
-    return HalperinBasis(combos, images, module, structure, certificate,
+def _combination(row: list[int], elements: list[Element],
+                 uni: GeneratorUniverse) -> Element:
+    """sum_j row[j] * elements[j], an element of ``uni``."""
+    return sum((e.scale(c) for c, e in zip(row, elements) if c),
+               Element.zero(uni))
+
+
+def _assemble(model: Model, certificate, matrix, images: list[Element],
+              module: QuotientModule, attempts: int,
+              strategy: str) -> HalperinBasis:
+    """The basis z_i = sum_j matrix[i][j] y_j of the odd generators y_j, with
+    ``images`` the restricted images of the y_j; since d and restriction
+    are linear, each z_i's image is the same combination of them."""
+    uni, ring = model.universe, module.ring
+    gens = [Element.generator(uni, g.name) for g in uni.odds]
+    combos = [_combination(row, gens, uni) for row in matrix]
+    z_images = [_combination(row, images, ring) for row in matrix]
+    structure = SModuleStructure(module, z_images[len(ring.evens):])
+    return HalperinBasis(combos, z_images, module, structure, certificate,
                          attempts, strategy)
 
 

@@ -34,7 +34,8 @@ def intify(row: FracRow) -> tuple[Row, int]:
     denom = 1
     for c in row.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    out = {j: int(c * denom) for j, c in row.items() if c != 0}
+    out = {j: c.numerator * (denom // c.denominator)
+           for j, c in row.items() if c}
     return out, denom
 
 

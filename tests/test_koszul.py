@@ -3,7 +3,8 @@ endpoint bounds, and the duality pairing."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -12,7 +13,8 @@ from hilali import (Element, IndeterminateError, Model, ModelError,
                     duality_pairing, halperin_basis, is_regular_sequence,
                     parse_expression, quotient_basis, tor_bounds_check,
                     tor_table, tor_via_model_cross_check, universe)
-from hilali.koszul import _binomial, _relation_rows, koszul_differential_rows
+from hilali.algebra import restrict_element
+from hilali.koszul import _relation_rows, koszul_differential_rows
 from hilali.linalg import Rref
 
 
@@ -132,7 +134,7 @@ def test_tor_of_augmentation_is_binomial():
     for r in range(6):
         s = SModuleStructure(module, [Element.zero(ring)] * r)
         table = tor_table(module, s)
-        assert table.dims == {k: _binomial(r, k) for k in range(r + 1)}
+        assert table.dims == {k: comb(r, k) for k in range(r + 1)}
         assert table.total == 2 ** r
 
 
@@ -175,7 +177,7 @@ def test_alternating_sums_match_chain_level():
     s = SModuleStructure(module, [pe("x^2", ring)])
     table = tor_table(module, s)
     r = s.parameter_count
-    chain = sum((-1) ** k * module.length * _binomial(r, k) for k in range(r + 1))
+    chain = sum((-1) ** k * module.length * comb(r, k) for k in range(r + 1))
     homology = sum((-1) ** k * table[k] for k in range(r + 1))
     assert chain == homology
 
@@ -506,6 +508,74 @@ def test_product_criterion_keeps_the_span(corpus_models):
             _assert_skip_keeps_span(module)
             filtered += not module.graded
     assert filtered
+
+
+def _accumulated_koszul_rows(s, k):
+    """d_k built term by term: each signed entry of lambda_{i_l} m is added
+    into its target column (zero sums dropped), over chain bases of pairs
+    (basis position, ascending subset) in subset-major order."""
+    mats, dim, r = s.matrices(), s.module.length, s.parameter_count
+
+    def chain_basis(j):
+        return [(i, subset) for subset in combinations(range(r), j)
+                for i in range(dim)]
+    target = {key: pos for pos, key in enumerate(chain_basis(k - 1))}
+    rows = []
+    for i, subset in chain_basis(k):
+        row = {}
+        for l, lam in enumerate(subset):
+            rest = subset[:l] + subset[l + 1:]
+            for t, c in mats[lam][i].items():
+                col = target[(t, rest)]
+                v = row.get(col, Fraction(0)) + (-1) ** l * c
+                if v:
+                    row[col] = v
+                elif col in row:
+                    del row[col]
+        rows.append(row)
+    return rows
+
+
+def _assert_koszul_rows_match(s):
+    mats, dim, r = s.matrices(), s.module.length, s.parameter_count
+    for k in range(1, r + 1):
+        rows = koszul_differential_rows(s, k)
+        assert rows == _accumulated_koszul_rows(s, k)
+        # the k faces are distinct, so the columns sit side by side
+        sources = [(i, subset) for subset in combinations(range(r), k)
+                   for i in range(dim)]
+        assert [len(row) for row in rows] == [
+            sum(len(mats[lam][i]) for lam in subset) for i, subset in sources]
+
+
+def test_koszul_rows_place_columns_side_by_side(corpus_models):
+    # The Koszul differential of the odd-basis structure (graded) and of
+    # two filtered fibers must equal the accumulating construction.
+    graded = rational = 0
+    for model in _pure_elliptic_models(corpus_models):
+        basis = halperin_basis(model)
+        _assert_koszul_rows_match(basis.structure)
+        graded += basis.structure.parameter_count > 0
+        fibers, actions = _standard_fibers(model)
+        for module in fibers[1:]:
+            s = SModuleStructure(module, actions)
+            _assert_koszul_rows_match(s)
+            rational += any(c.denominator != 1 for mat in s.matrices()
+                            for col in mat for c in col.values())
+    assert graded and rational
+
+
+def test_halperin_images_are_restricted_images_of_combinations(corpus_models):
+    # The images of z_i are formed as combinations of the restricted
+    # generator images; they must equal d z_i restricted to the even ring.
+    strategies = set()
+    for model in _pure_elliptic_models(corpus_models):
+        basis = halperin_basis(model)
+        ring = basis.module.ring
+        assert basis.images == [restrict_element(model.apply(z), ring)
+                                for z in basis.combinations]
+        strategies.add(basis.strategy)
+    assert strategies == {"identity", "permutation", "random"}
 
 
 def test_filtered_fiber_lengths_match_groebner_staircase(corpus_models):
