@@ -1,0 +1,64 @@
+"""Print deterministic work counts of one corpus run.
+
+Run from the repository root:
+
+    python3 scripts/elimination_counts.py [--seed S]
+
+It runs ``hilali corpus corpus --seed S`` (default seed 0, one job) in this
+process against this checkout's ``src/``, with two wrappers in place:
+
+- ``hilali.cohomology._leibniz``, the Leibniz kernel as ``ChainComplex``
+  calls it;
+- ``hilali.linalg._eliminate``, one step of exact elimination, with the
+  entries it touches counted as the length of the row plus the length of
+  the pivot.
+
+It prints one line: the seed, the corpus run's exit code, ``_leibniz``
+calls, ``_eliminate`` calls and entries touched.  The counts depend only on
+the code and the seed, not on the machine, so two trees compare by
+``diff``.  The corpus report itself is discarded; its ``# wall time`` line
+still goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from hilali import cli, cohomology, linalg  # noqa: E402
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    counts = {"leibniz": 0, "eliminate": 0, "entries": 0}
+    leibniz, eliminate = cohomology._leibniz, linalg._eliminate
+
+    def counted_leibniz(tables, exps, odds):
+        counts["leibniz"] += 1
+        return leibniz(tables, exps, odds)
+
+    def counted_eliminate(row, piv, col):
+        counts["eliminate"] += 1
+        counts["entries"] += len(row) + len(piv)
+        return eliminate(row, piv, col)
+
+    cohomology._leibniz, linalg._eliminate = counted_leibniz, counted_eliminate
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
+                         str(args.seed), "--jobs", "1"])
+    print(f"seed {args.seed} exit {code} _leibniz_calls {counts['leibniz']} "
+          f"_eliminate_calls {counts['eliminate']} "
+          f"entries_touched {counts['entries']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

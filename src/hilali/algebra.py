@@ -128,44 +128,45 @@ class GeneratorUniverse:
     # -- degree-indexed bases ---------------------------------------------
 
     def _odd_subsets_by_degree(self) -> dict[int, list[tuple[int, ...]]]:
+        # Ascending odd subsets by degree, built once per universe.
         if self._odd_by_degree is None:
             table: dict[int, list[tuple[int, ...]]] = {}
             for size in range(len(self.odds) + 1):
                 for subset in combinations(range(len(self.odds)), size):
                     d = sum(self.odds[k].degree for k in subset)
                     table.setdefault(d, []).append(subset)
-            self._odd_by_degree = table
+            self._odd_by_degree = {d: sorted(subsets)
+                                   for d, subsets in table.items()}
         return self._odd_by_degree
 
-    def _even_vectors(self, degree: int, upto: int) -> list[tuple[int, ...]]:
-        # Exponent vectors over evens[upto:] of exact weighted degree.
-        if degree == 0:
-            return [(0,) * (len(self.evens) - upto)]
-        if upto == len(self.evens):
-            return []
-        out = []
-        d = self.evens[upto].degree
-        for e in range(degree // d + 1):
-            for rest in self._even_vectors(degree - e * d, upto + 1):
-                out.append((e,) + rest)
-        return out
-
     def basis(self, degree: int) -> list[Monomial]:
-        """All monomials of exactly the given degree, canonically ordered."""
+        """All monomials of exactly the given degree, canonically ordered.
+
+        The even exponent vectors are enumerated once, in ascending lex
+        order, each with the degree left for its odd factors: every
+        exponent but the last runs over all values that fit, and the last
+        is solved for each odd-subset degree, in ascending order of that
+        exponent.  Each vector then takes the ascending odd subsets of its
+        degree.  That is the (exps, odds) order, so nothing is sorted.
+        """
         if degree < 0:
             raise EngineError("degree must be non-negative")
         if degree not in self._basis_cache:
             odd_table = self._odd_subsets_by_degree()
-            monos = []
-            for odd_deg, subsets in odd_table.items():
-                if odd_deg > degree:
-                    continue
-                evens = self._even_vectors(degree - odd_deg, 0)
-                for subset in subsets:
-                    for vec in evens:
-                        monos.append(Monomial(vec, subset))
-            monos.sort(key=lambda m: (m.exps, m.odds))
-            self._basis_cache[degree] = monos
+            partial = [((), degree)]        # (exponent prefix, degree left)
+            for g in self.evens[:-1]:
+                partial = [(prefix + (e,), left - e * g.degree)
+                           for prefix, left in partial
+                           for e in range(left // g.degree + 1)]
+            if self.evens:
+                last = self.evens[-1].degree
+                odd_degrees = sorted(odd_table, reverse=True)
+                partial = [(prefix + ((left - k) // last,), k)
+                           for prefix, left in partial for k in odd_degrees
+                           if k <= left and not (left - k) % last]
+            self._basis_cache[degree] = [
+                Monomial(exps, subset) for exps, left in partial
+                for subset in odd_table.get(left, ())]
         return list(self._basis_cache[degree])
 
     def graded_dimension(self, degree: int) -> int:

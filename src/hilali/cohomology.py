@@ -5,6 +5,7 @@ bases, and the dimension-inequality verdict."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import add
 
 from .algebra import Element, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
@@ -47,30 +48,67 @@ class ChainComplex:
         self.pure = model.d.pure
         self._ranks = model.d.ranks
         self._tables = model.d.tables()
+        self._zeros = model.universe.unit.exps
+        # D times d(y_S) as (exps, odds, c) terms, by odd subset S
+        self._odd_images: dict[tuple[int, ...], list[tuple]] = {}
 
     def basis(self, degree: int):
         return self.model.universe.basis(degree)
 
     def rows(self, degree: int) -> list[dict[int, int]]:
         """Images of the degree-p basis as integer vectors over the
-        (p+1)-basis: D times the differential, by the Leibniz kernel on the
-        integer image tables of :meth:`~hilali.model.Derivation.tables`,
-        with no monomial, element or fraction per term.  The common scale D
-        changes no rank, kernel or span."""
+        (p+1)-basis, in canonical column order: D times the differential,
+        read from the integer image tables of
+        :meth:`~hilali.model.Derivation.tables`, with no monomial, element or
+        fraction per term.  The common scale D changes no rank, kernel or
+        span.
+
+        When every even generator is closed (every hyperelliptic model),
+        d(f y_S) = f d(y_S) for an even monomial f and an odd monomial y_S,
+        and multiplying by f only adds its exponent vector.  So the Leibniz
+        kernel runs once per odd subset S, its terms are kept on the complex,
+        and each row is d(y_S) shifted by f; the shift is injective, so no
+        two terms meet.  A model with a nonzero even image (possible only
+        under ``assume_elliptic``) runs the kernel once per row.
+        """
         target = {(m.exps, m.odds): i
                   for i, m in enumerate(self.basis(degree + 1))}
         tables = self._tables
-        return [{target[key]: c
-                 for key, c in _leibniz(tables, m.exps, m.odds).items()}
-                for m in self.basis(degree)]
+        if any(tables[1]):
+            return [{target[key]: c
+                     for key, c in _leibniz(tables, m.exps, m.odds).items()}
+                    for m in self.basis(degree)]
+        images = self._odd_images
+        rows = []
+        for m in self.basis(degree):
+            image = images.get(m.odds)
+            if image is None:
+                image = images[m.odds] = [
+                    (exps, odds, c) for (exps, odds), c
+                    in _leibniz(tables, self._zeros, m.odds).items()]
+            f = m.exps
+            rows.append({target[(tuple(map(add, f, exps)), odds)]: c
+                         for exps, odds, c in image})
+        return rows
 
     def rank(self, degree: int, q: int | None = None) -> int:
+        """Rank of d in one degree, or in its q-block of a pure model.
+
+        A rank does not depend on the order of the columns, so each row's
+        column j is relabelled -j before elimination: the echelon form,
+        which pivots on the smallest column, then clears the largest basis
+        index first, which fills in less on these matrices.  Only ranks are
+        taken of the relabelled rows; every basis or remainder is built in
+        canonical order from :meth:`rows`.
+        """
         if q is not None and not self.pure:
             raise ModelError("the odd-count split needs a pure model")
         if degree < 0:
             return 0
         if degree not in self._ranks:
             rows = self.rows(degree)
+            for i, row in enumerate(rows):  # in place: no second copy
+                rows[i] = {-j: c for j, c in row.items()}
             if self.pure:
                 blocks: dict[int | None, list] = {}
                 for m, row in zip(self.basis(degree), rows):

@@ -32,7 +32,9 @@ class Derivation:
     it reads the integer image tables of :meth:`tables` (the images scaled
     by one common denominator D) and takes reordering signs as popcounts on
     bit masks of odd positions.  :meth:`apply_monomial` and calls on
-    elements divide by D again; ``ChainComplex.rows`` keeps the integer rows.
+    elements divide by D again.  ``ChainComplex.rows`` keeps the integer
+    terms and, when every even generator is closed, runs the kernel once per
+    odd monomial y_S and reads d(f y_S) = f d(y_S) by shifting exponents.
     The ranks that :class:`~hilali.cohomology.ChainComplex` takes of the
     derivation are memoized: per degree, by block key (the odd-factor count,
     or None for a whole degree); so is the model's purity, which decides
@@ -301,8 +303,11 @@ def _parse_model(doc: dict, source: str) -> Model:
     specs = []
     for entry in gens:
         try:
-            specs.append((str(entry["name"]), int(entry["degree"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            degree = entry["degree"]
+            if type(degree) is not int:     # no float, bool or string
+                raise TypeError(f"degree {degree!r} is not an integer")
+            specs.append((str(entry["name"]), degree))
+        except (KeyError, TypeError) as exc:
             raise ModelError(f"{source}: bad generator entry {entry!r}") from exc
     try:
         uni = universe(specs)

@@ -1,5 +1,7 @@
 """Graded-commutative arithmetic: signs, bases, canonical order."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -103,6 +105,30 @@ def test_basis_exact_degree_and_order(mixed):
         keys = [mixed.sort_key(m) for m in monos]
         assert keys == sorted(keys)
         assert len(set(monos)) == len(monos)
+
+
+def test_basis_is_every_monomial_of_its_degree_in_canonical_order():
+    # y3 (11) and y0*y1*y2 (3+3+5) share a degree, so subsets of different
+    # sizes interleave in (exps, odds) order
+    rng = random.Random(21)
+    universes = [universe([("x1", 2), ("x2", 4), ("y0", 3), ("y1", 3),
+                           ("y2", 5), ("y3", 11)])]
+    for _ in range(8):
+        universes.append(universe([(f"g{i}", rng.randint(2, 7))
+                                   for i in range(rng.randint(1, 6))]))
+    for uni in universes:
+        evens = [g.degree for g in uni.evens]
+        odds = [g.degree for g in uni.odds]
+        for d in range(16):
+            vectors = itertools.product(*[range(d // e + 1) for e in evens])
+            subsets = [s for k in range(len(odds) + 1)
+                       for s in itertools.combinations(range(len(odds)), k)]
+            expected = sorted(
+                (v, s) for v in vectors for s in subsets
+                if sum(map(operator.mul, v, evens))
+                + sum(odds[k] for k in s) == d)
+            assert [(m.exps, m.odds) for m in basis(uni, d)] == expected, \
+                (uni, d)
 
 
 def test_degree_queries(mixed):

@@ -288,6 +288,21 @@ def test_validate_malformed_file_exit_2(tmp_path, capsys, doc, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("degree", [2.5, True, "3"])
+def test_validate_rejects_a_degree_that_is_not_an_integer(tmp_path, capsys,
+                                                          degree):
+    doc = {"format": "hilali-model/1", "name": "x",
+           "generators": [{"name": "x", "degree": degree}]}
+    path = tmp_path / "x.model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == [f"error: {path}: bad generator entry "
+            f"{{'name': 'x', 'degree': {degree!r}}}"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("manifest", [
     {"format": "hilali-corpus/1",
      "expectations": [{"operation": "classify", "check": "n", "expect": 0}]},

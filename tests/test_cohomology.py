@@ -5,18 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+import hilali.cohomology
 from hilali import (Element, EngineError, Model, ModelError,
                     PerturbedModel, UniverseMismatchError, betti,
                     betti_by_odd_count, betti_complete, certify_elliptic,
+                    check_differential,
                     coboundary_basis, cocycle_basis, euler_characteristics,
                     classify, cohomology_table, formal_dimension_bound,
                     hilali_verdict, is_exact, parse_expression,
                     tensor_with_odd_line, universe)
 from hilali.cohomology import ChainComplex, FreeOddLineComplex
 from hilali.linalg import rank_of_rows
+from hilali.model import _leibniz
 
 from dense_oracle import betti_dense, dense_rank, naive_differential
-from modelgen import random_model
+from modelgen import random_hyperelliptic_model, random_model
 
 
 def build(specs, diff_texts, **kw):
@@ -450,3 +453,92 @@ def test_rows_are_the_scaled_naive_differential_on_a_perturbed_model(
 def test_rows_are_the_scaled_naive_differential_on_random_models():
     for seed in range(6):
         assert _check_rows_against_oracle(random_model(random.Random(seed)))
+
+
+def _per_row_rows(cx, p):
+    """The rows of degree p by one Leibniz kernel call per basis monomial,
+    in canonical column order."""
+    tables = cx.model.d.tables()
+    target = {(m.exps, m.odds): i for i, m in enumerate(cx.basis(p + 1))}
+    return [{target[key]: c
+             for key, c in _leibniz(tables, m.exps, m.odds).items()}
+            for m in cx.basis(p)]
+
+
+def _assembly_models(corpus_models):
+    """Every corpus model and the generated models of seeds 0-4, each with
+    the top degree N + w of its vanishing window."""
+    models = [*corpus_models.values()]
+    for seed in range(5):
+        models += [random_hyperelliptic_model(random.Random(seed)),
+                   random_model(random.Random(seed))]
+    return [(m, max(formal_dimension_bound(m), 0)
+             + max(g.degree for g in m.universe.generators))
+            for m in models]
+
+
+def test_rows_from_odd_subset_images_equal_the_per_row_kernel(corpus_models):
+    for m, top in _assembly_models(corpus_models):
+        cx = ChainComplex(m)
+        for p in range(top + 1):
+            assert cx.rows(p) == _per_row_rows(cx, p), (m.name, p)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (exps, odds) of every Leibniz kernel call ``ChainComplex`` makes."""
+    calls = []
+
+    def counted(tables, exps, odds):
+        calls.append((exps, odds))
+        return _leibniz(tables, exps, odds)
+
+    monkeypatch.setattr(hilali.cohomology, "_leibniz", counted)
+    return calls
+
+
+def test_rows_run_the_kernel_once_per_odd_subset(kernel_calls, corpus_models):
+    m = corpus_models["hyper-nonpure-n3r4"]
+    cx = ChainComplex(m)
+    rows = sum(len(cx.rows(p)) for p in range(30))
+    zeros = m.universe.unit.exps
+    assert rows > 10 * len(kernel_calls)
+    assert sorted(kernel_calls) == sorted(
+        {(zeros, odds) for _, odds in kernel_calls})
+
+
+def test_a_nonzero_even_image_takes_the_per_row_kernel(kernel_calls):
+    m = build([("w", 2), ("y", 3), ("x", 6)], {"x": "w^2*y"})
+    assert not classify(m).is_hyperelliptic and check_differential(m).passed
+    cx = ChainComplex(m)
+    for p in range(16):
+        kernel_calls.clear()
+        assert cx.rows(p) == _per_row_rows(cx, p)
+        assert kernel_calls == [(b.exps, b.odds) for b in cx.basis(p)]
+    table, _ = cohomology_table(m, assume_elliptic=True, max_degree=16)
+    assert table.dims == betti_dense(m, 16)
+
+
+def test_rank_with_relabelled_columns_equals_the_canonical_rank(
+        corpus_models):
+    for m, top in _assembly_models(corpus_models):
+        cx = ChainComplex(m)
+        for p in range(top + 1):
+            blocks = {}
+            for b, row in zip(cx.basis(p), _per_row_rows(cx, p)):
+                blocks.setdefault(len(b.odds) if cx.pure else None,
+                                  []).append(row)
+            for q, block in blocks.items():
+                assert cx.rank(p, q) == rank_of_rows(block), (m.name, p, q)
+
+
+def test_coboundary_basis_keeps_the_canonical_column_order():
+    # im d in degree 4 is spanned by x1^2 + x1*x2 and x1*x2 + x2^2; over the
+    # canonical order x2^2 < x1*x2 < x1^2 its reduced echelon basis pivots
+    # on x2^2 and x1*x2, and pivoting on x1^2 first would give another one
+    m = build([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3)],
+              {"y1": "x1^2 + x1*x2", "y2": "x1*x2 + x2^2"})
+    uni = m.universe
+    assert ChainComplex(m).rank(3) == 2
+    assert coboundary_basis(m, 4) == [parse_expression(text, uni) for text in
+                                      ("x2^2 - x1^2", "x1*x2 + x1^2")]
