@@ -31,5 +31,5 @@ quadrics = universe([("x1", 2), ("x2", 2), ("x3", 2)])
 print("\ndegree-4 monomials over three degree-2 generators:")
 print("  ", [quadrics.format_monomial(m) for m in basis(quadrics, 4)])
 print("counts via enumeration:      ",
-      [quadrics.graded_dimension(d) for d in range(8)])
+      [len(basis(quadrics, d)) for d in range(8)])
 print("counts via power series:     ", dimension_series(quadrics, 7))

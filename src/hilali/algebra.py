@@ -85,7 +85,11 @@ class GeneratorUniverse:
 
     def monomial(self, even_powers: dict[str, int] | None = None,
                  odd_names: tuple[str, ...] = ()) -> Monomial:
-        """Build a monomial from generator names (odd names in any order)."""
+        """Build a monomial from generator names.
+
+        Odd names must come in universe order: a monomial carries no sign,
+        and reordering odd factors changes the sign.
+        """
         exps = [0] * len(self.evens)
         for name, e in (even_powers or {}).items():
             g = self.by_name[name]
@@ -100,7 +104,10 @@ class GeneratorUniverse:
             positions.append(self._odd_pos[g.index])
         if len(set(positions)) != len(positions):
             raise EngineError("an odd generator appears twice in one monomial")
-        return Monomial(tuple(exps), tuple(sorted(positions)))
+        if any(a > b for a, b in zip(positions, positions[1:])):
+            raise EngineError(f"odd generators {odd_names} are not in universe "
+                              "order")
+        return Monomial(tuple(exps), tuple(positions))
 
     def degree_of(self, m: Monomial) -> int:
         d = 0
@@ -169,9 +176,6 @@ class GeneratorUniverse:
                 for subset in odd_table.get(left, ())]
         return list(self._basis_cache[degree])
 
-    def graded_dimension(self, degree: int) -> int:
-        return len(self.basis(degree))
-
 
 def universe(specs: list[tuple[str, int]]) -> GeneratorUniverse:
     """Build a universe from ``(name, degree)`` pairs in the given order."""
@@ -181,7 +185,9 @@ def universe(specs: list[tuple[str, int]]) -> GeneratorUniverse:
 
 def _merge_odds(a: tuple[int, ...], b: tuple[int, ...]):
     """Merge two ascending odd tuples; return (sign, merged) or None if a
-    factor repeats.  Each transposition of two odd factors contributes -1."""
+    factor repeats.  Each transposition of two odd factors contributes -1.
+    This is the one sign rule for odd factors: products, the Leibniz
+    kernel, the parser and :func:`restrict_element` all order through it."""
     if not a:
         return 1, b
     if not b:
@@ -285,13 +291,6 @@ class Element:
         if not self.terms:
             return None
         return max(self.universe.degree_of(m) for m in self.terms)
-
-    def homogeneous_parts(self) -> dict[int, "Element"]:
-        parts: dict[int, Element] = {}
-        for m, c in self.terms.items():
-            d = self.universe.degree_of(m)
-            parts.setdefault(d, Element(self.universe)).terms[m] = c
-        return parts
 
     def split_by_odd_count(self) -> dict[int, "Element"]:
         """Split by the number of odd factors (the lower grading)."""
@@ -409,40 +408,31 @@ def dimension_series(uni: GeneratorUniverse, max_degree: int) -> list[int]:
 def restrict_element(e: Element, target: GeneratorUniverse) -> Element:
     """Project onto a sub-universe: monomials using a dropped generator are
     sent to zero; all kept generators must exist in the target (same names
-    and degrees)."""
-    src = e.universe
-    even_map = []
-    for g in src.evens:
-        tg = target.by_name.get(g.name)
-        even_map.append(None if tg is None or tg.degree != g.degree else g.name)
-    odd_map = []
-    for g in src.odds:
-        tg = target.by_name.get(g.name)
-        odd_map.append(None if tg is None or tg.degree != g.degree else g.name)
-    out = Element(target)
+    and degrees).  Kept odd factors are put in the target's order by
+    :func:`_merge_odds`, so a reordered target takes the swap signs."""
+    def positions(gens, target_pos):
+        out = []
+        for g in gens:
+            tg = target.by_name.get(g.name)
+            out.append(None if tg is None or tg.degree != g.degree
+                       else target_pos[tg.index])
+        return out
+
+    even_map = positions(e.universe.evens, target._even_pos)
+    odd_map = positions(e.universe.odds, target._odd_pos)
+    terms = {}
     for m, c in e.terms.items():
-        powers = {}
-        dropped = False
-        for exp, name in zip(m.exps, even_map):
-            if exp == 0:
-                continue
-            if name is None:
-                dropped = True
-                break
-            powers[name] = exp
-        if dropped:
+        if any(x and even_map[i] is None for i, x in enumerate(m.exps)) or \
+                any(odd_map[k] is None for k in m.odds):
             continue
-        odd_names = []
+        exps = [0] * len(target.evens)
+        for x, i in zip(m.exps, even_map):
+            if x:
+                exps[i] = x
+        sign, odds = 1, ()
         for k in m.odds:
-            name = odd_map[k]
-            if name is None:
-                dropped = True
-                break
-            odd_names.append(name)
-        if dropped:
-            continue
-        tm = target.monomial(powers, tuple(odd_names))
-        out.terms[tm] = out.terms.get(tm, Fraction(0)) + c
-        if out.terms[tm] == 0:
-            del out.terms[tm]
-    return out
+            s, odds = _merge_odds(odds, (odd_map[k],))
+            sign *= s
+        # the map is injective, so no two terms land on one monomial
+        terms[Monomial(tuple(exps), odds)] = c if sign > 0 else -c
+    return Element._raw(target, terms)

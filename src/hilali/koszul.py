@@ -170,11 +170,6 @@ class QuotientModule:
                                    for m, c in e.terms.items()})
         return {index.monomial_of(j): c for j, c in reduced.items()}
 
-    def reduce_vector(self, e: Element) -> dict[int, Fraction]:
-        cols = self._index.cols
-        return {self.basis_positions[cols[m.exps]]: c
-                for m, c in self.reduce(e).items()}
-
     def multiplication_matrix(self, poly: Element) -> list[dict[int, Fraction]]:
         """Columns of multiplication by ``poly`` on the standard basis.
 
@@ -242,16 +237,14 @@ def _relation_rows(index, relation_terms, degree):
     return rows
 
 
-def _socle_prediction(ring: GeneratorUniverse, relations: list[Element]) -> int | None:
+def _socle_prediction(ring: GeneratorUniverse, relations: list[Element]) -> int:
     """Top degree of the quotient when the relations are a homogeneous
-    complete intersection; a heuristic upper bound otherwise."""
+    complete intersection; a heuristic upper bound otherwise.  There must
+    be at least as many relations as variables."""
     if not ring.evens:
         return 0
     degs = sorted((rel.top_degree() for rel in relations), reverse=True)
-    n = len(ring.evens)
-    if len(degs) < n:
-        return None
-    return sum(degs[:n]) - sum(g.degree for g in ring.evens)
+    return sum(degs[:len(ring.evens)]) - sum(g.degree for g in ring.evens)
 
 
 def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
@@ -282,7 +275,7 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
     window = max((g.degree for g in ring.evens), default=1) + 1
     if max_probe is None:
         top = max((r.top_degree() or 0 for r in relations), default=0)
-        max_probe = (prediction if prediction is not None else 0) + 2 * top + window
+        max_probe = prediction + 2 * top + window
 
     # Homogeneous relations: the degree-D span is exactly the ideal's
     # degree-D piece, so the standard monomials through D are final once D
@@ -292,14 +285,14 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
     # below a trailing cut, and on a failed closure certificate keep probing.
     module = QuotientModule(ring, relations, graded, max_probe)
     lag = 0 if graded else window
-    wait_past = prediction if (is_ci and prediction is not None) else -1
+    wait_past = prediction if is_ci else -1
     previous: list[Monomial] = []
     stable_run = 0
     for degree in range(max_probe + 1):
         module._extend_spans(degree)
         current = module._standard_monomials(degree - lag)
-        if graded and is_ci and prediction is not None and \
-                degree > prediction and len(current) > len(previous):
+        if graded and is_ci and degree > prediction and \
+                len(current) > len(previous):
             raise NotFiniteLengthError(
                 f"nonzero class in degree {degree} above the predicted socle "
                 f"degree {prediction}; the relations are not a regular sequence")
@@ -369,30 +362,6 @@ class SModuleStructure:
             self._matrices = [self.module.multiplication_matrix(p)
                               for p in self.action_polys]
         return self._matrices
-
-    def actions_commute(self) -> bool:
-        mats = self.matrices()
-        dim = self.module.length
-        for a, b in combinations(range(len(mats)), 2):
-            if _compose(mats[a], mats[b], dim) != _compose(mats[b], mats[a], dim):
-                return False
-        return True
-
-
-def _compose(m1, m2, dim):
-    # columns of m1 after m2 (both column lists over basis indices)
-    out = []
-    for j in range(dim):
-        col: dict[int, Fraction] = {}
-        for k, c in m2[j].items():
-            for i, d in m1[k].items():
-                s = col.get(i, Fraction(0)) + c * d
-                if s:
-                    col[i] = s
-                elif i in col:
-                    del col[i]
-        out.append(col)
-    return out
 
 
 @dataclass(frozen=True)
@@ -710,12 +679,12 @@ def tor_via_model_cross_check(model: Model, basis: HalperinBasis,
     of a pure elliptic model and the Tor table of its quotient module, so it
     raises :class:`ContradictionError`.
     """
-    from .cohomology import betti_by_odd_count, betti_complete
-    betti = betti_complete(model, basis.certificate)
+    from .cohomology import betti_by_odd_count
     per_q = betti_by_odd_count(model, basis.certificate)
+    total = sum(per_q.values())
     r = basis.structure.parameter_count
     rows = []
-    ok = betti.total_dim == table.total
+    ok = total == table.total
     for q in range(max(r, max(per_q, default=0)) + 1):
         hq = per_q.get(q, 0)
         tq = table[q]
@@ -723,7 +692,7 @@ def tor_via_model_cross_check(model: Model, basis: HalperinBasis,
         ok = ok and hq == tq
     if not ok:
         raise ContradictionError(
-            f"cohomology/Tor mismatch: total H = {betti.total_dim}, total Tor = "
+            f"cohomology/Tor mismatch: total H = {total}, total Tor = "
             f"{table.total}, by odd count {rows}")
-    return CrossCheckReport(betti.total_dim, table.total, tuple(rows),
+    return CrossCheckReport(total, table.total, tuple(rows),
                             basis.strategy, True)

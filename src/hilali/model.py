@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import add
 from pathlib import Path
 
-from .algebra import (Element, GeneratorUniverse, Monomial, format_element,
-                      restrict_element, universe)
+from .algebra import (Element, GeneratorUniverse, Monomial, _merge_odds,
+                      format_element, restrict_element, universe)
 from .errors import EngineError, InhomogeneousError, ModelError
 from .parsing import parse_expression
 
@@ -30,8 +31,9 @@ class Derivation:
     Image lookups are by generator name; missing names mean image zero.
     One integer kernel, :func:`_leibniz`, extends the images to monomials:
     it reads the integer image tables of :meth:`tables` (the images scaled
-    by one common denominator D) and takes reordering signs as popcounts on
-    bit masks of odd positions.  :meth:`apply_monomial` and calls on
+    by one common denominator D) and puts odd factors in order with
+    :func:`~hilali.algebra._merge_odds`, the sign rule of products: each
+    swap of two odd factors gives -1.  :meth:`apply_monomial` and calls on
     elements divide by D again.  ``ChainComplex.rows`` keeps the integer
     terms and, when every even generator is closed, runs the kernel once per
     odd monomial y_S and reads d(f y_S) = f d(y_S) by shifting exponents.
@@ -95,43 +97,26 @@ def _leibniz(tables, exps: tuple[int, ...],
              odds: tuple[int, ...]) -> dict[tuple, int]:
     """D times d(x^exps y_odds) as ``{(exps, odds): int}``, no zero entries.
 
-    x_i^e gives e x^(e-1) d(x_i) in place; the k-th odd factor gives (-1)^k
-    times its image in its slot.  Moving an image's odd factor t past the
-    larger odd factors of the prefix and the smaller ones of the suffix
-    counts inversions, as popcounts on bit masks of odd positions (an even
-    factor's prefix has none); a factor already on the mask kills the term.
+    x_i^e gives e x^(e-1) d(x_i), whose odd factors stand before y_odds;
+    the k-th odd factor gives (-1)^k times its image, whose odd factors
+    stand between odds[:k] and odds[k+1:].  :func:`_merge_odds` puts them
+    in order: its signs multiply, and a repeated factor drops the term.
     """
     _, even_tables, odd_tables = tables
-    mask = 0
-    for t in odds:
-        mask |= 1 << t
-    # per factor with an image: (factor, even part, other odd factors,
-    # prefix mask, suffix mask, image terms)
-    slots = [(e, exps[:i] + (e - 1,) + exps[i + 1:], odds, 0, mask,
-              even_tables[i])
-             for i, e in enumerate(exps) if e and even_tables[i]]
-    for k, t in enumerate(odds):
-        if odd_tables[t]:
-            bit = 1 << t
-            prefix = mask & (bit - 1)
-            slots.append((-1 if k % 2 else 1, exps, odds[:k] + odds[k + 1:],
-                          prefix, mask ^ prefix ^ bit, odd_tables[t]))
     out: dict[tuple, int] = {}
-    for factor, base, rest, prefix, suffix, terms in slots:
-        taken = prefix | suffix
+    # per factor with an image: (factor, even part, odd prefix, odd suffix,
+    # image terms)
+    for factor, base, prefix, suffix, terms in chain(
+            ((e, exps[:i] + (e - 1,) + exps[i + 1:], (), odds, even_tables[i])
+             for i, e in enumerate(exps) if e and even_tables[i]),
+            ((-1 if k % 2 else 1, exps, odds[:k], odds[k + 1:], odd_tables[t])
+             for k, t in enumerate(odds) if odd_tables[t])):
         for iexps, iodds, c in terms:
-            inversions = 0
-            for t in iodds:
-                bit = 1 << t
-                if taken & bit:
-                    break
-                inversions += ((prefix >> (t + 1)).bit_count()
-                               + (suffix & (bit - 1)).bit_count())
-            else:
-                key = (tuple(map(add, base, iexps)),
-                       tuple(sorted(rest + iodds)) if iodds else rest)
-                s = out.get(key, 0) + (-c * factor if inversions & 1
-                                       else c * factor)
+            left = _merge_odds(prefix, iodds)
+            right = left and _merge_odds(left[1], suffix)
+            if right:
+                key = (tuple(map(add, base, iexps)), right[1])
+                s = out.get(key, 0) + left[0] * right[0] * factor * c
                 if s:
                     out[key] = s
                 else:

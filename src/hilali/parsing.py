@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, GeneratorUniverse
+from .algebra import Element, GeneratorUniverse, Monomial, _merge_odds
 from .errors import ParseError
 
 
@@ -124,9 +124,7 @@ class _Parser:
             raise ParseError(f"expected a term, found {tok.text!r}", tok.pos)
 
         even_powers: dict[str, int] = {}
-        odd_names: list[str] = []
-        odd_positions: dict[str, int] = {}
-        odd_sign = 1
+        odds: tuple[int, ...] = ()
         seen = 0
         while True:
             tok = self.peek()
@@ -145,11 +143,15 @@ class _Parser:
                 if exp < 1:
                     raise ParseError("exponent must be positive", epos)
             if gen.is_odd:
-                if exp > 1 or tok.text in odd_positions:
+                # merge the factor into the ordered odd part; a swap of two
+                # odd factors gives -1
+                merged = None if exp > 1 else _merge_odds(
+                    odds, self.universe.monomial(odd_names=(tok.text,)).odds)
+                if merged is None:
                     raise ParseError(
                         f"odd generator {tok.text!r} repeated within one monomial", tok.pos)
-                odd_positions[tok.text] = len(odd_names)
-                odd_names.append(tok.text)
+                odd_sign, odds = merged
+                coeff *= odd_sign
             else:
                 even_powers[tok.text] = even_powers.get(tok.text, 0) + exp
             seen += 1
@@ -165,14 +167,8 @@ class _Parser:
                 break
         if seen == 0:
             return Element.one(self.universe).scale(coeff)
-        # normalize the written odd order to ascending universe order
-        order = [self.universe.by_name[n].index for n in odd_names]
-        inversions = sum(1 for i in range(len(order))
-                         for j in range(i + 1, len(order)) if order[i] > order[j])
-        if inversions % 2 == 1:
-            odd_sign = -1
-        mono = self.universe.monomial(even_powers, tuple(odd_names))
-        return Element.from_monomial(self.universe, mono, coeff * odd_sign)
+        mono = Monomial(self.universe.monomial(even_powers).exps, odds)
+        return Element.from_monomial(self.universe, mono, coeff)
 
 
 def parse_expression(text: str, universe: GeneratorUniverse) -> Element:

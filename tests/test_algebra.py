@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from hilali import (Element, EngineError, UniverseMismatchError, basis,
-                    dimension_series, format_element, universe)
+                    dimension_series, format_element, parse_expression,
+                    universe)
+from hilali.algebra import restrict_element
 from hilali.errors import InhomogeneousError
 
 from modelgen import random_element
@@ -16,6 +18,15 @@ from modelgen import random_element
 
 def gen(uni, name):
     return Element.generator(uni, name)
+
+
+def homogeneous_parts(e):
+    """The element split by degree, as ``{degree: Element}``."""
+    parts = {}
+    for m, c in e.terms.items():
+        d = e.universe.degree_of(m)
+        parts.setdefault(d, Element(e.universe)).terms[m] = c
+    return parts
 
 
 @pytest.fixture
@@ -138,7 +149,7 @@ def test_degree_queries(mixed):
     inhomogeneous = gen(mixed, "x1") + gen(mixed, "y1")
     with pytest.raises(InhomogeneousError):
         inhomogeneous.degree()
-    assert inhomogeneous.homogeneous_parts()[3] == gen(mixed, "y1")
+    assert homogeneous_parts(inhomogeneous)[3] == gen(mixed, "y1")
 
 
 def test_zero_coefficients_never_stored(mixed):
@@ -155,3 +166,27 @@ def test_unique_names_required():
 def test_format_element_deterministic(mixed):
     e = gen(mixed, "y1") * gen(mixed, "y2") + gen(mixed, "x1").scale(Fraction(-3, 2)) * gen(mixed, "x2")
     assert format_element(e) == "-3/2*x1*x2 + y1*y2"
+
+
+def test_monomial_takes_odd_names_in_universe_order_only(mixed):
+    # a monomial carries no sign, and y2*y1 = -y1*y2
+    assert mixed.monomial({"x1": 1}, ("y1", "y3")).odds == (0, 2)
+    with pytest.raises(EngineError, match="not in universe order"):
+        mixed.monomial(odd_names=("y2", "y1"))
+    with pytest.raises(EngineError, match="appears twice"):
+        mixed.monomial(odd_names=("y1", "y1"))
+
+
+def test_restrict_element_into_reordered_odds_equals_parsing_there(mixed):
+    texts = ["y1*y2", "x1*y1*y2*y3 - 2*y2*y3", "3/2*x2*y3*y1 + y1",
+             "x1^2*y2 - y3*y2*y1"]
+    for order in itertools.permutations(["y1", "y2", "y3"]):
+        target = universe([("x2", 2)]
+                          + [(name, mixed.by_name[name].degree)
+                             for name in order] + [("x1", 2)])
+        for text in texts:
+            assert restrict_element(parse_expression(text, mixed), target) \
+                == parse_expression(text, target), (order, text)
+    dropped = universe([("x1", 2), ("y3", 5), ("y1", 3)])
+    assert restrict_element(parse_expression("y1*y3 + x1*y1*y2", mixed),
+                            dropped) == parse_expression("-y3*y1", dropped)

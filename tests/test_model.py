@@ -2,15 +2,20 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from hilali import (Element, Model, ModelError, check_differential,
-                    check_minimal, classify, format_element, load_model,
-                    model_from_dict, model_to_dict, parse_expression,
-                    pure_part, save_model, universe)
+                    check_minimal, classify, format_element,
+                    formal_dimension_bound, load_model, model_from_dict,
+                    model_to_dict, parse_expression, pure_part, save_model,
+                    universe)
+from hilali.algebra import Monomial
+from hilali.model import _leibniz
 
-from modelgen import random_element, random_model
+from dense_oracle import naive_differential
+from modelgen import random_element, random_hyperelliptic_model, random_model
 
 
 def build(specs, diff_texts, **kw):
@@ -174,6 +179,31 @@ def test_leibniz_rule_random_models():
             lhs = m.apply(a * b)
             rhs = m.apply(a) * b + (a * m.apply(b)).scale(sign)
             assert lhs == rhs
+
+
+def test_leibniz_kernel_is_the_scaled_naive_differential(corpus_models):
+    """On every basis monomial through N + w (and at least through 10) of
+    every corpus model and the generated models of seeds 0-9, the kernel's
+    integer terms are D times the bubble-sort oracle's, term by term."""
+    models = [*corpus_models.values()]
+    for seed in range(10):
+        models += [random_hyperelliptic_model(random.Random(seed)),
+                   random_model(random.Random(seed))]
+    even_slots = 0
+    for m in models:
+        uni = m.universe
+        tables = m.d.tables()
+        top = max(formal_dimension_bound(m)
+                  + max(g.degree for g in uni.generators), 10)
+        for p in range(top + 1):
+            for mono in uni.basis(p):
+                terms = _leibniz(tables, mono.exps, mono.odds)
+                assert {Monomial(*key): Fraction(c, tables[0])
+                        for key, c in terms.items()} == \
+                    naive_differential(m, mono), (m.name, mono)
+                even_slots += any(e and tables[1][i]
+                                  for i, e in enumerate(mono.exps))
+    assert even_slots
 
 
 def test_square_zero_random_models():

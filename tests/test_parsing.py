@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from hilali import Element, ParseError, format_element, parse_expression, universe
 
+from dense_oracle import _normalize_word
 from modelgen import random_element
 
 
@@ -37,6 +39,14 @@ def test_coefficients_combine_across_commuting_factors(uni):
 def test_written_odd_order_normalizes_with_sign(uni):
     assert parse_expression("y2*y1", uni) == parse_expression("-y1*y2", uni)
     assert parse_expression("y3*y1*y2", uni) == parse_expression("y1*y2*y3", uni)
+
+
+def test_every_written_order_of_three_odds_takes_the_oracle_sign(uni):
+    for order in permutations(("y1", "y2", "y3")):
+        for word in (order, order[:1] + ("x1",) + order[1:]):
+            sign, mono = _normalize_word(uni, [uni.by_name[n] for n in word])
+            assert parse_expression("*".join(word), uni) == \
+                Element.from_monomial(uni, mono, sign), word
 
 
 def test_unknown_generator_positioned(uni):
