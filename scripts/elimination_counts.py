@@ -5,8 +5,10 @@ Run from the repository root:
     python3 scripts/elimination_counts.py [--seed S]
 
 It runs ``hilali corpus corpus --seed S`` (default seed 0, one job) in this
-process against this checkout's ``src/``, with two wrappers in place:
+process against this checkout's ``src/``, with three wrappers in place:
 
+- ``hilali.cohomology.ChainComplex.rows``, chain-complex assembly, with the
+  rows it returns and their nonzero entries counted;
 - ``hilali.cohomology._leibniz``, the Leibniz kernel as ``ChainComplex``
   calls it;
 - ``hilali.linalg._eliminate``, one step of exact elimination, with the
@@ -14,7 +16,8 @@ process against this checkout's ``src/``, with two wrappers in place:
   the pivot.
 
 It prints one line: the seed, the corpus run's exit code, ``_leibniz``
-calls, ``_eliminate`` calls and entries touched.  The counts depend only on
+calls, ``_eliminate`` calls, entries touched, and the rows and nonzero
+entries assembled.  The counts depend only on
 the code and the seed, not on the machine, so two trees compare by
 ``diff``.  The corpus report itself is discarded; its ``# wall time`` line
 still goes to stderr.
@@ -38,8 +41,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    counts = {"leibniz": 0, "eliminate": 0, "entries": 0}
+    counts = {"leibniz": 0, "eliminate": 0, "entries": 0, "rows": 0,
+              "nnz": 0}
     leibniz, eliminate = cohomology._leibniz, linalg._eliminate
+    rows = cohomology.ChainComplex.rows
+
+    def counted_rows(cx, degree):
+        out = rows(cx, degree)
+        counts["rows"] += len(out)
+        counts["nnz"] += sum(map(len, out))
+        return out
 
     def counted_leibniz(tables, exps, odds):
         counts["leibniz"] += 1
@@ -51,12 +62,14 @@ def main() -> int:
         return eliminate(row, piv, col)
 
     cohomology._leibniz, linalg._eliminate = counted_leibniz, counted_eliminate
+    cohomology.ChainComplex.rows = counted_rows
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
                          str(args.seed), "--jobs", "1"])
     print(f"seed {args.seed} exit {code} _leibniz_calls {counts['leibniz']} "
           f"_eliminate_calls {counts['eliminate']} "
-          f"entries_touched {counts['entries']}")
+          f"entries_touched {counts['entries']} "
+          f"rows_assembled {counts['rows']} nnz_assembled {counts['nnz']}")
     return 0
 
 

@@ -13,10 +13,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import EngineError, InhomogeneousError, UniverseMismatchError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+KEY_BITS = 16       # width of one even exponent's field in a packed key
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,14 @@ class GeneratorUniverse:
         self.unit = Monomial((0,) * len(self.evens), ())
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._odd_by_degree: dict[int, list[tuple[int, ...]]] | None = None
+        self._odd_index: dict[tuple[int, ...], int] = {}
+        # the k-th even exponent's field sits KEY_BITS * (n - 1 - k) bits
+        # above the odd-subset index, which takes len(odds) bits
+        n, r = len(self.evens), len(self.odds)
+        self._key_weights = tuple(1 << (r + KEY_BITS * (n - 1 - k))
+                                  for k in range(n))
+        self._key_limit = min((g.degree << KEY_BITS for g in self.evens),
+                              default=None)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GeneratorUniverse) and self.generators == other.generators
@@ -135,16 +146,46 @@ class GeneratorUniverse:
     # -- degree-indexed bases ---------------------------------------------
 
     def _odd_subsets_by_degree(self) -> dict[int, list[tuple[int, ...]]]:
-        # Ascending odd subsets by degree, built once per universe.
+        # Ascending odd subsets by degree, and the index of each subset in
+        # the lexicographic order of all of them, built once per universe.
         if self._odd_by_degree is None:
+            r = len(self.odds)
+            subsets = sorted(subset for size in range(r + 1)
+                             for subset in combinations(range(r), size))
             table: dict[int, list[tuple[int, ...]]] = {}
-            for size in range(len(self.odds) + 1):
-                for subset in combinations(range(len(self.odds)), size):
-                    d = sum(self.odds[k].degree for k in subset)
-                    table.setdefault(d, []).append(subset)
-            self._odd_by_degree = {d: sorted(subsets)
-                                   for d, subsets in table.items()}
+            for i, subset in enumerate(subsets):
+                self._odd_index[subset] = i
+                d = sum(self.odds[k].degree for k in subset)
+                table.setdefault(d, []).append(subset)
+            self._odd_by_degree = table
         return self._odd_by_degree
+
+    # -- packed monomial keys ----------------------------------------------
+
+    def key_weights(self, top_degree: int) -> tuple[int, ...]:
+        """The weight of each even exponent in :meth:`key`, for monomials
+        of degree at most ``top_degree``: ``key(m)`` is the dot product of
+        ``m.exps`` with the weights plus the index of ``m.odds``.  A degree
+        in which an exponent could overflow its field raises
+        :class:`EngineError`."""
+        if self._key_limit is not None and top_degree >= self._key_limit:
+            raise EngineError(f"degree {top_degree} is too large for packed "
+                              f"monomial keys ({KEY_BITS}-bit exponents)")
+        return self._key_weights
+
+    def key(self, m: Monomial) -> int:
+        """One integer label for a monomial.
+
+        The even exponents fill fixed-width bit fields, the first exponent
+        most significant; below them sits the index of the odd subset in
+        the lexicographic order of ascending tuples.  Within one degree,
+        keys therefore order monomials canonically, and multiplying by an
+        even monomial f, which leaves the odd part alone, adds its key:
+        key(f*m) = key(f) + key(m).
+        """
+        weights = self.key_weights(self.degree_of(m))
+        self._odd_subsets_by_degree()       # fills self._odd_index
+        return sum(map(mul, m.exps, weights)) + self._odd_index[m.odds]
 
     def basis(self, degree: int) -> list[Monomial]:
         """All monomials of exactly the given degree, canonically ordered.

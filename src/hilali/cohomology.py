@@ -5,9 +5,9 @@ bases, and the dimension-inequality verdict."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import add
+from operator import mul
 
-from .algebra import Element, restrict_element
+from .algebra import Element, Monomial, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError, UniverseMismatchError)
 from .linalg import Rref, kernel_of_rows, rank_of_rows
@@ -49,7 +49,7 @@ class ChainComplex:
         self._ranks = model.d.ranks
         self._tables = model.d.tables()
         self._zeros = model.universe.unit.exps
-        # D times d(y_S) as (exps, odds, c) terms, by odd subset S
+        # D times d(y_S) as (label, c) pairs, by odd subset S
         self._odd_images: dict[tuple[int, ...], list[tuple]] = {}
 
     def basis(self, degree: int):
@@ -57,49 +57,55 @@ class ChainComplex:
 
     def rows(self, degree: int) -> list[dict[int, int]]:
         """Images of the degree-p basis as integer vectors over the
-        (p+1)-basis, in canonical column order: D times the differential,
-        read from the integer image tables of
-        :meth:`~hilali.model.Derivation.tables`, with no monomial, element or
-        fraction per term.  The common scale D changes no rank, kernel or
-        span.
+        (p+1)-basis: D times the differential, read from the integer image
+        tables of :meth:`~hilali.model.Derivation.tables`, with no element
+        or fraction per term.  The common scale D changes no rank,
+        kernel or span.
+
+        A column is labelled -key(m) for the (p+1)-monomial m (see
+        :meth:`~hilali.algebra.GeneratorUniverse.key`), so labels run
+        against the canonical order: an :class:`~hilali.linalg.Echelon`,
+        which pivots on its smallest column, clears the largest basis index
+        first.  A degree whose keys could overflow raises
+        :class:`EngineError`.
 
         When every even generator is closed (every hyperelliptic model),
         d(f y_S) = f d(y_S) for an even monomial f and an odd monomial y_S,
-        and multiplying by f only adds its exponent vector.  So the Leibniz
-        kernel runs once per odd subset S, its terms are kept on the complex,
-        and each row is d(y_S) shifted by f; the shift is injective, so no
-        two terms meet.  A model with a nonzero even image (possible only
-        under ``assume_elliptic``) runs the kernel once per row.
+        and multiplying by f adds key(f) to every key.  So the Leibniz
+        kernel runs once per odd subset S, d(y_S) is kept on the complex as
+        (label, coefficient) pairs, and each row is that list with key(f)
+        subtracted from every label.  A model with a nonzero even image
+        (possible only under ``assume_elliptic``) runs the kernel once per
+        row.
         """
-        target = {(m.exps, m.odds): i
-                  for i, m in enumerate(self.basis(degree + 1))}
-        tables = self._tables
+        uni = self.model.universe
+        weights = uni.key_weights(degree + 1)
+        key, tables = uni.key, self._tables
         if any(tables[1]):
-            return [{target[key]: c
-                     for key, c in _leibniz(tables, m.exps, m.odds).items()}
+            return [{-key(Monomial(exps, odds)): c for (exps, odds), c
+                     in _leibniz(tables, m.exps, m.odds).items()}
                     for m in self.basis(degree)]
         images = self._odd_images
         rows = []
+        f = None
         for m in self.basis(degree):
             image = images.get(m.odds)
             if image is None:
                 image = images[m.odds] = [
-                    (exps, odds, c) for (exps, odds), c
+                    (-key(Monomial(exps, odds)), c) for (exps, odds), c
                     in _leibniz(tables, self._zeros, m.odds).items()]
-            f = m.exps
-            rows.append({target[(tuple(map(add, f, exps)), odds)]: c
-                         for exps, odds, c in image})
+            if m.exps is not f:     # the basis keeps each f's rows together
+                f = m.exps
+                shift = sum(map(mul, f, weights))
+            rows.append({lab - shift: c for lab, c in image})
         return rows
 
     def rank(self, degree: int, q: int | None = None) -> int:
         """Rank of d in one degree, or in its q-block of a pure model.
 
-        A rank does not depend on the order of the columns, so each row's
-        column j is relabelled -j before elimination: the echelon form,
-        which pivots on the smallest column, then clears the largest basis
-        index first, which fills in less on these matrices.  Only ranks are
-        taken of the relabelled rows; every basis or remainder is built in
-        canonical order from :meth:`rows`.
+        The blocks of :meth:`rows` go to elimination as they are, over
+        their labels; every basis or remainder that is returned maps the
+        labels back to canonical indexes through the basis.
         """
         if q is not None and not self.pure:
             raise ModelError("the odd-count split needs a pure model")
@@ -107,8 +113,6 @@ class ChainComplex:
             return 0
         if degree not in self._ranks:
             rows = self.rows(degree)
-            for i, row in enumerate(rows):  # in place: no second copy
-                rows[i] = {-j: c for j, c in row.items()}
             if self.pure:
                 blocks: dict[int | None, list] = {}
                 for m, row in zip(self.basis(degree), rows):
@@ -307,20 +311,29 @@ def cocycle_basis(model: Model, degree: int) -> list[Element]:
     """Echelonized basis of ker(d) in one degree."""
     cx = ChainComplex(model)
     basis = cx.basis(degree)
+    # the tag columns ncols + i lie above every label, which is negative
     vectors = kernel_of_rows(cx.rows(degree), len(cx.basis(degree + 1)))
     return [Element(model.universe, {basis[j]: c for j, c in vec.items()})
             for vec in vectors]
+
+
+def _coboundary_span(model: Model, degree: int) -> tuple[list, Rref]:
+    """The basis of one degree and the span of im(d) in it, over canonical
+    basis indexes: each row's labels go back to indexes through the basis."""
+    cx = ChainComplex(model)
+    basis = cx.basis(degree)
+    index = {-model.universe.key(m): i for i, m in enumerate(basis)}
+    rref = Rref()
+    for row in cx.rows(degree - 1):
+        rref.add({index[lab]: c for lab, c in row.items()})
+    return basis, rref
 
 
 def coboundary_basis(model: Model, degree: int) -> list[Element]:
     """Echelonized basis of im(d) in one degree."""
     if degree == 0:
         return []
-    cx = ChainComplex(model)
-    basis = cx.basis(degree)
-    rref = Rref()
-    for row in cx.rows(degree - 1):
-        rref.add(row)
+    basis, rref = _coboundary_span(model, degree)
     return [Element(model.universe, {basis[j]: c for j, c in row.items()})
             for row in rref.reduced().values()]
 
@@ -335,11 +348,8 @@ def is_exact(model: Model, e: Element) -> bool:
         return True
     if degree == 0:
         return False        # im(d) is zero in degree 0
-    cx = ChainComplex(model)
-    index = {m: i for i, m in enumerate(cx.basis(degree))}
-    rref = Rref()
-    for row in cx.rows(degree - 1):
-        rref.add(row)
+    basis, rref = _coboundary_span(model, degree)
+    index = {m: i for i, m in enumerate(basis)}
     residue = rref.reduce({index[m]: c for m, c in e.terms.items()})
     return not residue
 

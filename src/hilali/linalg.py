@@ -2,11 +2,17 @@
 
 Rows are dicts mapping column index to a nonzero integer; rational input rows
 are scaled to integers first (scaling never changes ranks, kernels or spans).
-Elimination is fraction-free with eager content removal, which keeps entry
-growth near determinant size.  Row spaces are stored as echelon rows only.
-Clearing pivot columns smallest-first leaves a remainder on the non-pivot
-columns, which is canonical; the reduced echelon form is built only where a
-canonical basis is returned (:func:`kernel_of_rows`, ``coboundary_basis``).
+A column index is any integer: chain-complex rows arrive over negated packed
+monomial keys, and their only use of the labels is the order they give.
+Elimination is fraction-free.  Content is removed after an elimination
+against a pivot whose lead is not 1, and once more before a row is stored,
+so every stored pivot is primitive with a positive lead and entry growth
+stays near determinant size; against a unit lead the row is neither scaled
+nor rescanned.  Row spaces are stored as echelon rows only, and no stored
+row shares a dict with the caller.  Clearing pivot columns smallest-first
+leaves a remainder on the non-pivot columns, which is canonical; the reduced
+echelon form is built only where a canonical basis is returned
+(:func:`kernel_of_rows`, ``coboundary_basis``).
 """
 
 from __future__ import annotations
@@ -40,11 +46,15 @@ def intify(row: FracRow) -> tuple[Row, int]:
 
 
 def _normalize(row: Row) -> Row:
+    """The primitive multiple of ``row`` with a positive lead; ``row``
+    itself when it is one."""
     if not row:
         return row
     g = 0
     for v in row.values():
         g = gcd(g, v)
+        if g == 1:
+            break
     lead = min(row)
     if row[lead] < 0:
         g = -g
@@ -60,7 +70,7 @@ def _eliminate(row: Row, piv: Row, col: int) -> Row:
     g = gcd(a, b)
     ma = a // g
     mb = b // g
-    out = {j: v * ma for j, v in row.items()}
+    out = {j: v * ma for j, v in row.items()} if ma != 1 else dict(row)
     for j, v in piv.items():
         w = out.get(j, 0) - mb * v
         if w:
@@ -81,23 +91,30 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, row: Row) -> Row:
-        row = _normalize(dict(row))
+        """The remainder of ``row``, primitive with a positive lead; the
+        argument is never mutated, but may be returned as it is."""
+        pivots = self.pivots
+        primitive = False
         while row:
             col = min(row)
-            piv = self.pivots.get(col)
+            piv = pivots.get(col)
             if piv is None:
                 break
-            row = _normalize(_eliminate(row, piv, col))
-        return row
+            row = _eliminate(row, piv, col)
+            primitive = piv[col] != 1
+            if primitive:
+                row = _normalize(row)
+        return row if primitive else _normalize(row)
 
     def add(self, row: Row) -> int | None:
         """Insert a row; returns its pivot column, or None if dependent."""
         # not self.reduce: on an Rref that is the rational full remainder
-        row = Echelon.reduce(self, row)
-        if not row:
+        reduced = Echelon.reduce(self, row)
+        if not reduced:
             return None
-        col = min(row)
-        self.pivots[col] = row
+        col = min(reduced)
+        # a stored pivot never aliases the caller's dict
+        self.pivots[col] = reduced if reduced is not row else dict(row)
         return col
 
 

@@ -125,7 +125,6 @@ class _Parser:
 
         even_powers: dict[str, int] = {}
         odds: tuple[int, ...] = ()
-        seen = 0
         while True:
             tok = self.peek()
             if tok.kind != "name":
@@ -154,7 +153,6 @@ class _Parser:
                 coeff *= odd_sign
             else:
                 even_powers[tok.text] = even_powers.get(tok.text, 0) + exp
-            seen += 1
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "*":
                 self.take()
@@ -165,8 +163,6 @@ class _Parser:
                     raise ParseError("coefficient must come first in a term", tok.pos)
             else:
                 break
-        if seen == 0:
-            return Element.one(self.universe).scale(coeff)
         mono = Monomial(self.universe.monomial(even_powers).exps, odds)
         return Element.from_monomial(self.universe, mono, coeff)
 

@@ -10,7 +10,7 @@ import pytest
 from hilali import (Element, EngineError, UniverseMismatchError, basis,
                     dimension_series, format_element, parse_expression,
                     universe)
-from hilali.algebra import restrict_element
+from hilali.algebra import KEY_BITS, Monomial, restrict_element
 from hilali.errors import InhomogeneousError
 
 from modelgen import random_element
@@ -190,3 +190,21 @@ def test_restrict_element_into_reordered_odds_equals_parsing_there(mixed):
     dropped = universe([("x1", 2), ("y3", 5), ("y1", 3)])
     assert restrict_element(parse_expression("y1*y3 + x1*y1*y2", mixed),
                             dropped) == parse_expression("-y3*y1", dropped)
+
+
+def test_packed_key_rejects_a_degree_that_could_overflow_a_field():
+    uni = universe([("x", 2), ("z", 4), ("y", 3)])
+    # x^e y: one odd-index bit below the fields of x and z
+    top = Monomial(((1 << KEY_BITS) - 2, 0), (0,))
+    assert uni.key(top) == (((1 << KEY_BITS) - 2) << (KEY_BITS + 1)) + 1
+    for m in (Monomial((1 << KEY_BITS, 0), ()),
+              # z's exponent fits, but x's could overflow in that degree
+              Monomial((0, 1 << (KEY_BITS - 1)), ())):
+        with pytest.raises(EngineError):
+            uni.key(m)
+    limit = 2 << KEY_BITS
+    assert uni.key_weights(limit - 1)
+    with pytest.raises(EngineError):
+        uni.key_weights(limit)
+    # no even generator, no exponent field
+    assert universe([("y", 3)]).key_weights(10 ** 9) == ()

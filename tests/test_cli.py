@@ -6,7 +6,7 @@ import pytest
 
 from hilali.cli import main, run_manifest
 
-from conftest import CORPUS
+from conftest import CORPUS, REPO
 
 
 def run(capsys, *argv):
@@ -226,13 +226,20 @@ def test_run_manifest_single_entry():
 
 
 def test_console_script_installed():
+    # the installed console script, or else ``python -m hilali`` over src/
+    import os
     import shutil
     import subprocess
+    import sys
     exe = shutil.which("hilali")
+    command, env = [exe], None
     if exe is None:
-        pytest.skip("console script not on PATH (package not installed)")
-    proc = subprocess.run([exe, "classify", model("sphere-s3")],
-                          capture_output=True, text=True)
+        command = [sys.executable, "-m", "hilali"]
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src")] + ([path] if path else []))}
+    proc = subprocess.run([*command, "classify", model("sphere-s3")],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pure:           True" in proc.stdout
 

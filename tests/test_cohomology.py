@@ -1,5 +1,6 @@
 """Betti tables, ellipticity certificates, Euler signs, explicit bases."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ from hilali import (Element, EngineError, Model, ModelError,
                     classify, cohomology_table, formal_dimension_bound,
                     hilali_verdict, is_exact, parse_expression,
                     tensor_with_odd_line, universe)
+from hilali.algebra import Monomial
 from hilali.cohomology import ChainComplex, FreeOddLineComplex
-from hilali.linalg import rank_of_rows
+from hilali.linalg import kernel_of_rows, rank_of_rows
 from hilali.model import _leibniz
 
 from dense_oracle import betti_dense, dense_rank, naive_differential
@@ -414,8 +416,9 @@ def test_betti_against_dense_oracle_fixed_models():
 def _check_rows_against_oracle(m, cap=200):
     """In every degree through N + w (and at least through 10) with at most
     ``cap`` monomials, each assembled row is an integer row equal to D times
-    the naive differential, and ``apply_monomial`` is the naive differential
-    itself.  Returns the number of rows checked."""
+    the naive differential, over the labels -key(t), and ``apply_monomial``
+    is the naive differential itself.  Returns the number of rows
+    checked."""
     cx = ChainComplex(m)
     denom = m.d.tables()[0]
     top = max(formal_dimension_bound(m)
@@ -425,7 +428,7 @@ def _check_rows_against_oracle(m, cap=200):
         source = cx.basis(p)
         if len(source) > cap:
             continue
-        index = {t: i for i, t in enumerate(cx.basis(p + 1))}
+        index = _labels(cx, p + 1)
         for mono, row in zip(source, cx.rows(p)):
             naive = naive_differential(m, mono)
             assert all(type(c) is int for c in row.values()), (m, mono)
@@ -455,11 +458,16 @@ def test_rows_are_the_scaled_naive_differential_on_random_models():
         assert _check_rows_against_oracle(random_model(random.Random(seed)))
 
 
+def _labels(cx, p):
+    """The column label -key(t) of each degree-p monomial t."""
+    return {t: -cx.model.universe.key(t) for t in cx.basis(p)}
+
+
 def _per_row_rows(cx, p):
     """The rows of degree p by one Leibniz kernel call per basis monomial,
-    in canonical column order."""
+    over the labels -key(t)."""
     tables = cx.model.d.tables()
-    target = {(m.exps, m.odds): i for i, m in enumerate(cx.basis(p + 1))}
+    target = {(t.exps, t.odds): lab for t, lab in _labels(cx, p + 1).items()}
     return [{target[key]: c
              for key, c in _leibniz(tables, m.exps, m.odds).items()}
             for m in cx.basis(p)]
@@ -482,6 +490,29 @@ def test_rows_from_odd_subset_images_equal_the_per_row_kernel(corpus_models):
         cx = ChainComplex(m)
         for p in range(top + 1):
             assert cx.rows(p) == _per_row_rows(cx, p), (m.name, p)
+
+
+def test_packed_keys_order_each_degree_and_add_under_even_shifts(
+        corpus_models):
+    for m, top in _assembly_models(corpus_models):
+        uni = m.universe
+        key = uni.key
+        units = [Monomial(tuple(int(i == k) for i in range(len(uni.evens))),
+                          ()) for k in range(len(uni.evens))]
+        for p in range(top + 1):
+            basis = uni.basis(p)
+            keys = [key(b) for b in basis]
+            assert sorted(basis, key=key) == basis == sorted(
+                basis, key=lambda b: (b.exps, b.odds)), (m.name, p)
+            assert len(set(keys)) == len(keys), (m.name, p)
+            for b, k in zip(basis, keys):
+                even = Monomial(b.exps, ())
+                odd = Monomial(uni.unit.exps, b.odds)
+                assert k == key(even) + key(odd), (m.name, b)
+                for x in units:
+                    shifted = Monomial(tuple(map(operator.add, b.exps,
+                                                 x.exps)), b.odds)
+                    assert key(shifted) == key(x) + k, (m.name, b, x)
 
 
 @pytest.fixture
@@ -524,12 +555,35 @@ def test_rank_with_relabelled_columns_equals_the_canonical_rank(
     for m, top in _assembly_models(corpus_models):
         cx = ChainComplex(m)
         for p in range(top + 1):
+            index = {lab: i for i, lab
+                     in enumerate(_labels(cx, p + 1).values())}
             blocks = {}
             for b, row in zip(cx.basis(p), _per_row_rows(cx, p)):
-                blocks.setdefault(len(b.odds) if cx.pure else None,
-                                  []).append(row)
+                blocks.setdefault(len(b.odds) if cx.pure else None, []
+                                  ).append({index[lab]: c
+                                            for lab, c in row.items()})
             for q, block in blocks.items():
                 assert cx.rank(p, q) == rank_of_rows(block), (m.name, p, q)
+
+
+def test_cocycle_basis_over_labels_equals_the_canonical_kernel(
+        corpus_models):
+    # the kernel's tag columns ncols + i lie above every (negative) label,
+    # so the labels leave the canonical kernel basis as it is
+    for m, top in _assembly_models(corpus_models):
+        cx = ChainComplex(m)
+        for p in range(top + 1):
+            if len(cx.basis(p)) > 200:
+                continue
+            index = {lab: i for i, lab
+                     in enumerate(_labels(cx, p + 1).values())}
+            assert all(lab < 0 for lab in index)
+            canonical = [{index[lab]: c for lab, c in row.items()}
+                         for row in cx.rows(p)]
+            basis = cx.basis(p)
+            assert cocycle_basis(m, p) == [
+                Element(m.universe, {basis[j]: c for j, c in vec.items()})
+                for vec in kernel_of_rows(canonical, len(index))], (m.name, p)
 
 
 def test_coboundary_basis_keeps_the_canonical_column_order():

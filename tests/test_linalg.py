@@ -1,8 +1,10 @@
 """Sparse exact elimination against dense Fraction elimination."""
 
+import copy
 import random
 from fractions import Fraction
 
+import hilali.linalg
 from hilali.linalg import Echelon, Rref, intify, kernel_of_rows, rank_of_rows
 
 from dense_oracle import dense_rank
@@ -145,3 +147,59 @@ def test_negative_columns_supported():
     rref.add({-2: 1})
     assert set(rref.pivots) == {-3, -2}
     assert rref.reduce({-3: Fraction(1)}) == {-1: Fraction(-2)}
+
+
+def _aliasing_rows(rng):
+    # integer rows, several already primitive with a positive lead (so
+    # they can be stored with no elimination), unit and non-unit leads
+    rows = [{0: 1, 3: 2}, {1: 3, 2: -6, 4: 1}, {2: 1, 4: -1}]
+    rows += [_integral(row) for row in _random_sparse(rng, 5, 6)]
+    return [row for row in rows if row]
+
+
+def test_stored_pivots_never_alias_the_callers_rows(monkeypatch):
+    rng = random.Random(16)
+    stored = []
+
+    class Recorded(Echelon):
+        def __init__(self):
+            super().__init__()
+            stored.append(self)
+
+    monkeypatch.setattr(hilali.linalg, "Echelon", Recorded)
+    for _ in range(10):
+        rows = _aliasing_rows(rng)
+        ech, rref = Echelon(), Rref()
+        for row in rows:
+            ech.add(row)
+            rref.add(row)
+        stored.clear()
+        rank_of_rows(rows)
+        [ranked] = stored
+        probes = [dict(row) for row in rows] + _random_sparse(rng, 3, 6)
+        before = (copy.deepcopy(ech.pivots), copy.deepcopy(rref.pivots),
+                  copy.deepcopy(ranked.pivots), rref.reduced(),
+                  [ech.reduce(_integral(p)) for p in probes],
+                  [rref.reduce(p) for p in probes])
+        for row in rows:
+            for j in list(row):
+                row[j] *= 7
+            row[10] = 1
+        assert (ech.pivots, rref.pivots, ranked.pivots, rref.reduced(),
+                [ech.reduce(_integral(p)) for p in probes],
+                [rref.reduce(p) for p in probes]) == before
+
+
+def test_reduce_never_mutates_its_argument():
+    rng = random.Random(17)
+    for _ in range(10):
+        rows = _aliasing_rows(rng)
+        ech, rref = Echelon(), Rref()
+        for row in rows[:4]:
+            ech.add(row)
+            rref.add(row)
+        for probe in rows + _random_sparse(rng, 4, 6):
+            for space, arg in ((ech, _integral(probe)), (rref, probe)):
+                kept = copy.deepcopy(arg)
+                space.reduce(arg)
+                assert arg == kept
