@@ -8,7 +8,9 @@ It runs ``hilali corpus corpus --seed S`` (default seed 0, one job) in this
 process against this checkout's ``src/``, with three wrappers in place:
 
 - ``hilali.cohomology.ChainComplex.rows``, chain-complex assembly, with the
-  rows it returns and their nonzero entries counted;
+  rows it returns and their nonzero entries counted, and, where
+  ``ChainComplex.rank`` asks for part of a basis, the rows its clearing
+  step leaves out;
 - ``hilali.cohomology._leibniz``, the Leibniz kernel as ``ChainComplex``
   calls it;
 - ``hilali.linalg._eliminate``, one step of exact elimination, with the
@@ -16,8 +18,8 @@ process against this checkout's ``src/``, with three wrappers in place:
   the pivot.
 
 It prints one line: the seed, the corpus run's exit code, ``_leibniz``
-calls, ``_eliminate`` calls, entries touched, and the rows and nonzero
-entries assembled.  The counts depend only on
+calls, ``_eliminate`` calls, entries touched, the rows and nonzero
+entries assembled, and the rows cleared.  The counts depend only on
 the code and the seed, not on the machine, so two trees compare by
 ``diff``.  The corpus report itself is discarded; its ``# wall time`` line
 still goes to stderr.
@@ -42,12 +44,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     counts = {"leibniz": 0, "eliminate": 0, "entries": 0, "rows": 0,
-              "nnz": 0}
+              "nnz": 0, "cleared": 0}
     leibniz, eliminate = cohomology._leibniz, linalg._eliminate
     rows = cohomology.ChainComplex.rows
 
-    def counted_rows(cx, degree):
-        out = rows(cx, degree)
+    def counted_rows(cx, degree, monomials=None):
+        out = rows(cx, degree, monomials)
+        if monomials is not None:
+            counts["cleared"] += len(cx.basis(degree)) - len(monomials)
         counts["rows"] += len(out)
         counts["nnz"] += sum(map(len, out))
         return out
@@ -69,7 +73,8 @@ def main() -> int:
     print(f"seed {args.seed} exit {code} _leibniz_calls {counts['leibniz']} "
           f"_eliminate_calls {counts['eliminate']} "
           f"entries_touched {counts['entries']} "
-          f"rows_assembled {counts['rows']} nnz_assembled {counts['nnz']}")
+          f"rows_assembled {counts['rows']} nnz_assembled {counts['nnz']} "
+          f"rows_cleared {counts['cleared']}")
     return 0
 
 

@@ -187,6 +187,22 @@ class GeneratorUniverse:
         self._odd_subsets_by_degree()       # fills self._odd_index
         return sum(map(mul, m.exps, weights)) + self._odd_index[m.odds]
 
+    def basis_keys(self, degree: int) -> list[int]:
+        """:meth:`key` of each monomial of :meth:`basis`, in basis order.
+        The basis keeps the monomials of one even exponent vector f
+        together, so key(f) is a dot product once per f and each key one
+        addition."""
+        weights = self.key_weights(degree)
+        index = self._odd_index         # filled by basis()
+        keys = []
+        f = None
+        for m in self.basis(degree):
+            if m.exps is not f:
+                f = m.exps
+                shift = sum(map(mul, f, weights))
+            keys.append(shift + index[m.odds])
+        return keys
+
     def basis(self, degree: int) -> list[Monomial]:
         """All monomials of exactly the given degree, canonically ordered.
 

@@ -51,15 +51,21 @@ class ChainComplex:
         self._zeros = model.universe.unit.exps
         # D times d(y_S) as (label, c) pairs, by odd subset S
         self._odd_images: dict[tuple[int, ...], list[tuple]] = {}
+        # the last degree this complex eliminated and its pivot columns
+        # (None where clearing is not valid); see rank
+        self._pivots: tuple[int, set[int] | None] = (-1, None)
+        self._square_zero: bool | None = None   # checked when first needed
 
     def basis(self, degree: int):
         return self.model.universe.basis(degree)
 
-    def rows(self, degree: int) -> list[dict[int, int]]:
-        """Images of the degree-p basis as integer vectors over the
-        (p+1)-basis: D times the differential, read from the integer image
-        tables of :meth:`~hilali.model.Derivation.tables`, with no element
-        or fraction per term.  The common scale D changes no rank,
+    def rows(self, degree: int, monomials: list[Monomial] | None = None
+             ) -> list[dict[int, int]]:
+        """Images of the degree-p basis, or of the given degree-p monomials
+        in basis order, as integer vectors over the (p+1)-basis: D times
+        the differential, read from the integer image tables of
+        :meth:`~hilali.model.Derivation.tables`, with no element or
+        fraction per term.  The common scale D changes no rank,
         kernel or span.
 
         A column is labelled -key(m) for the (p+1)-monomial m (see
@@ -81,14 +87,16 @@ class ChainComplex:
         uni = self.model.universe
         weights = uni.key_weights(degree + 1)
         key, tables = uni.key, self._tables
+        if monomials is None:
+            monomials = self.basis(degree)
         if any(tables[1]):
             return [{-key(Monomial(exps, odds)): c for (exps, odds), c
                      in _leibniz(tables, m.exps, m.odds).items()}
-                    for m in self.basis(degree)]
+                    for m in monomials]
         images = self._odd_images
         rows = []
         f = None
-        for m in self.basis(degree):
+        for m in monomials:
             image = images.get(m.odds)
             if image is None:
                 image = images[m.odds] = [
@@ -106,21 +114,45 @@ class ChainComplex:
         The blocks of :meth:`rows` go to elimination as they are, over
         their labels; every basis or remainder that is returned maps the
         labels back to canonical indexes through the basis.
+
+        Clearing: when this complex has just eliminated degree p-1, the
+        rows of d_p whose label is a pivot column of d_{p-1} are neither
+        assembled nor eliminated.  The pivots P of d_{p-1} come from an
+        echelon basis E of im(d_{p-1}), each row a of E pivoting on its
+        smallest label e, and d(d(c)) = 0 gives sum_l a_l d(l) = 0: the row
+        of d_p at e is a combination of the rows at labels above e.  From
+        the largest pivot down, every row at P lies in the span of the rows
+        outside P, so rank d_p is the rank of those rows.  In a pure model
+        d maps the (q+1)-block of degree p-1 into the q-block of degree p,
+        so the argument holds block by block.  It needs d^2 = 0, which is
+        checked once per complex with
+        :func:`~hilali.model.check_differential`; a complex that fails it
+        eliminates every row.
         """
         if q is not None and not self.pure:
             raise ModelError("the odd-count split needs a pure model")
         if degree < 0:
             return 0
         if degree not in self._ranks:
-            rows = self.rows(degree)
+            basis = kept = self.basis(degree)
+            below, cleared = self._pivots
+            if below == degree - 1 and cleared:
+                keys = self.model.universe.basis_keys(degree)
+                kept = [m for m, k in zip(basis, keys) if -k not in cleared]
+            rows = self.rows(degree, kept)
             if self.pure:
-                blocks: dict[int | None, list] = {}
-                for m, row in zip(self.basis(degree), rows):
-                    blocks.setdefault(len(m.odds), []).append(row)
+                blocks: dict[int | None, list] = {len(m.odds): []
+                                                  for m in basis}
+                for m, row in zip(kept, rows):
+                    blocks[len(m.odds)].append(row)
             else:
                 blocks = {None: rows}
-            self._ranks[degree] = {key: rank_of_rows(block)
+            if self._square_zero is None:
+                self._square_zero = check_differential(self.model).passed
+            pivots = set() if self._square_zero else None
+            self._ranks[degree] = {key: rank_of_rows(block, pivots)
                                    for key, block in blocks.items()}
+            self._pivots = (degree, pivots)
         ranks = self._ranks[degree]
         return sum(ranks.values()) if q is None else ranks.get(q, 0)
 
@@ -322,7 +354,7 @@ def _coboundary_span(model: Model, degree: int) -> tuple[list, Rref]:
     basis indexes: each row's labels go back to indexes through the basis."""
     cx = ChainComplex(model)
     basis = cx.basis(degree)
-    index = {-model.universe.key(m): i for i, m in enumerate(basis)}
+    index = {-k: i for i, k in enumerate(model.universe.basis_keys(degree))}
     rref = Rref()
     for row in cx.rows(degree - 1):
         rref.add({index[lab]: c for lab, c in row.items()})

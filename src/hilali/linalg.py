@@ -13,6 +13,11 @@ row shares a dict with the caller.  Clearing pivot columns smallest-first
 leaves a remainder on the non-pivot columns, which is canonical; the reduced
 echelon form is built only where a canonical basis is returned
 (:func:`kernel_of_rows`, ``coboundary_basis``).
+
+:func:`rank_of_rows` can also hand back its pivot columns, the smallest
+column of each echelon row.  They are distinct, and they name which rows
+of the next differential a chain complex may skip (the clearing step of
+``ChainComplex.rank``).
 """
 
 from __future__ import annotations
@@ -45,17 +50,15 @@ def intify(row: FracRow) -> tuple[Row, int]:
     return out, denom
 
 
-def _normalize(row: Row) -> Row:
-    """The primitive multiple of ``row`` with a positive lead; ``row``
-    itself when it is one."""
-    if not row:
-        return row
+def _normalize(row: Row, lead: int) -> Row:
+    """The primitive multiple of a nonzero ``row`` whose coefficient at
+    ``lead``, its smallest column, is positive; ``row`` itself when it is
+    one."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
             break
-    lead = min(row)
     if row[lead] < 0:
         g = -g
     if g != 1:
@@ -90,39 +93,49 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Row) -> Row:
-        """The remainder of ``row``, primitive with a positive lead; the
-        argument is never mutated, but may be returned as it is."""
+    def _reduce(self, row: Row) -> tuple[Row, int | None]:
+        """The remainder of ``row`` and its smallest column, None when the
+        remainder is zero.  The content that an elimination against a
+        non-unit lead leaves is removed before the next step, and once at
+        the end, so one ``min`` per step gives both the column to clear and
+        the lead."""
         pivots = self.pivots
-        primitive = False
+        scaled = False
         while row:
             col = min(row)
             piv = pivots.get(col)
-            if piv is None:
-                break
+            if piv is None or scaled:
+                row = _normalize(row, col)
+                if piv is None:
+                    return row, col
             row = _eliminate(row, piv, col)
-            primitive = piv[col] != 1
-            if primitive:
-                row = _normalize(row)
-        return row if primitive else _normalize(row)
+            scaled = piv[col] != 1
+        return row, None
+
+    def reduce(self, row: Row) -> Row:
+        """The remainder of ``row``, primitive with a positive lead; the
+        argument is never mutated, but may be returned as it is."""
+        return self._reduce(row)[0]
 
     def add(self, row: Row) -> int | None:
         """Insert a row; returns its pivot column, or None if dependent."""
-        # not self.reduce: on an Rref that is the rational full remainder
-        reduced = Echelon.reduce(self, row)
-        if not reduced:
+        reduced, col = self._reduce(row)
+        if col is None:
             return None
-        col = min(reduced)
         # a stored pivot never aliases the caller's dict
         self.pivots[col] = reduced if reduced is not row else dict(row)
         return col
 
 
-def rank_of_rows(rows: list[FracRow]) -> int:
-    """Rank of a list of sparse rational (or integer) rows."""
+def rank_of_rows(rows: list[FracRow], pivots: set[int] | None = None) -> int:
+    """Rank of a list of sparse rational (or integer) rows.  Given a set,
+    adds to it the pivot columns of the echelon basis the rows reduce to:
+    one distinct column per basis row, its smallest."""
     ech = Echelon()
     for row in sorted(rows, key=len):
         ech.add(intify(row)[0])
+    if pivots is not None:
+        pivots.update(ech.pivots)
     return ech.rank
 
 
@@ -174,6 +187,7 @@ class Rref(Echelon):
         for col in sorted(self.pivots, reverse=True):
             row = self.pivots[col]
             for c in [c for c in row if c != col and c in self.pivots]:
-                row = _normalize(_eliminate(row, out[c], c))
+                # the columns of out[c] start at c > col, so col stays the lead
+                row = _normalize(_eliminate(row, out[c], c), col)
             out[col] = row
         return dict(reversed(out.items()))

@@ -407,9 +407,9 @@ def test_run_manifest_assembles_each_degree_of_a_differential_once(
     rows = ChainComplex.rows
     assembled = []
 
-    def recorded(self, degree):
+    def recorded(self, degree, *monomials):
         assembled.append((self.model.d, degree))
-        return rows(self, degree)
+        return rows(self, degree, *monomials)
 
     monkeypatch.setattr(ChainComplex, "rows", recorded)
     entry = run_manifest(str(CORPUS / "squarefree-n2.manifest.json"), 0)

@@ -17,7 +17,7 @@ from hilali import (Element, EngineError, Model, ModelError,
                     tensor_with_odd_line, universe)
 from hilali.algebra import Monomial
 from hilali.cohomology import ChainComplex, FreeOddLineComplex
-from hilali.linalg import kernel_of_rows, rank_of_rows
+from hilali.linalg import Echelon, kernel_of_rows, rank_of_rows
 from hilali.model import _leibniz
 
 from dense_oracle import betti_dense, dense_rank, naive_differential
@@ -239,9 +239,9 @@ def test_free_odd_line_blocks_add_up_to_the_whole_complex(corpus_models,
     rows = ChainComplex.rows
     assembled = []
 
-    def recorded(self, degree):
+    def recorded(self, degree, *monomials):
         assembled.append(degree)
-        return rows(self, degree)
+        return rows(self, degree, *monomials)
 
     monkeypatch.setattr(ChainComplex, "rows", recorded)
     assert numbers(split) == expected
@@ -256,9 +256,9 @@ def test_complexes_of_one_model_share_its_ranks(corpus_models, monkeypatch):
     rows = ChainComplex.rows
     assembled = []
 
-    def recorded(self, degree):
+    def recorded(self, degree, *monomials):
         assembled.append(degree)
-        return rows(self, degree)
+        return rows(self, degree, *monomials)
 
     monkeypatch.setattr(ChainComplex, "rows", recorded)
     assert [[ChainComplex(m).rank(p) for p in range(16)]
@@ -596,3 +596,133 @@ def test_coboundary_basis_keeps_the_canonical_column_order():
     assert ChainComplex(m).rank(3) == 2
     assert coboundary_basis(m, 4) == [parse_expression(text, uni) for text in
                                       ("x2^2 - x1^2", "x1*x2 + x1^2")]
+
+
+def _cleared_models(corpus_models):
+    """The assembly models, a perturbed (W, d_xi) model of a pure and of a
+    non-pure corpus model, and the model with a nonzero even image (under
+    ``assume_elliptic`` its table runs to degree 16), each with a top
+    degree."""
+    models = _assembly_models(corpus_models)
+    for name in ("pure-n2r1-diag", "hyper-nonpure-n3r4"):
+        m = corpus_models[name]
+        w = PerturbedModel(m, m.universe.evens[0].name).at_parameter(
+            Fraction(-37, 11))
+        models.append((w, formal_dimension_bound(w)
+                       + max(g.degree for g in w.universe.generators)))
+    even_image = build([("w", 2), ("y", 3), ("x", 6)], {"x": "w^2*y"})
+    table, _ = cohomology_table(even_image, assume_elliptic=True,
+                                max_degree=16)
+    assert table.dims == betti_dense(even_image, 16)
+    return models + [(even_image, 16)]
+
+
+@pytest.fixture
+def requested(monkeypatch):
+    """(degree, monomials) of every ``ChainComplex.rows`` call."""
+    calls = []
+    rows = ChainComplex.rows
+
+    def recorded(self, degree, monomials=None):
+        calls.append((degree, monomials))
+        return rows(self, degree, monomials)
+
+    monkeypatch.setattr(ChainComplex, "rows", recorded)
+    return calls
+
+
+def _full_blocks(cx, p):
+    """Every row of degree p, by block (None for a non-pure model)."""
+    blocks = {}
+    for b, row in zip(cx.basis(p), ChainComplex(cx.model).rows(p)):
+        blocks.setdefault(len(b.odds) if cx.pure else None, []).append(row)
+    return blocks
+
+
+def test_cleared_ranks_equal_the_full_row_ranks(corpus_models, requested):
+    cleared = 0
+    for m, top in _cleared_models(corpus_models):
+        m.d.ranks.clear()
+        cx = ChainComplex(m)
+        for p in range(top + 1):
+            full = _full_blocks(cx, p)
+            requested.clear()
+            assert {q: cx.rank(p, q) for q in full} == {
+                q: rank_of_rows(block) for q, block in full.items()}, (
+                    m.name, p)
+            cleared += sum(len(cx.basis(p)) - len(kept)
+                           for _, kept in requested if kept is not None)
+    assert cleared > 1000
+
+
+def test_every_cleared_row_reduces_to_zero_modulo_the_kept_rows(
+        corpus_models, requested):
+    checked = 0
+    for m, top in _cleared_models(corpus_models):
+        m.d.ranks.clear()
+        cx = ChainComplex(m)
+        for p in range(top + 1):
+            if len(cx.basis(p)) > 150:
+                continue
+            requested.clear()
+            cx.rank(p)
+            (degree, kept), = requested
+            if kept is None:
+                continue
+            basis, kept = cx.basis(p), set(kept)
+            echelons, rows = {}, ChainComplex(m).rows(p)
+            for b, row in zip(basis, rows):
+                if b in kept:
+                    echelons.setdefault(len(b.odds) if cx.pure else None,
+                                        Echelon()).add(row)
+            for b, row in zip(basis, rows):
+                if b not in kept:
+                    echelon = echelons.get(len(b.odds) if cx.pure else None,
+                                           Echelon())
+                    assert not echelon.reduce(row), (m.name, p, b)
+                    checked += 1
+    assert checked > 100
+
+
+def test_the_kernel_runs_only_for_odd_subsets_with_a_kept_row(
+        corpus_models, requested, kernel_calls):
+    for m, top in _cleared_models(corpus_models):
+        if any(m.d.tables()[1]):
+            continue            # the per-row kernel: one call per kept row
+        m.d.ranks.clear()
+        cx = ChainComplex(m)
+        for p in range(top + 1):
+            requested.clear()
+            kernel_calls.clear()
+            cx.rank(p)
+            (degree, kept), = requested
+            kept = cx.basis(p) if kept is None else kept
+            assert {odds for _, odds in kernel_calls} <= {
+                b.odds for b in kept}, (m.name, p)
+    # in degree 55 the one row, x^7 y3, is d(x^5 y1 y3); a complex that
+    # starts at degree 54 never meets y3 in a kept row, so never runs the
+    # kernel for it
+    m = build([("x", 6), ("y1", 11), ("y2", 17), ("y3", 13)],
+              {"y1": "x^2", "y2": "x^3"})
+    cx = ChainComplex(m)
+    cx.rank(54)
+    kernel_calls.clear()
+    assert [b.odds for b in cx.basis(55)] == [(2,)]
+    assert cx.rank(55) == 0 and requested[-1] == (55, [])
+    assert kernel_calls == []
+
+
+def test_a_model_with_nonzero_square_eliminates_every_row():
+    # d(d w) = d(x y) = x^3: the pivots of d_4 would clear the one row of
+    # d_5 that carries its rank
+    m = build([("x", 2), ("y", 3), ("w", 4)], {"y": "x^2", "w": "x*y"})
+    assert not check_differential(m).passed
+    cx = ChainComplex(m)
+    assert [cx.rank(p) for p in range(14)] == [
+        rank_of_rows(ChainComplex(m).rows(p)) for p in range(14)]
+    pivots = set()
+    rank_of_rows(cx.rows(4), pivots)
+    labels = [-k for k in m.universe.basis_keys(5)]
+    assert cx.rank(5) == 1 and rank_of_rows(
+        [row for lab, row in zip(labels, cx.rows(5))
+         if lab not in pivots]) == 0

@@ -222,9 +222,9 @@ def test_perturbed_complex_is_eliminated_once_per_step(corpus_models,
         init(self, base, x_name)
         extended.append(self.w_model)
 
-    def assembling(self, degree):
+    def assembling(self, degree, *monomials):
         assembled[id(self.model)] = self.model
-        return rows(self, degree)
+        return rows(self, degree, *monomials)
 
     monkeypatch.setattr(PerturbedModel, "at_parameter", recorded)
     monkeypatch.setattr(PerturbedModel, "__init__", extending)
