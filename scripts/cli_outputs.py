@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 scripts/cli_outputs.py [--seed S] > outputs.txt
     python3 scripts/cli_outputs.py --corpus-seeds A-B > corpus.txt
+    python3 scripts/cli_outputs.py --koszul-seeds A-B > koszul.txt
 
 Each line is one invocation: the argv, the exit code, the sha256 of stdout,
 and the sha256 of stderr with its ``# wall time`` line removed.  The matrix
@@ -19,15 +20,29 @@ from A to B inclusive.  Two trees give the same output exactly when their
 lines are equal, so a byte check of a change is a ``diff`` of two runs.
 Each invocation runs in a fresh process of ``python3 -m hilali.cli``
 against this checkout's ``src/``.
+
+With ``--koszul-seeds A-B``, the matrix is the ``koszul`` benchmark
+workload at each seed s from A to B: ``bench/workloads.py`` (read, not
+changed) writes the seed's pure models into a temporary directory, and each
+model gets ``tor`` and ``deform`` at seed s in machine format, as the
+benchmark runs them.  A line names the model by its file name.  These
+invocations run in this process, through ``hilali.cli.main``, from the
+temporary directory, one seed after another; an exception that escapes
+the CLI prints exit code -1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +83,46 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def fingerprint(argv: list[str], code: int, stdout: bytes,
+                stderr: bytes) -> str:
+    stderr = b"".join(text for text in stderr.splitlines(keepends=True)
+                      if not text.startswith(b"# wall time:"))
+    return " ".join([*argv, str(code), sha256(stdout), sha256(stderr)])
+
+
+def koszul_lines(seeds: range):
+    """One line per ``tor`` or ``deform`` call of the koszul workload at
+    each seed, keyed by model file name."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from hilali import cli
+    here = os.getcwd()
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as directory:
+            subprocess.run([sys.executable, str(ROOT / "bench" / "workloads.py"),
+                            "koszul", str(seed), "20", directory],
+                           cwd=ROOT, check=True)
+            items = json.loads(Path(directory, "items.json").read_text())
+            os.chdir(directory)
+            try:
+                for _, invocations in items:
+                    for argv in invocations:
+                        argv = [Path(a).name if a.startswith(directory) else a
+                                for a in argv]
+                        out, err = io.StringIO(), io.StringIO()
+                        with contextlib.redirect_stdout(out), \
+                                contextlib.redirect_stderr(err):
+                            try:
+                                code = cli.main(argv)
+                            except Exception:
+                                traceback.print_exc()
+                                code = -1
+                        yield fingerprint(argv, code,
+                                          out.getvalue().encode(),
+                                          err.getvalue().encode())
+            finally:
+                os.chdir(here)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     group = parser.add_mutually_exclusive_group()
@@ -76,16 +131,21 @@ def main() -> int:
     group.add_argument("--corpus-seeds", type=seed_range, metavar="A-B",
                        help="only the machine-format corpus run at each seed "
                             "from A to B")
+    group.add_argument("--koszul-seeds", type=seed_range, metavar="A-B",
+                       help="only tor and deform on the koszul benchmark "
+                            "models of each seed from A to B")
     args = parser.parse_args()
+    if args.koszul_seeds is not None:
+        for text in koszul_lines(args.koszul_seeds):
+            print(text, flush=True)
+        return 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv in (invocations(args.seed) if args.corpus_seeds is None
                  else corpus_invocations(args.corpus_seeds)):
         proc = subprocess.run([sys.executable, "-m", "hilali.cli", *argv],
                               capture_output=True, cwd=ROOT, env=env)
-        stderr = b"".join(line for line in proc.stderr.splitlines(keepends=True)
-                          if not line.startswith(b"# wall time:"))
-        print(" ".join(argv), proc.returncode, sha256(proc.stdout),
-              sha256(stderr), flush=True)
+        print(fingerprint(argv, proc.returncode, proc.stdout, proc.stderr),
+              flush=True)
     return 0
 
 

@@ -5,7 +5,7 @@ Run from the repository root:
     python3 scripts/elimination_counts.py [--seed S]
 
 It runs ``hilali corpus corpus --seed S`` (default seed 0, one job) in this
-process against this checkout's ``src/``, with three wrappers in place:
+process against this checkout's ``src/``, with these wrappers in place:
 
 - ``hilali.cohomology.ChainComplex.rows``, chain-complex assembly, with the
   rows it returns and their nonzero entries counted, and, where
@@ -15,11 +15,16 @@ process against this checkout's ``src/``, with three wrappers in place:
   calls it;
 - ``hilali.linalg._eliminate``, one step of exact elimination, with the
   entries it touches counted as the length of the row plus the length of
-  the pivot.
+  the pivot;
+- ``hilali.koszul.koszul_differential_rows``, the Koszul differential of
+  ``tor_table`` (in the corpus's ``tor`` and ``deform`` claims), with the
+  rows it builds counted, and the rows its clearing step leaves out;
+- ``intify``, in every ``hilali`` module that binds it.
 
 It prints one line: the seed, the corpus run's exit code, ``_leibniz``
 calls, ``_eliminate`` calls, entries touched, the rows and nonzero
-entries assembled, and the rows cleared.  The counts depend only on
+entries assembled, the rows cleared, then the Koszul rows built, the
+Koszul rows cleared and the ``intify`` calls.  The counts depend only on
 the code and the seed, not on the machine, so two trees compare by
 ``diff``.  The corpus report itself is discarded; its ``# wall time`` line
 still goes to stderr.
@@ -36,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hilali import cli, cohomology, linalg  # noqa: E402
+from hilali import cli, cohomology, koszul, linalg  # noqa: E402
 
 
 def main() -> int:
@@ -44,7 +49,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     counts = {"leibniz": 0, "eliminate": 0, "entries": 0, "rows": 0,
-              "nnz": 0, "cleared": 0}
+              "nnz": 0, "cleared": 0, "koszul_rows": 0, "koszul_cleared": 0,
+              "intify": 0}
     leibniz, eliminate = cohomology._leibniz, linalg._eliminate
     rows = cohomology.ChainComplex.rows
 
@@ -65,8 +71,24 @@ def main() -> int:
         counts["entries"] += len(row) + len(piv)
         return eliminate(row, piv, col)
 
+    koszul_rows, intify = koszul.koszul_differential_rows, linalg.intify
+
+    def counted_koszul_rows(s, k, *skip):
+        out = koszul_rows(s, k, *skip)
+        counts["koszul_rows"] += len(out)
+        counts["koszul_cleared"] += sum(map(len, skip))
+        return out
+
+    def counted_intify(row):
+        counts["intify"] += 1
+        return intify(row)
+
     cohomology._leibniz, linalg._eliminate = counted_leibniz, counted_eliminate
     cohomology.ChainComplex.rows = counted_rows
+    koszul.koszul_differential_rows = counted_koszul_rows
+    for module in (linalg, koszul, cohomology):
+        if getattr(module, "intify", None) is intify:
+            module.intify = counted_intify
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
                          str(args.seed), "--jobs", "1"])
@@ -74,7 +96,10 @@ def main() -> int:
           f"_eliminate_calls {counts['eliminate']} "
           f"entries_touched {counts['entries']} "
           f"rows_assembled {counts['rows']} nnz_assembled {counts['nnz']} "
-          f"rows_cleared {counts['cleared']}")
+          f"rows_cleared {counts['cleared']} "
+          f"koszul_rows {counts['koszul_rows']} "
+          f"koszul_rows_cleared {counts['koszul_cleared']} "
+          f"intify_calls {counts['intify']}")
     return 0
 
 

@@ -196,7 +196,7 @@ class GeneratorUniverse:
         index = self._odd_index         # filled by basis()
         keys = []
         f = None
-        for m in self.basis(degree):
+        for m in self._basis(degree):
             if m.exps is not f:
                 f = m.exps
                 shift = sum(map(mul, f, weights))
@@ -213,6 +213,11 @@ class GeneratorUniverse:
         exponent.  Each vector then takes the ascending odd subsets of its
         degree.  That is the (exps, odds) order, so nothing is sorted.
         """
+        return list(self._basis(degree))
+
+    def _basis(self, degree: int) -> list[Monomial]:
+        """The cached list behind :meth:`basis`, for readers that only
+        count or scan it; it must not be mutated."""
         if degree < 0:
             raise EngineError("degree must be non-negative")
         if degree not in self._basis_cache:
@@ -231,7 +236,7 @@ class GeneratorUniverse:
             self._basis_cache[degree] = [
                 Monomial(exps, subset) for exps, left in partial
                 for subset in odd_table.get(left, ())]
-        return list(self._basis_cache[degree])
+        return self._basis_cache[degree]
 
 
 def universe(specs: list[tuple[str, int]]) -> GeneratorUniverse:

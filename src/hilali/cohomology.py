@@ -10,7 +10,7 @@ from operator import mul
 from .algebra import Element, Monomial, restrict_element
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError, UniverseMismatchError)
-from .linalg import Rref, kernel_of_rows, rank_of_rows
+from .linalg import Rref, intify, kernel_of_rows, rank_of_rows
 from .koszul import odd_images, quotient_basis
 from .model import (Model, _leibniz, check_differential, check_minimal,
                     classify, pure_part)
@@ -54,7 +54,6 @@ class ChainComplex:
         # the last degree this complex eliminated and its pivot columns
         # (None where clearing is not valid); see rank
         self._pivots: tuple[int, set[int] | None] = (-1, None)
-        self._square_zero: bool | None = None   # checked when first needed
 
     def basis(self, degree: int):
         return self.model.universe.basis(degree)
@@ -124,10 +123,9 @@ class ChainComplex:
         the largest pivot down, every row at P lies in the span of the rows
         outside P, so rank d_p is the rank of those rows.  In a pure model
         d maps the (q+1)-block of degree p-1 into the q-block of degree p,
-        so the argument holds block by block.  It needs d^2 = 0, which is
-        checked once per complex with
-        :func:`~hilali.model.check_differential`; a complex that fails it
-        eliminates every row.
+        so the argument holds block by block.  It needs d^2 = 0, which
+        :func:`~hilali.model.check_differential` checks once per model; a
+        complex over a model that fails it eliminates every row.
         """
         if q is not None and not self.pure:
             raise ModelError("the odd-count split needs a pure model")
@@ -147,9 +145,7 @@ class ChainComplex:
                     blocks[len(m.odds)].append(row)
             else:
                 blocks = {None: rows}
-            if self._square_zero is None:
-                self._square_zero = check_differential(self.model).passed
-            pivots = set() if self._square_zero else None
+            pivots = set() if check_differential(self.model).passed else None
             self._ranks[degree] = {key: rank_of_rows(block, pivots)
                                    for key, block in blocks.items()}
             self._pivots = (degree, pivots)
@@ -157,7 +153,7 @@ class ChainComplex:
         return sum(ranks.values()) if q is None else ranks.get(q, 0)
 
     def chain_dim(self, degree: int, q: int | None = None) -> int:
-        basis = self.basis(degree)
+        basis = self.model.universe._basis(degree)      # counted, not copied
         if q is None:
             return len(basis)
         return sum(1 for m in basis if len(m.odds) == q)
@@ -382,7 +378,8 @@ def is_exact(model: Model, e: Element) -> bool:
         return False        # im(d) is zero in degree 0
     basis, rref = _coboundary_span(model, degree)
     index = {m: i for i, m in enumerate(basis)}
-    residue = rref.reduce({index[m]: c for m, c in e.terms.items()})
+    residue, _ = rref.reduce(intify({index[m]: c
+                                     for m, c in e.terms.items()})[0])
     return not residue
 
 

@@ -15,10 +15,14 @@ monomial of an earlier relation is never formed: it lies in the span of the
 other rows of its degree and below (Buchberger's product criterion), so it
 would only reduce to zero.
 
-The Koszul complex ``M (x) Lambda^* W`` behind :func:`tor_table` is built
-from the columns of the multiplication matrices.  The k faces of a k-subset
-are k distinct (k-1)-subsets, so each row of d_k is the signed columns of
-its k actions placed in disjoint blocks, and no entry is ever summed.
+A multiplication matrix is integer columns and one denominator, and every
+row that reaches elimination is an integer row.  The Koszul complex
+``M (x) Lambda^* W`` behind :func:`tor_table` is built from the integer
+columns, which changes no Tor dimension.  The k faces of a k-subset are k
+distinct (k-1)-subsets, so each row of d_k is the signed columns of its k
+actions placed in disjoint blocks, and no entry is ever summed.  The
+complex is cleared top-down: a row of d_k at a pivot column of d_{k+1} is
+never built.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, lcm
 from typing import TYPE_CHECKING
 
 from .algebra import (Element, GeneratorUniverse, Monomial, restrict_element,
@@ -89,6 +93,13 @@ class QuotientModule:
     :func:`quotient_basis` builds one instance, extends its relation span
     degree by degree, and sets its basis from the standard monomials of the
     staircase; until then the basis is empty.
+
+    The relation span is an :class:`~hilali.linalg.Rref` of integer rows.
+    Every vector reduced against it is an integer vector, scaled once where
+    it is formed, and comes back as an integer remainder with one scale:
+    :meth:`reduce` divides at the end and answers in ``Fraction``
+    coordinates, :meth:`multiplication_matrix` keeps integer columns and
+    one denominator per matrix.
     """
 
     def __init__(self, ring: GeneratorUniverse, relations: list[Element],
@@ -112,13 +123,13 @@ class QuotientModule:
         cols = self._index.cols
         self.basis_positions = {cols[m.exps]: i for i, m in enumerate(basis)}
         self.length = len(basis)
-        degrees = [self.ring.degree_of(m) for m in basis]
-        self.socle_degree = max(degrees) if degrees else 0
+        self._degrees = [self.ring.degree_of(m) for m in basis]
+        self.socle_degree = max(self._degrees, default=0)
 
     def basis_by_degree(self) -> dict[int, list[Monomial]]:
         table: dict[int, list[Monomial]] = {}
-        for m in self.standard_basis:
-            table.setdefault(self.ring.degree_of(m), []).append(m)
+        for m, degree in zip(self.standard_basis, self._degrees):
+            table.setdefault(degree, []).append(m)
         return table
 
     def _standard_monomials(self, top: int) -> list[Monomial]:
@@ -146,19 +157,22 @@ class QuotientModule:
                     f"degree {self._span_extent}; the probe "
                     f"(max degree {self._max_probe}) was too small")
 
-    def _remainder(self, vector: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Reduce ``vector`` modulo the span; the result must lie on basis
-        columns."""
-        reduced = self._rref.reduce(vector)
+    def _remainder(self, vector: dict[int, int]) -> tuple[dict[int, int], int]:
+        """Reduce an integer ``vector`` modulo the span, as ``(remainder,
+        scale)`` (see :meth:`~hilali.linalg.Rref.reduce`); the remainder
+        must lie on basis columns."""
+        reduced, scale = self._rref.reduce(vector)
         for j in reduced:
             if j not in self.basis_positions:
                 raise IndeterminateError(
                     "reduction left the certified basis span; the probe "
                     f"(max degree {self._max_probe}) was too small")
-        return reduced
+        return reduced, scale
 
     def reduce(self, e: Element) -> dict[Monomial, Fraction]:
-        """Coordinates of the class of ``e`` over the standard basis."""
+        """Coordinates of the class of ``e`` over the standard basis.  The
+        element is scaled to integers once, and the coordinates are divided
+        by both scales at the end."""
         if e.universe != self.ring:
             raise ModelError("element lives over a different ring")
         top = e.top_degree()
@@ -166,31 +180,44 @@ class QuotientModule:
             return {}
         self._extend_spans(top + self._slack)   # extends the index there too
         index = self._index
-        reduced = self._remainder({index.cols[m.exps]: c
-                                   for m, c in e.terms.items()})
-        return {index.monomial_of(j): c for j, c in reduced.items()}
+        vector, denom = intify({index.cols[m.exps]: c
+                                for m, c in e.terms.items()})
+        reduced, scale = self._remainder(vector)
+        denom *= scale
+        return {index.monomial_of(j): Fraction(c, denom)
+                for j, c in reduced.items()}
 
-    def multiplication_matrix(self, poly: Element) -> list[dict[int, Fraction]]:
-        """Columns of multiplication by ``poly`` on the standard basis.
+    def multiplication_matrix(self, poly: Element
+                              ) -> tuple[list[dict[int, int]], int]:
+        """Multiplication by ``poly`` on the standard basis, as integer
+        columns and one positive denominator D: the matrix is the columns
+        divided by D, column j the coordinates of b_j * poly by basis
+        position.
 
+        poly's terms are scaled to integers once, as each relation's are.
         Each product b * poly is formed on exponent vectors and reduced as
         :meth:`reduce` would reduce it, in basis order: the span is first
         extended to its top degree (plus the filtered slack), which also
-        extends the monomial index there.
+        extends the monomial index there.  Each column is then brought to
+        the lcm of the reductions' scales.
         """
         if poly.universe != self.ring:
             raise UniverseMismatchError("operands live over different universes")
         top = poly.top_degree()
         if top is None:
-            return [{} for _ in self.standard_basis]
-        terms = [(m.exps, c) for m, c in poly.terms.items()]
+            return [{} for _ in self.standard_basis], 1
+        scaled, denom = intify(poly.terms)
+        terms = [(m.exps, c) for m, c in scaled.items()]
         index, positions = self._index, self.basis_positions
-        cols = []
-        for b in self.standard_basis:
-            self._extend_spans(self.ring.degree_of(b) + top + self._slack)
-            reduced = self._remainder(index.product(b.exps, terms))
-            cols.append({positions[j]: c for j, c in reduced.items()})
-        return cols
+        reduced = []
+        for b, degree in zip(self.standard_basis, self._degrees):
+            self._extend_spans(degree + top + self._slack)
+            reduced.append(self._remainder(index.product(b.exps, terms)))
+        common = lcm(*[scale for _, scale in reduced])
+        return [{positions[j]: c for j, c in row.items()} if scale == common
+                else {positions[j]: c * (common // scale)
+                      for j, c in row.items()}
+                for row, scale in reduced], denom * common
 
 
 def _relation_terms(index, relations):
@@ -351,15 +378,19 @@ class SModuleStructure:
     def __init__(self, module: QuotientModule, action_polys: list[Element]):
         self.module = module
         self.action_polys = list(action_polys)
-        self._matrices: list[list[dict[int, Fraction]]] | None = None
+        self._matrices: list[list[dict[int, int]]] | None = None
 
     @property
     def parameter_count(self) -> int:
         return len(self.action_polys)
 
-    def matrices(self) -> list[list[dict[int, Fraction]]]:
+    def matrices(self) -> list[list[dict[int, int]]]:
+        """The integer columns of each action: D_i times its matrix, with
+        D_i the denominator :meth:`QuotientModule.multiplication_matrix`
+        returns.  :func:`tor_table` says why the D_i change no Tor
+        dimension."""
         if self._matrices is None:
-            self._matrices = [self.module.multiplication_matrix(p)
+            self._matrices = [self.module.multiplication_matrix(p)[0]
                               for p in self.action_polys]
         return self._matrices
 
@@ -373,15 +404,19 @@ class TorTable:
         return self.dims.get(k, 0)
 
 
-def koszul_differential_rows(s: SModuleStructure, k: int):
-    """Rows of d_k : M (x) Lambda^k W -> M (x) Lambda^{k-1} W.
+def koszul_differential_rows(s: SModuleStructure, k: int,
+                             skip: set[int] | frozenset[int] = frozenset()):
+    """Integer rows of d_k : M (x) Lambda^k W -> M (x) Lambda^{k-1} W, with
+    lambda_i acting by the integer columns of :meth:`SModuleStructure.matrices`.
 
     d(m (x) w_{i_1}...w_{i_k}) = sum_l (-1)^{l-1} (lambda_{i_l} m) (x) (drop i_l).
 
     Chains are ordered subset-major: basis position i of the p-th ascending
-    k-subset is chain position ``p * dim + i``.  The k faces of a k-subset
-    are distinct (k-1)-subsets, so a row is the signed columns
-    ``mats[lambda_l][i]`` in disjoint blocks and no two entries merge.
+    k-subset is chain position ``p * dim + i``.  The rows at the chain
+    positions in ``skip`` are not built; the others come in chain order.
+    The k faces of a k-subset are distinct (k-1)-subsets, so a row is the
+    signed columns ``mats[lambda_l][i]`` in disjoint blocks and no two
+    entries merge.
     """
     mats = s.matrices()
     dim = s.module.length
@@ -390,7 +425,9 @@ def koszul_differential_rows(s: SModuleStructure, k: int):
             for pos, rest in enumerate(combinations(range(r), k - 1))}
     return [{face[subset[:l] + subset[l + 1:]] + t: -c if l % 2 else c
              for l, lam in enumerate(subset) for t, c in mats[lam][i].items()}
-            for subset in combinations(range(r), k) for i in range(dim)]
+            for pos, (subset, i) in enumerate(
+                product(combinations(range(r), k), range(dim)))
+            if pos not in skip]
 
 
 def tor_table(module: QuotientModule, s: SModuleStructure) -> TorTable:
@@ -398,14 +435,34 @@ def tor_table(module: QuotientModule, s: SModuleStructure) -> TorTable:
 
     ``dims[k] = dim Tor^k`` for k in [0, r]; everything is exact linear
     algebra over the rationals on the standard basis.
+
+    The complex is built from the integer columns D_i M_i of the actions
+    (:meth:`SModuleStructure.matrices`).  The map
+    m (x) w_S -> (prod of D_i over i in S) m (x) w_S is an isomorphism of
+    complexes from K(D_1 M_1, ..., D_r M_r) onto K(M_1, ..., M_r), so every
+    dimension is that of the M_i.
+
+    Clearing, top-down: d_r is eliminated first, and each lower d_k leaves
+    out the rows at the pivot columns of d_{k+1}, which are chain positions
+    of M (x) Lambda^k, the row indexes of d_k.  Each row a of the echelon
+    basis of im(d_{k+1}) pivots on its smallest column e, and d_k(a) = 0
+    makes the row of d_k at e a combination of the rows at columns above e.
+    From the largest pivot down, every row at a pivot lies in the span of
+    the rows kept, so rank d_k is their rank.  This needs d_k d_{k+1} = 0,
+    which holds because the actions commute: each is multiplication by a
+    polynomial in the commutative quotient, and scaling keeps them
+    commuting.
     """
     if s.module is not module:
         raise EngineError("the S-structure was built over a different module")
     r = s.parameter_count
     dim = module.length
     ranks = {}
-    for k in range(1, r + 1):
-        ranks[k] = rank_of_rows(koszul_differential_rows(s, k))
+    pivots: set[int] = set()
+    for k in range(r, 0, -1):
+        cleared, pivots = pivots, set()
+        ranks[k] = rank_of_rows(koszul_differential_rows(s, k, cleared),
+                                pivots)
     dims = {}
     for k in range(r + 1):
         chain_dim = dim * comb(r, k)
@@ -499,7 +556,7 @@ def _graded_pairing(module: QuotientModule) -> PairingReport:
                 coeff = module.reduce(prod).get(socle_monomial, Fraction(0))
                 if coeff:
                     row[j] = coeff
-            rows.append(row)
+            rows.append(intify(row)[0])
         if rank_of_rows(rows) != len(left):
             return PairingReport(False, "graded", 1,
                                  f"degenerate block at degree {a}")
@@ -510,9 +567,10 @@ def _graded_pairing(module: QuotientModule) -> PairingReport:
 def _functional_pairing(module: QuotientModule, seed: int) -> PairingReport:
     dim = module.length
     socle_dim = _socle_dimension(module)
-    # products[i][j]: the reduced vector of b_j * b_i
+    # products[i][j]: D_i times the reduced vector of b_j * b_i, so Gram
+    # row i below is D_i times the row of phi(b_i b_j), of the same rank
     products = [module.multiplication_matrix(Element.from_monomial(
-        module.ring, u)) for u in module.standard_basis]
+        module.ring, u))[0] for u in module.standard_basis]
     rng = random.Random(seed)
     for attempt in range(_PAIRING_ATTEMPTS):
         phi = [rng.randint(-9, 9) for _ in range(dim)]
@@ -533,15 +591,17 @@ def _functional_pairing(module: QuotientModule, seed: int) -> PairingReport:
 
 
 def _socle_dimension(module: QuotientModule) -> int:
-    """Dimension of the common kernel of all variable multiplications."""
+    """Dimension of the common kernel of all variable multiplications; the
+    integer columns scale each block of the stacked map by a nonzero
+    factor, which leaves its kernel alone."""
     dim = module.length
     if not module.ring.evens:
         return dim
-    mats = [module.multiplication_matrix(Element.generator(module.ring, g.name))
-            for g in module.ring.evens]
+    mats = [module.multiplication_matrix(
+        Element.generator(module.ring, g.name))[0] for g in module.ring.evens]
     rows = []
     for i in range(dim):
-        combined: dict[int, Fraction] = {}
+        combined: dict[int, int] = {}
         for j, mat in enumerate(mats):
             for k, c in mat[i].items():
                 combined[j * dim + k] = c

@@ -1,23 +1,26 @@
 """Sparse exact linear algebra over the rationals.
 
-Rows are dicts mapping column index to a nonzero integer; rational input rows
-are scaled to integers first (scaling never changes ranks, kernels or spans).
-A column index is any integer: chain-complex rows arrive over negated packed
-monomial keys, and their only use of the labels is the order they give.
-Elimination is fraction-free.  Content is removed after an elimination
-against a pivot whose lead is not 1, and once more before a row is stored,
-so every stored pivot is primitive with a positive lead and entry growth
-stays near determinant size; against a unit lead the row is neither scaled
-nor rescanned.  Row spaces are stored as echelon rows only, and no stored
-row shares a dict with the caller.  Clearing pivot columns smallest-first
-leaves a remainder on the non-pivot columns, which is canonical; the reduced
-echelon form is built only where a canonical basis is returned
-(:func:`kernel_of_rows`, ``coboundary_basis``).
+Rows are dicts mapping column index to a nonzero integer.  Every entry
+point takes integer rows: a row with rational entries is scaled to integers
+once, where it is created, with :func:`intify`.  Scaling one row changes no
+rank or span, and scaling every row by one factor changes no kernel.
+:meth:`Rref.reduce` answers with an integer remainder and one positive
+scale.  A column index is any integer: chain-complex rows arrive over
+negated packed monomial keys, and their only use of the labels is the order
+they give.  Elimination is fraction-free.  Content is removed after an
+elimination against a pivot whose lead is not 1, and once more before a row
+is stored, so every stored pivot is primitive with a positive lead and
+entry growth stays near determinant size; against a unit lead the row is
+neither scaled nor rescanned.  Row spaces are stored as echelon rows only,
+and no stored row shares a dict with the caller.  Clearing pivot columns
+smallest-first leaves a remainder on the non-pivot columns, which is
+canonical; the reduced echelon form is built only where a canonical basis
+is returned (:func:`kernel_of_rows`, ``coboundary_basis``).
 
 :func:`rank_of_rows` can also hand back its pivot columns, the smallest
 column of each echelon row.  They are distinct, and they name which rows
 of the next differential a chain complex may skip (the clearing step of
-``ChainComplex.rank``).
+``ChainComplex.rank`` and of ``tor_table``).
 """
 
 from __future__ import annotations
@@ -127,20 +130,21 @@ class Echelon:
         return col
 
 
-def rank_of_rows(rows: list[FracRow], pivots: set[int] | None = None) -> int:
-    """Rank of a list of sparse rational (or integer) rows.  Given a set,
-    adds to it the pivot columns of the echelon basis the rows reduce to:
-    one distinct column per basis row, its smallest."""
+def rank_of_rows(rows: list[Row], pivots: set[int] | None = None) -> int:
+    """Rank of a list of sparse integer rows.  Given a set, adds to it the
+    pivot columns of the echelon basis the rows reduce to: one distinct
+    column per basis row, its smallest."""
     ech = Echelon()
     for row in sorted(rows, key=len):
-        ech.add(intify(row)[0])
+        ech.add(row)
     if pivots is not None:
         pivots.update(ech.pivots)
     return ech.rank
 
 
-def kernel_of_rows(rows: list[FracRow], ncols: int) -> list[FracRow]:
-    """Basis of ``{c : sum_i c_i row_i = 0}``, in reduced echelon form.
+def kernel_of_rows(rows: list[Row], ncols: int) -> list[FracRow]:
+    """Basis of ``{c : sum_i c_i row_i = 0}`` for integer rows, in reduced
+    echelon form.
 
     Augmented elimination: row ``i`` is tagged with a 1 in column
     ``ncols + i``.  The reduced rows whose pivot is a tag column have a zero
@@ -154,16 +158,22 @@ def kernel_of_rows(rows: list[FracRow], ncols: int) -> list[FracRow]:
 
 
 class Rref(Echelon):
-    """Echelon rows of a rational row space, with exact reduction of rational
-    vectors modulo the space; the reduced echelon form is built on demand."""
+    """Echelon rows of a row space, with exact reduction of integer rows
+    modulo the space; the reduced echelon form is built on demand."""
 
-    def add(self, row: FracRow) -> int | None:
-        return Echelon.add(self, intify(row)[0])
+    def add(self, row: Row) -> int | None:
+        """Insert an integer row; returns its pivot column, or None if
+        dependent."""
+        return Echelon.add(self, row)
 
-    def reduce(self, fvec: FracRow) -> FracRow:
-        """Canonical representative of ``fvec`` modulo the row space; the
-        result is supported on non-pivot columns only."""
-        row, scale = intify(fvec)
+    def reduce(self, row: Row) -> tuple[Row, int]:
+        """The canonical representative of an integer ``row`` modulo the
+        row space, as ``(remainder, scale)``: the representative is
+        ``remainder / scale``, supported on non-pivot columns only; the
+        integer ``remainder`` and the positive ``scale`` have no common
+        divisor but 1, so the pair is unique.  The argument is never
+        mutated, but may be returned as the remainder."""
+        scale = 1
         while True:
             hits = [c for c in row if c in self.pivots]
             if not hits:
@@ -177,7 +187,7 @@ class Rref(Echelon):
             if g != 1:
                 scale //= g
                 row = {j: v // g for j, v in row.items()}
-        return {j: Fraction(v, scale) for j, v in row.items()}
+        return row, scale
 
     def reduced(self) -> dict[int, Row]:
         """The reduced echelon rows by pivot column, in increasing order:

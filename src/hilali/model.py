@@ -40,7 +40,8 @@ class Derivation:
     The ranks that :class:`~hilali.cohomology.ChainComplex` takes of the
     derivation are memoized: per degree, by block key (the odd-factor count,
     or None for a whole degree); so is the model's purity, which decides
-    the blocks (None until a complex first classifies the model).
+    the blocks (None until a complex first classifies the model), and the
+    report of :func:`check_differential` (None until it first runs).
     """
 
     def __init__(self, uni: GeneratorUniverse, images: dict[str, Element]):
@@ -53,6 +54,7 @@ class Derivation:
         self.images = {name: img for name, img in images.items() if not img.is_zero}
         self.ranks: dict[int, dict[int | None, int]] = {}
         self.pure: bool | None = None
+        self.validation: ValidationReport | None = None
 
     def of_generator(self, name: str) -> Element:
         img = self.images.get(name)
@@ -169,7 +171,11 @@ class ValidationReport:
 
 
 def check_differential(model: Model) -> ValidationReport:
-    """Per generator: image homogeneous of degree +1 and d(d g) = 0."""
+    """Per generator: image homogeneous of degree +1 and d(d g) = 0.  A
+    model is immutable, so the report is made once and kept on its
+    differential."""
+    if model.d.validation is not None:
+        return model.d.validation
     entries = []
     ok = True
     for g in model.universe.generators:
@@ -193,7 +199,8 @@ def check_differential(model: Model) -> ValidationReport:
                     f"d(d({g.name})) = {format_element(square)} != 0"
         entries.append(GeneratorCheck(g.name, degree_ok, square_ok, message))
         ok = ok and degree_ok and square_ok
-    return ValidationReport(tuple(entries), ok)
+    model.d.validation = ValidationReport(tuple(entries), ok)
+    return model.d.validation
 
 
 def check_minimal(model: Model) -> bool:

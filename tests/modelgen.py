@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from hilali import Element, Model, universe
 from hilali.algebra import restrict_element
@@ -29,10 +30,11 @@ def closed_elements(model: Model, degree: int, *, min_word_length: int = 2,
     if not admissible:
         return []
     target = {m: i for i, m in enumerate(uni.basis(degree + 1))}
-    rows = []
-    for m in admissible:
-        img = model.d.apply_monomial(m)
-        rows.append({target[t]: c for t, c in img.terms.items()})
+    images = [model.d.apply_monomial(m) for m in admissible]
+    # one common scale for every row leaves the kernel as it is
+    scale = lcm(*[c.denominator for img in images for c in img.terms.values()])
+    rows = [{target[t]: int(c * scale) for t, c in img.terms.items()}
+            for img in images]
     vectors = kernel_of_rows(rows, len(target))
     out = []
     for vec in vectors:

@@ -17,7 +17,7 @@ from hilali import (Element, EngineError, Model, ModelError,
                     tensor_with_odd_line, universe)
 from hilali.algebra import Monomial
 from hilali.cohomology import ChainComplex, FreeOddLineComplex
-from hilali.linalg import Echelon, kernel_of_rows, rank_of_rows
+from hilali.linalg import Echelon, intify, kernel_of_rows, rank_of_rows
 from hilali.model import _leibniz
 
 from dense_oracle import betti_dense, dense_rank, naive_differential
@@ -156,9 +156,11 @@ def test_cocycles_alpha_classes():
     index = {mono: i for i, mono in enumerate(m.universe.basis(8))}
     span = Rref()
     for e in cycles:
-        span.add({index[mono]: c for mono, c in e.terms.items()})
+        span.add(intify({index[mono]: c for mono, c in e.terms.items()})[0])
     for alpha in (a1, a2):
-        assert span.reduce({index[mono]: c for mono, c in alpha.terms.items()}) == {}
+        remainder, _ = span.reduce(
+            intify({index[mono]: c for mono, c in alpha.terms.items()})[0])
+        assert remainder == {}
 
 
 def test_boundary_of_triple_product_in_coboundary_span():
@@ -191,9 +193,11 @@ def test_cocycle_span_contains_coboundary_span():
         index = {mono: i for i, mono in enumerate(m.universe.basis(degree))}
         span = Rref()
         for e in cocycle_basis(m, degree):
-            span.add({index[mono]: c for mono, c in e.terms.items()})
+            span.add(intify({index[mono]: c for mono, c in e.terms.items()})[0])
         for e in coboundary_basis(m, degree):
-            assert span.reduce({index[mono]: c for mono, c in e.terms.items()}) == {}
+            remainder, _ = span.reduce(
+                intify({index[mono]: c for mono, c in e.terms.items()})[0])
+            assert remainder == {}
         # and every basis element is closed
         for e in cocycle_basis(m, degree):
             assert m.apply(e).is_zero
@@ -283,12 +287,13 @@ def test_complexes_of_one_model_classify_it_once(corpus_models, monkeypatch):
 
 
 def test_differential_keeps_only_images_and_ranks(corpus_models):
-    # monomial images are computed and dropped; only the ranks and the
-    # model's purity stay
+    # monomial images are computed and dropped; only the ranks, the
+    # model's purity and its validation report stay
     m = corpus_models["all-quadrics-n3r3"]
     table, _ = cohomology_table(m)
     assert table.complete and m.d.ranks
-    assert set(vars(m.d)) == {"universe", "images", "ranks", "pure"}
+    assert set(vars(m.d)) == {"universe", "images", "ranks", "pure",
+                              "validation"}
 
 
 @pytest.mark.parametrize("name", ["pure-n2r1-diag", "hyper-nonpure-n3r4"])

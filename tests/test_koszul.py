@@ -15,7 +15,9 @@ from hilali import (Element, IndeterminateError, Model, ModelError,
                     tor_table, tor_via_model_cross_check, universe)
 from hilali.algebra import restrict_element
 from hilali.koszul import _relation_rows, koszul_differential_rows
-from hilali.linalg import Rref
+from hilali.linalg import Echelon, Rref, intify, rank_of_rows
+
+from dense_oracle import dense_rank
 
 
 def ring2():
@@ -125,7 +127,7 @@ def test_leading_term_guard_keeps_every_row_of_its_degree():
         module._extend_spans(4)
     rows = _relation_rows(module._index, module._relation_terms, 4)
     assert len(rows) == 2
-    assert all(not module._rref.reduce(row) for row in rows)
+    assert all(module._rref.reduce(row) == ({}, 1) for row in rows)
 
 
 def test_regular_sequence_requires_count_match():
@@ -468,7 +470,8 @@ def test_integer_products_match_element_products(corpus_models):
                                     for p, c in prod.terms.items()}
                         if any(all(a >= b for a, b in zip(m.exps, lead))
                                for lead in leads[:i]):
-                            assert module._rref.reduce(expected) == {}
+                            assert module._rref.reduce(
+                                intify(expected)[0]) == ({}, 1)
                             skipped += 1
                             continue
                         row = next(rows)
@@ -479,7 +482,10 @@ def test_integer_products_match_element_products(corpus_models):
                 assert next(rows, None) is None
             gens = [Element.generator(ring, g.name) for g in ring.evens]
             for p in actions + gens:
-                assert module.multiplication_matrix(p) == [
+                cols, denom = module.multiplication_matrix(p)
+                assert denom > 0
+                assert [{j: Fraction(c, denom) for j, c in col.items()}
+                        for col in cols] == [
                     reduce_vector(module, Element.from_monomial(ring, b) * p)
                     for b in module.standard_basis]
     assert graded and filtered and skipped
@@ -498,12 +504,12 @@ def _pivots_by_degree(module, rows_of_degree):
 
 
 def _every_multiple(module):
-    """Rows of every relation multiple m * P_i, by (top) degree."""
+    """Integer rows of every relation multiple m * P_i, by (top) degree."""
     ring, index = module.ring, module._index
 
     def rows(degree):
-        return [{index.cols[p.exps]: c
-                 for p, c in (Element.from_monomial(ring, m) * rel).terms.items()}
+        return [intify({index.cols[p.exps]: c for p, c in
+                        (Element.from_monomial(ring, m) * rel).terms.items()})[0]
                 for rel in module.relations if rel.top_degree() <= degree
                 for m in ring.basis(degree - rel.top_degree())]
     return rows
@@ -593,9 +599,82 @@ def test_koszul_rows_place_columns_side_by_side(corpus_models):
         for module in fibers[1:]:
             s = SModuleStructure(module, actions)
             _assert_koszul_rows_match(s)
-            rational += any(c.denominator != 1 for mat in s.matrices()
-                            for col in mat for c in col.values())
+            rational += any(module.multiplication_matrix(p)[1] != 1
+                            for p in actions)
     assert graded and rational
+
+
+def _clearing_structures(corpus_models):
+    """The odd-basis structure of every model of ``_pure_elliptic_models``
+    (graded), and its actions on the model's two filtered fibers."""
+    for model in _pure_elliptic_models(corpus_models):
+        yield halperin_basis(model).structure
+        fibers, actions = _standard_fibers(model)
+        for module in fibers[1:]:
+            yield SModuleStructure(module, actions)
+
+
+def test_koszul_clearing_keeps_every_rank(corpus_models):
+    # tor_table eliminates d_r first and leaves out each row of d_k at a
+    # pivot column of d_{k+1}: every row left out must reduce to zero
+    # modulo the rows kept, and the kept rows must have the full rank.
+    cleared = 0
+    for s in _clearing_structures(corpus_models):
+        assert actions_commute(s)
+        pivots: set[int] = set()
+        for k in range(s.parameter_count, 0, -1):
+            rows = koszul_differential_rows(s, k)
+            kept = koszul_differential_rows(s, k, pivots)
+            assert kept == [row for pos, row in enumerate(rows)
+                            if pos not in pivots]
+            below: set[int] = set()
+            assert rank_of_rows(kept, below) == rank_of_rows(rows)
+            echelon = Echelon()
+            for row in kept:
+                echelon.add(row)
+            assert all(not echelon.reduce(rows[pos]) for pos in pivots)
+            cleared += len(pivots)
+            pivots = below
+    assert cleared
+
+
+def _dense_koszul_rank(mats, dim, r, k):
+    """Rank of d_k over the Fraction matrices ``mats``, by dense Fraction
+    elimination."""
+    target = {key: pos for pos, key in enumerate(
+        (i, rest) for rest in combinations(range(r), k - 1)
+        for i in range(dim))}
+    dense = []
+    for subset in combinations(range(r), k):
+        for i in range(dim):
+            row = [Fraction(0)] * len(target)
+            for l, lam in enumerate(subset):
+                rest = subset[:l] + subset[l + 1:]
+                for t, c in mats[lam][i].items():
+                    row[target[(t, rest)]] += (-1) ** l * c
+            dense.append(row)
+    return dense_rank(dense)
+
+
+def test_integer_tor_table_matches_the_fraction_matrices(corpus_models):
+    # The Koszul complex of the matrices M_i = columns / D_i themselves,
+    # ranked densely over the rationals with no clearing, has the Tor
+    # table that tor_table reads from the cleared integer columns.
+    rational = 0
+    for s in _clearing_structures(corpus_models):
+        module, r, dim = s.module, s.parameter_count, s.module.length
+        mats = []
+        for p in s.action_polys:
+            cols, denom = module.multiplication_matrix(p)
+            rational += denom != 1
+            mats.append([{i: Fraction(c, denom) for i, c in col.items()}
+                         for col in cols])
+        ranks = {k: _dense_koszul_rank(mats, dim, r, k)
+                 for k in range(1, r + 1)}
+        dims = {k: dim * comb(r, k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                for k in range(r + 1)}
+        assert tor_table(module, s).dims == dims
+    assert rational
 
 
 def test_halperin_images_are_restricted_images_of_combinations(corpus_models):

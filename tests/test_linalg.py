@@ -1,6 +1,7 @@
 """Sparse exact elimination against dense Fraction elimination."""
 
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ def test_rank_matches_dense_oracle():
         r, c = rng.randint(1, 8), rng.randint(1, 8)
         rows = _random_sparse(rng, r, c)
         dense = dense_rank(_densify(rows, c))
-        assert rank_of_rows(rows) == dense
+        assert rank_of_rows([intify(row)[0] for row in rows]) == dense
         assert rank_of_rows([_integral(row) for row in rows]) == dense
 
 
@@ -55,7 +56,7 @@ def test_kernel_vectors_annihilate_rows():
     rng = random.Random(10)
     for _ in range(25):
         r, c = rng.randint(1, 8), rng.randint(1, 6)
-        rows = _random_sparse(rng, r, c)
+        rows = [intify(row)[0] for row in _random_sparse(rng, r, c)]
         kernel = kernel_of_rows(rows, c)
         rank = rank_of_rows(rows)
         assert len(kernel) == r - rank
@@ -71,7 +72,7 @@ def test_kernel_canonical_under_permutation():
     rows = [{0: Fraction(1), 1: Fraction(2)},
             {0: Fraction(2), 1: Fraction(4)},
             {1: Fraction(1)}]
-    kernel = kernel_of_rows(rows, 2)
+    kernel = kernel_of_rows([intify(row)[0] for row in rows], 2)
     assert len(kernel) == 1
     # the dependency 2*row0 - row1 = 0, echelon-normalized
     [vec] = kernel
@@ -81,7 +82,7 @@ def test_kernel_canonical_under_permutation():
 def test_rref_reduce_is_canonical_and_idempotent():
     rng = random.Random(13)
     for _ in range(20):
-        rows = _random_sparse(rng, 6, 6)
+        rows = [intify(row)[0] for row in _random_sparse(rng, 6, 6)]
         rref = Rref()
         integral = Rref()
         for row in rows:
@@ -89,13 +90,13 @@ def test_rref_reduce_is_canonical_and_idempotent():
             integral.add(_integral(row))
         assert integral.pivots == rref.pivots
         pivots = set(rref.pivots)
-        probe = _random_sparse(rng, 1, 6)[0]
-        reduced = rref.reduce(probe)
+        probe = intify(_random_sparse(rng, 1, 6)[0])[0]
+        reduced, scale = rref.reduce(probe)
         assert not (set(reduced) & pivots)
-        assert rref.reduce(reduced) == reduced
+        assert rref.reduce(reduced) == (reduced, 1)
         # rows of the space reduce to zero
         for row in rows:
-            assert rref.reduce(row) == {}
+            assert rref.reduce(row) == ({}, 1)
 
 
 def test_rref_rows_clean_of_foreign_pivots():
@@ -104,7 +105,7 @@ def test_rref_rows_clean_of_foreign_pivots():
         rows = _random_sparse(rng, 7, 7)
         rref = Rref()
         for row in rows:
-            rref.add(row)
+            rref.add(intify(row)[0])
         pivots = set(rref.pivots)
         for col, row in rref.reduced().items():
             assert set(row) & pivots == {col}
@@ -114,7 +115,7 @@ def test_rref_reduced_form_and_remainder_ignore_insertion_order():
     rng = random.Random(15)
     for _ in range(20):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
-        rows = _random_sparse(rng, r, c)
+        rows = [intify(row)[0] for row in _random_sparse(rng, r, c)]
         shuffled = rows[:]
         rng.shuffle(shuffled)
         first, second = Rref(), Rref()
@@ -123,11 +124,11 @@ def test_rref_reduced_form_and_remainder_ignore_insertion_order():
         for row in shuffled:
             second.add(row)
         assert first.reduced() == second.reduced()
-        probe = _random_sparse(rng, 1, c)[0]
+        probe = intify(_random_sparse(rng, 1, c)[0])[0]
         assert first.reduce(probe) == second.reduce(probe)
         for row in rows:
-            assert first.reduce(row) == {}
-            assert second.reduce(row) == {}
+            assert first.reduce(row) == ({}, 1)
+            assert second.reduce(row) == ({}, 1)
 
 
 def test_echelon_rank_only():
@@ -146,7 +147,7 @@ def test_negative_columns_supported():
     rref.add({-3: 2, -1: 4})
     rref.add({-2: 1})
     assert set(rref.pivots) == {-3, -2}
-    assert rref.reduce({-3: Fraction(1)}) == {-1: Fraction(-2)}
+    assert rref.reduce({-3: 1}) == ({-1: -2}, 1)
 
 
 def _aliasing_rows(rng):
@@ -180,14 +181,14 @@ def test_stored_pivots_never_alias_the_callers_rows(monkeypatch):
         before = (copy.deepcopy(ech.pivots), copy.deepcopy(rref.pivots),
                   copy.deepcopy(ranked.pivots), rref.reduced(),
                   [ech.reduce(_integral(p)) for p in probes],
-                  [rref.reduce(p) for p in probes])
+                  [rref.reduce(_integral(p)) for p in probes])
         for row in rows:
             for j in list(row):
                 row[j] *= 7
             row[10] = 1
         assert (ech.pivots, rref.pivots, ranked.pivots, rref.reduced(),
                 [ech.reduce(_integral(p)) for p in probes],
-                [rref.reduce(p) for p in probes]) == before
+                [rref.reduce(_integral(p)) for p in probes]) == before
 
 
 def test_reduce_never_mutates_its_argument():
@@ -199,7 +200,37 @@ def test_reduce_never_mutates_its_argument():
             ech.add(row)
             rref.add(row)
         for probe in rows + _random_sparse(rng, 4, 6):
-            for space, arg in ((ech, _integral(probe)), (rref, probe)):
+            for space, arg in ((ech, _integral(probe)), (rref, _integral(probe))):
                 kept = copy.deepcopy(arg)
                 space.reduce(arg)
                 assert arg == kept
+
+
+def test_rref_reduce_returns_the_canonical_remainder_in_lowest_terms():
+    # remainder / scale is the rational remainder: the same for every
+    # representative of a class, and for every integer multiple of one,
+    # with the scale sharing no factor with the whole remainder
+    rng = random.Random(18)
+    for _ in range(20):
+        r, c = rng.randint(1, 6), rng.randint(2, 8)
+        rows = [intify(row)[0] for row in _random_sparse(rng, r, c)]
+        rref = Rref()
+        for row in rows:
+            rref.add(row)
+        probe = intify(_random_sparse(rng, 1, c)[0])[0]
+        other = dict(probe)
+        for row in rows:
+            a = rng.randint(-3, 3)
+            for j, v in row.items():
+                other[j] = other.get(j, 0) + a * v
+        other = {j: v for j, v in other.items() if v}
+
+        def rational(row, factor=1):
+            remainder, scale = rref.reduce({j: factor * v
+                                            for j, v in row.items()})
+            assert scale > 0 and all(type(v) is int
+                                     for v in remainder.values())
+            assert math.gcd(scale, *remainder.values()) == 1
+            return {j: Fraction(v, scale * factor)
+                    for j, v in remainder.items()}
+        assert rational(probe) == rational(other) == rational(probe, 6)

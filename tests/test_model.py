@@ -60,6 +60,16 @@ def test_check_differential_passes(mixed_powers):
     assert all(e.degree_ok and e.square_ok for e in report.entries)
 
 
+def test_check_differential_reports_once_per_model(mixed_powers):
+    # a model is immutable, so its report is made once and kept on d
+    report = check_differential(mixed_powers)
+    assert mixed_powers.d.validation is report
+    assert check_differential(mixed_powers) is report
+    failing = build([("x", 4), ("y2", 3), ("y1", 2)], {"y1": "y2", "y2": "x"})
+    assert check_differential(failing) is check_differential(failing)
+    assert not failing.d.validation.passed
+
+
 def test_linear_image_valid_but_not_minimal():
     m = build([("x", 2), ("y", 1)], {"y": "x"}, allow_degree_one=True)
     assert check_differential(m).passed
