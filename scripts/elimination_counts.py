@@ -2,10 +2,11 @@
 
 Run from the repository root:
 
-    python3 scripts/elimination_counts.py [--seed S]
+    python3 scripts/elimination_counts.py [--seed S | --seed A-B]
 
 It runs ``hilali corpus corpus --seed S`` (default seed 0, one job) in this
-process against this checkout's ``src/``, with these wrappers in place:
+process against this checkout's ``src/``, once for each seed S of the range
+A to B inclusive when one is given, with these wrappers in place:
 
 - ``hilali.cohomology.ChainComplex.rows``, chain-complex assembly, with the
   rows it returns and their nonzero entries counted, and, where
@@ -21,13 +22,14 @@ process against this checkout's ``src/``, with these wrappers in place:
   rows it builds counted, and the rows its clearing step leaves out;
 - ``intify``, in every ``hilali`` module that binds it.
 
-It prints one line: the seed, the corpus run's exit code, ``_leibniz``
+It prints one line per seed: the seed, the corpus run's exit code, ``_leibniz``
 calls, ``_eliminate`` calls, entries touched, the rows and nonzero
 entries assembled, the rows cleared, then the Koszul rows built, the
 Koszul rows cleared and the ``intify`` calls.  The counts depend only on
 the code and the seed, not on the machine, so two trees compare by
 ``diff``.  The corpus report itself is discarded; its ``# wall time`` line
-still goes to stderr.
+still goes to stderr.  Each seed's run loads the corpus afresh, so its
+line is the same in a range as on its own.
 """
 
 from __future__ import annotations
@@ -44,13 +46,18 @@ sys.path.insert(0, str(ROOT / "src"))
 from hilali import cli, cohomology, koszul, linalg  # noqa: E402
 
 
+def seed_range(text: str) -> range:
+    """``S`` or ``A-B`` (inclusive) as a range of seeds."""
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=seed_range, default=range(1),
+                        metavar="S | A-B")
     args = parser.parse_args()
-    counts = {"leibniz": 0, "eliminate": 0, "entries": 0, "rows": 0,
-              "nnz": 0, "cleared": 0, "koszul_rows": 0, "koszul_cleared": 0,
-              "intify": 0}
+    counts = {}
     leibniz, eliminate = cohomology._leibniz, linalg._eliminate
     rows = cohomology.ChainComplex.rows
 
@@ -89,17 +96,21 @@ def main() -> int:
     for module in (linalg, koszul, cohomology):
         if getattr(module, "intify", None) is intify:
             module.intify = counted_intify
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
-                         str(args.seed), "--jobs", "1"])
-    print(f"seed {args.seed} exit {code} _leibniz_calls {counts['leibniz']} "
-          f"_eliminate_calls {counts['eliminate']} "
-          f"entries_touched {counts['entries']} "
-          f"rows_assembled {counts['rows']} nnz_assembled {counts['nnz']} "
-          f"rows_cleared {counts['cleared']} "
-          f"koszul_rows {counts['koszul_rows']} "
-          f"koszul_rows_cleared {counts['koszul_cleared']} "
-          f"intify_calls {counts['intify']}")
+    for seed in args.seed:
+        counts.update(dict.fromkeys(
+            ("leibniz", "eliminate", "entries", "rows", "nnz", "cleared",
+             "koszul_rows", "koszul_cleared", "intify"), 0))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
+                             str(seed), "--jobs", "1"])
+        print(f"seed {seed} exit {code} _leibniz_calls {counts['leibniz']} "
+              f"_eliminate_calls {counts['eliminate']} "
+              f"entries_touched {counts['entries']} "
+              f"rows_assembled {counts['rows']} nnz_assembled {counts['nnz']} "
+              f"rows_cleared {counts['cleared']} "
+              f"koszul_rows {counts['koszul_rows']} "
+              f"koszul_rows_cleared {counts['koszul_cleared']} "
+              f"intify_calls {counts['intify']}", flush=True)
     return 0
 
 

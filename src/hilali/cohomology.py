@@ -308,13 +308,12 @@ def betti_complete(model: Model,
     return betti_below(model, certificate.formal_dimension_bound, window)
 
 
-def betti_below(model: Model, bound: int, window: int,
-                chain_complex: ChainComplex | None = None) -> BettiTable:
+def betti_below(model: Model, bound: int, window: int) -> BettiTable:
     """Betti table through ``bound``, marked complete after checking that
     cohomology vanishes in the ``window`` degrees above it; a nonzero class
     there raises :class:`ContradictionError`."""
     bound = max(bound, 0)
-    table = betti(model, bound + window, chain_complex)
+    table = betti(model, bound + window)
     for p in range(bound + 1, bound + window + 1):
         if table[p] != 0:
             raise ContradictionError(

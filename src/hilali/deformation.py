@@ -8,7 +8,10 @@ contractible odd line, verify the cancellation and doubling identities
 rescaling isomorphism; the second on the current model's ranks, by an
 exact shift isomorphism, with no block of (W, d_0) eliminated), and drive
 the stepwise reduction to the all-odd model, producing the 2^r lower bound
-on total cohomology.
+on total cohomology.  Each perturbed complex is computed only through W's
+formal dimension bound: every current model is certified elliptic, and the
+exact sequence 0 -> ΛV -> W -> ΛV·ybar -> 0 then gives W's vanishing above
+that bound.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import Element
-from .cohomology import (ChainComplex, FreeOddLineComplex, betti_below,
-                         cohomology_table, formal_dimension_bound)
+from .cohomology import (ChainComplex, FreeOddLineComplex, betti,
+                         betti_below, certify_elliptic, cohomology_table,
+                         formal_dimension_bound)
 from .errors import ContradictionError, IndeterminateError, ModelError
 from .koszul import (QuotientModule, SModuleStructure, halperin_basis,
                      quotient_basis, tor_table)
@@ -313,8 +317,20 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     With ``d_0(ybar) = 0``, ``(W, d_0)`` is the current model's complex
     plus its shift by ``deg ybar`` under ``m ybar -> m`` (see
     :class:`FreeOddLineComplex`), so its ranks are the current model's
-    memoized ones: no block of ``(W, d_0)`` is eliminated.  The doubling and
-    the vanishing window above W's bound are still checked on those ranks.
+    memoized ones: no block of ``(W, d_0)`` is eliminated.
+
+    Both perturbed tables stop at W's bound ``N_w = N + deg ybar``, with N
+    the current model's bound; neither has a vanishing window.  Every
+    current model is certified elliptic: the input by
+    :func:`cohomology_table`, and each quotient, before its step, by
+    :func:`certify_elliptic` (its pure-part quotient ΛQ/(P, x) has finite
+    length whenever ΛQ/(P) does, so a failure raises
+    :class:`ContradictionError`).  Then H(ΛV) vanishes above N, and for
+    every xi, zero included, the long exact sequence of
+    ``0 -> ΛV -> (W, d_xi) -> ΛV·ybar -> 0`` puts H^q(W) between H^q(ΛV)
+    and H^(q - deg ybar)(ΛV), both zero for q > N_w.  The windows that
+    stay are the input's and each quotient's, through which the doubling
+    and the cancellation equality are checked.
     """
     if samples < 1:
         raise ModelError("reduction sampling needs at least one parameter")
@@ -329,6 +345,12 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     dim_current = dim_h
     steps = []
     while any(not g.is_odd for g in current.universe.generators):
+        if steps:
+            certificate = certify_elliptic(current)
+            if not certificate.elliptic:
+                raise ContradictionError(
+                    f"the quotient by {steps[-1].x_name} is not certified "
+                    f"elliptic: {certificate.evidence}")
         target = min((g for g in current.universe.generators if not g.is_odd),
                      key=lambda g: (g.degree, g.index))
         pm = PerturbedModel(current, target.name)
@@ -337,8 +359,7 @@ def perturb_and_reduce(model: Model, samples: int = 2,
         window_w = max(g.degree for g in pm.w_model.universe.generators)
         w_zero = FreeOddLineComplex(pm.w_model, ChainComplex(current),
                                     pm.ybar_name)
-        dim_w0 = betti_below(pm.w_model, bound_w, window_w,
-                             w_zero).total_dim
+        dim_w0 = betti(pm.w_model, bound_w, w_zero).total_dim
         doubling_ok = dim_w0 == 2 * dim_current
         if not doubling_ok:
             raise ContradictionError(
@@ -359,8 +380,7 @@ def perturb_and_reduce(model: Model, samples: int = 2,
                     f"(d + xi delta)^2 != 0 at xi = {xi}")
             if not taken:
                 xi_1, first = xi, perturbed
-                dim_wxi = betti_below(perturbed, bound_w,
-                                      window_w).total_dim
+                dim_wxi = betti(perturbed, bound_w).total_dim
                 if dim_wxi != dim_next:
                     raise ContradictionError(
                         f"cancellation equality failed at {target.name}, "

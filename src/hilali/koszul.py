@@ -645,7 +645,10 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
 
     Search order: the identity, then permutations induced by regular
     n-subsets of the given images, then random invertible integer matrices
-    with entries in [-3, 3].  Deterministic for a fixed seed.
+    with entries in [-3, 3].  Deterministic for a fixed seed.  A random
+    draw whose fibers have more than one point where the actions vanish is
+    rejected and counted as an attempt (see
+    :func:`_several_fiber_points`); the given images are never rejected.
     """
     if budget < 0:
         raise ModelError(f"budget must be at least 0, not {budget}")
@@ -690,12 +693,39 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
                          for row in matrix]) != size:
             attempts += 1
             continue
-        module = test([_combination(row, images, ring) for row in matrix[:n]])
-        if module is not None:
+        z_images = [_combination(row, images, ring) for row in matrix]
+        module = test(z_images[:n])
+        if module is not None and not _several_fiber_points(
+                ring, z_images[:n], z_images[n:]):
             return _assemble(model, certificate, matrix, images, module,
                              attempts, "random")
     raise IndeterminateError(
         f"no regular odd basis found within {budget} attempts (seed {seed})")
+
+
+def _several_fiber_points(ring: GeneratorUniverse, forms: list[Element],
+                          actions: list[Element]) -> bool:
+    """Whether the P_i are forms of one polynomial degree, every A_j is a
+    form, and ``Q[x]/(P_i + x_i, A_j)`` has a length c > 1.
+
+    The fiber of the family ``(P_i + t x_i)`` at t is carried onto the one
+    at t = 1 by x -> lambda x with lambda^(deg P - 1) = t, which moves no
+    length (over an extension of Q) and keeps each ideal ``(A_j)``.  So c
+    is Tor_0 of the fiber under the actions at every t != 0: the number of
+    fiber points where every action vanishes, counted with multiplicity.
+    With c > 1 no sampled Tor table has the binomial pattern, whose Tor_0
+    is 1.
+    """
+    degrees = {sum(m.exps) for p in forms for m in p.terms}
+    if len(degrees) != 1 or any(len({sum(m.exps) for m in a.terms}) > 1
+                                for a in actions):
+        return False
+    relations = [p + Element.generator(ring, g.name)
+                 for p, g in zip(forms, ring.evens)]
+    try:
+        return quotient_basis(ring, relations + actions).length > 1
+    except (NotFiniteLengthError, IndeterminateError):
+        return False
 
 
 def _combination(row: list[int], elements: list[Element],

@@ -172,12 +172,16 @@ class Rref(Echelon):
         ``remainder / scale``, supported on non-pivot columns only; the
         integer ``remainder`` and the positive ``scale`` have no common
         divisor but 1, so the pair is unique.  The argument is never
-        mutated, but may be returned as the remainder."""
+        mutated, but may be returned as the remainder.
+
+        The pivot columns the row carries are found by intersecting key
+        views, which runs in C; most columns of a stored row are pivot
+        columns themselves, so updating the set from the pivot row's
+        columns in Python costs more than this rescan."""
+        pivots = self.pivots.keys()
+        hits = row.keys() & pivots
         scale = 1
-        while True:
-            hits = [c for c in row if c in self.pivots]
-            if not hits:
-                break
+        while hits:
             col = min(hits)
             piv = self.pivots[col]
             g = gcd(piv[col], row[col])
@@ -187,6 +191,7 @@ class Rref(Echelon):
             if g != 1:
                 scale //= g
                 row = {j: v // g for j, v in row.items()}
+            hits = row.keys() & pivots
         return row, scale
 
     def reduced(self) -> dict[int, Row]:

@@ -51,10 +51,12 @@ def test_claim_coverage_is_broad():
 
 
 SWEEP_SEEDS = range(60)
-# ROADMAP item 5: at seed 14 the drawn odd basis of entangled-pairs-n2r1
-# gives fibers with a second point where the action vanishes, so Tor is
-# twice the binomial pattern
-KNOWN_EXCEPTION = ("entangled-pairs-n2r1", 14)
+# ROADMAP item 5: at these seeds of 0-399 the first regular random odd basis
+# of entangled-pairs-n2r1 gave fibers with a second point where the action
+# vanishes, breaking the binomial Tor pattern; the odd-basis search now
+# rejects such draws
+DEGENERATE_DRAW_SEEDS = (14, 69, 81, 144, 154, 155, 164, 178, 186, 256, 287,
+                         288, 353, 360, 392)
 
 
 def _semicontinuity_models():
@@ -72,16 +74,10 @@ def _semicontinuity_models():
 
 
 def _sweep_cases():
-    known = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 5: the seed-14 odd basis breaks the binomial pattern"))
     for name, binomial in _semicontinuity_models():
-        yield pytest.param(name, binomial, [s for s in SWEEP_SEEDS
-                                            if (name, s) != KNOWN_EXCEPTION],
-                           id=name)
-        if name == KNOWN_EXCEPTION[0]:
-            yield pytest.param(name, binomial, [KNOWN_EXCEPTION[1]],
-                               id=f"{name}-seed{KNOWN_EXCEPTION[1]}",
-                               marks=known)
+        yield pytest.param(name, binomial, list(SWEEP_SEEDS), id=name)
+    yield pytest.param("entangled-pairs-n2r1", True, DEGENERATE_DRAW_SEEDS,
+                       id="entangled-pairs-n2r1-degenerate-draw-seeds")
 
 
 def test_seed_sweep_covers_every_semicontinuity_model():

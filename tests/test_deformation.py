@@ -1,17 +1,22 @@
 """Families, flatness, Tor semicontinuity, and the perturbation pipeline."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hilali import (ContradictionError, Element, Model, ModelError,
-                    ModuleFamily, PerturbedModel, check_differential,
+                    ModuleFamily, PerturbedModel, certify_elliptic,
+                    check_differential, classify,
                     check_ybar_rescaling, flatness_check,
                     formal_dimension_bound, parse_expression,
                     perturb_and_reduce, random_rational, restrict_model,
                     standard_family, tor_semicontinuity_check, universe)
+from hilali import deformation
 from hilali.cohomology import ChainComplex, betti_below
+
+from modelgen import random_hyperelliptic_model
 
 
 def pe(text, uni):
@@ -179,19 +184,25 @@ def test_reduce_stable_across_seeds():
     assert results == {6}
 
 
-# corpus models certified elliptic whose reduction takes well under a second
-SMALL_REDUCIBLE = ("entangled-pairs-n2r1", "n1r1-powers", "odd-triple",
-                   "pairwise-nonregular-n2r1", "pure-n2r1-diag", "sphere-s3",
-                   "squarefree-n1", "squarefree-n2", "squarefree-n3",
-                   "squarefree-n4")
+def _reducible_models(corpus_models):
+    """Every hyperelliptic corpus model certified elliptic, and the
+    hyperelliptic models of ``tests/modelgen.py`` seeds 0-4 that certify."""
+    models = [*corpus_models.values()]
+    models += [random_hyperelliptic_model(random.Random(seed))
+               for seed in range(5)]
+    return [m for m in models if classify(m).is_hyperelliptic
+            and certify_elliptic(m).elliptic]
 
 
 def test_reduce_dimensions_match_whole_complexes(corpus_models):
     """dim H(W, d_0) from the block split, and dim H(W, d_xi) carried by
-    rescaling, equal the whole complexes of W eliminated directly."""
-    for name in SMALL_REDUCIBLE:
+    rescaling, both computed only through W's bound, equal the whole
+    complexes of W eliminated directly with their vanishing windows."""
+    models = _reducible_models(corpus_models)
+    assert len(models) >= 15
+    for model in models:
         for seed in range(5):
-            current = corpus_models[name]
+            current = model
             report = perturb_and_reduce(current, samples=3, seed=seed)
             for step in report.steps:
                 pm = PerturbedModel(current, step.x_name)
@@ -204,6 +215,60 @@ def test_reduce_dimensions_match_whole_complexes(corpus_models):
                     assert sample.dim_w_xi == betti_below(
                         pm.at_parameter(sample.xi), bound, window).total_dim
                 current = restrict_model(current, {step.x_name})
+
+
+def test_reduce_raises_on_a_quotient_that_fails_certification(
+        corpus_models, monkeypatch):
+    """The input is certified through ``cohomology_table``; each quotient
+    by ``certify_elliptic`` as the deformation module binds it, so a
+    failure there can only come from a quotient, and it is a
+    contradiction."""
+    model = corpus_models["pairwise-nonregular-n2r1"]
+    certified = []
+
+    def failing(quotient):
+        certified.append(quotient)
+        return replace(certify_elliptic(quotient), elliptic=False)
+
+    monkeypatch.setattr(deformation, "certify_elliptic", failing)
+    with pytest.raises(ContradictionError, match="not certified elliptic"):
+        perturb_and_reduce(model, seed=0)
+    [quotient] = certified
+    assert len(quotient.universe.generators) == \
+        len(model.universe.generators) - 1
+
+
+def test_perturbed_models_are_assembled_only_through_the_bound(
+        corpus_models, monkeypatch):
+    """No (W, d_xi) is assembled in a degree whose image lies above W's
+    bound: its rows stop at d_{N_w}, which maps into degree N_w + 1."""
+    # id -> (model, N_w) and id -> (model, top degree assembled); holding
+    # the model keeps every id distinct
+    bounds = {}
+    top = {}
+    at_parameter, rows = PerturbedModel.at_parameter, ChainComplex.rows
+
+    def recorded(self, xi):
+        perturbed = at_parameter(self, xi)
+        bounds[id(perturbed)] = (perturbed,
+                                 formal_dimension_bound(self.w_model))
+        return perturbed
+
+    def assembling(self, degree, *monomials):
+        _, highest = top.get(id(self.model), (None, -1))
+        top[id(self.model)] = (self.model, max(highest, degree + 1))
+        return rows(self, degree, *monomials)
+
+    monkeypatch.setattr(PerturbedModel, "at_parameter", recorded)
+    monkeypatch.setattr(ChainComplex, "rows", assembling)
+    for model in _reducible_models(corpus_models):
+        bounds.clear()
+        report = perturb_and_reduce(model, samples=2, seed=0)
+        assert len(bounds) == 2 * len(report.steps)
+        assembled = [(top[key][1], bound)
+                     for key, (_, bound) in bounds.items() if key in top]
+        assert len(assembled) == len(report.steps)
+        assert all(degree <= bound + 1 for degree, bound in assembled)
 
 
 def test_perturbed_complex_is_eliminated_once_per_step(corpus_models,
@@ -272,8 +337,7 @@ def test_reduce_needs_one_sample():
 
 
 def test_semicontinuity_on_random_pure_models():
-    from hilali import certify_elliptic, check_minimal, classify
-    from modelgen import random_hyperelliptic_model
+    from hilali import check_minimal
     rng = random.Random(910)
     checked = 0
     while checked < 4:

@@ -13,6 +13,7 @@ from hilali import (Element, IndeterminateError, Model, ModelError,
                     duality_pairing, halperin_basis, is_regular_sequence,
                     parse_expression, quotient_basis, tor_bounds_check,
                     tor_table, tor_via_model_cross_check, universe)
+from hilali import koszul
 from hilali.algebra import restrict_element
 from hilali.koszul import _relation_rows, koszul_differential_rows
 from hilali.linalg import Echelon, Rref, intify, rank_of_rows
@@ -327,6 +328,42 @@ def test_halperin_random_stage_on_entangled_pairs(corpus_models):
     basis = halperin_basis(corpus_models["entangled-pairs-n2r1"], seed=0)
     assert basis.strategy == "random"
     assert is_regular_sequence(basis.module.ring, basis.images[:2])
+
+
+def _fiber_length(basis):
+    """The length of Q[x]/(P_i + x_i, A_j) for a basis's images: the fiber
+    at t = 1 of its standard family, cut by its action polynomials."""
+    ring = basis.module.ring
+    n = len(ring.evens)
+    relations = [p + Element.generator(ring, g.name)
+                 for p, g in zip(basis.images[:n], ring.evens)]
+    return quotient_basis(ring, relations + basis.images[n:]).length
+
+
+def test_random_stage_returns_a_basis_with_one_fiber_point(corpus_models,
+                                                           monkeypatch):
+    model = corpus_models["entangled-pairs-n2r1"]
+    for seed in (0, 1, 14, 69, 81, 144, 392):
+        basis = halperin_basis(model, seed=seed)
+        assert basis.strategy == "random"
+        assert _fiber_length(basis) == 1, seed
+    # without the check, seed 14's first regular draw has two fiber points;
+    # the search rejects it and counts it as an attempt
+    monkeypatch.setattr(koszul, "_several_fiber_points", lambda *args: False)
+    first = halperin_basis(model, seed=14)
+    monkeypatch.undo()
+    assert _fiber_length(first) == 2
+    assert halperin_basis(model, seed=14).attempts == first.attempts + 1
+
+
+def test_given_images_are_kept_whatever_their_fiber_length(corpus_models):
+    for name, strategy, attempts, length in (
+            ("squarefree-n1", "identity", 1, 2),
+            ("pure-n2r1-diag", "identity", 1, 3),
+            ("all-quadrics-n3r3", "permutation", 7, 4)):
+        basis = halperin_basis(corpus_models[name], seed=0)
+        assert (basis.strategy, basis.attempts) == (strategy, attempts), name
+        assert _fiber_length(basis) == length, name
 
 
 def _ci_hilbert_series(relation_degrees, variable_degrees, top):
