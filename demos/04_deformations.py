@@ -26,8 +26,8 @@ for sample in semi.samples:
           f"(binomial pattern: {sample.binomial_pattern})")
 
 # The perturbation cascade: adjoin an odd line ybar with d ybar = xi * x,
-# verify the cancellation equality and the doubling identity at each step,
-# and end on the all-odd model of dimension 2^(n+r).
+# verify the cancellation equality at each step (the doubling at xi = 0 is
+# the Kunneth formula), and end on the all-odd model of dimension 2^(n+r).
 cascade = perturb_and_reduce(model, samples=2, seed=0)
 print(f"\ncascade on {model.name}: dim H = {cascade.dim_h}")
 for step in cascade.steps:

@@ -5,6 +5,7 @@ Run from the repository root:
     python3 scripts/cli_outputs.py [--seed S] > outputs.txt
     python3 scripts/cli_outputs.py --corpus-seeds A-B > corpus.txt
     python3 scripts/cli_outputs.py --koszul-seeds A-B > koszul.txt
+    python3 scripts/cli_outputs.py --verdict-seeds A-B > verdicts.txt
 
 Each line is one invocation: the argv, the exit code, the sha256 of stdout,
 and the sha256 of stderr with its ``# wall time`` line removed.  The matrix
@@ -29,6 +30,12 @@ benchmark runs them.  A line names the model by its file name.  These
 invocations run in this process, through ``hilali.cli.main``, from the
 temporary directory, one seed after another; an exception that escapes
 the CLI prints exit code -1.
+
+With ``--verdict-seeds A-B``, the matrix is the ``verdicts`` benchmark
+workload at each seed s from A to B, read the same way: each model gets
+``hilali`` in machine format, as the benchmark runs it, and then
+``cohomology`` in machine format, which prints the whole Betti table with
+its ranks.
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ COMMANDS = (["validate"], ["classify"], ["cohomology"], ["hilali"], ["tor"],
             ["tor", "--cross-check"], ["regseq"], ["deform"], ["reduce"])
 FORMATS = ("text", "machine")
 SEEDED = ("tor", "deform", "reduce")
+# The CLI calls each benchmark model gets, from the calls of its item.
+WORKLOAD_CALLS = {
+    "koszul": lambda calls: calls,
+    "verdicts": lambda calls: calls + [["cohomology", *calls[0][1:]]],
+}
 
 
 def invocations(seed: int | None = None) -> list[list[str]]:
@@ -90,22 +102,22 @@ def fingerprint(argv: list[str], code: int, stdout: bytes,
     return " ".join([*argv, str(code), sha256(stdout), sha256(stderr)])
 
 
-def koszul_lines(seeds: range):
-    """One line per ``tor`` or ``deform`` call of the koszul workload at
-    each seed, keyed by model file name."""
+def workload_lines(workload: str, seeds: range):
+    """One line per CLI call of ``WORKLOAD_CALLS[workload]`` on the models
+    of that benchmark workload at each seed, keyed by model file name."""
     sys.path.insert(0, str(ROOT / "src"))
     from hilali import cli
     here = os.getcwd()
     for seed in seeds:
         with tempfile.TemporaryDirectory() as directory:
             subprocess.run([sys.executable, str(ROOT / "bench" / "workloads.py"),
-                            "koszul", str(seed), "20", directory],
+                            workload, str(seed), "20", directory],
                            cwd=ROOT, check=True)
             items = json.loads(Path(directory, "items.json").read_text())
             os.chdir(directory)
             try:
                 for _, invocations in items:
-                    for argv in invocations:
+                    for argv in WORKLOAD_CALLS[workload](invocations):
                         argv = [Path(a).name if a.startswith(directory) else a
                                 for a in argv]
                         out, err = io.StringIO(), io.StringIO()
@@ -134,11 +146,16 @@ def main() -> int:
     group.add_argument("--koszul-seeds", type=seed_range, metavar="A-B",
                        help="only tor and deform on the koszul benchmark "
                             "models of each seed from A to B")
+    group.add_argument("--verdict-seeds", type=seed_range, metavar="A-B",
+                       help="only hilali and cohomology on the verdicts "
+                            "benchmark models of each seed from A to B")
     args = parser.parse_args()
-    if args.koszul_seeds is not None:
-        for text in koszul_lines(args.koszul_seeds):
-            print(text, flush=True)
-        return 0
+    for workload, seeds in (("koszul", args.koszul_seeds),
+                            ("verdicts", args.verdict_seeds)):
+        if seeds is not None:
+            for text in workload_lines(workload, seeds):
+                print(text, flush=True)
+            return 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv in (invocations(args.seed) if args.corpus_seeds is None
                  else corpus_invocations(args.corpus_seeds)):

@@ -20,16 +20,17 @@ A to B inclusive when one is given, with these wrappers in place:
 - ``hilali.koszul.koszul_differential_rows``, the Koszul differential of
   ``tor_table`` (in the corpus's ``tor`` and ``deform`` claims), with the
   rows it builds counted, and the rows its clearing step leaves out;
-- ``intify``, in every ``hilali`` module that binds it.
+- ``intify``, in every ``hilali`` module that binds it;
+- ``certify_elliptic``, in every ``hilali`` module that binds it.
 
 It prints one line per seed: the seed, the corpus run's exit code, ``_leibniz``
 calls, ``_eliminate`` calls, entries touched, the rows and nonzero
 entries assembled, the rows cleared, then the Koszul rows built, the
-Koszul rows cleared and the ``intify`` calls.  The counts depend only on
-the code and the seed, not on the machine, so two trees compare by
-``diff``.  The corpus report itself is discarded; its ``# wall time`` line
-still goes to stderr.  Each seed's run loads the corpus afresh, so its
-line is the same in a range as on its own.
+Koszul rows cleared, the ``intify`` calls and the ``certify_elliptic``
+calls.  The counts depend only on the code and the seed, not on the
+machine, so two trees compare by ``diff``.  The corpus report itself is
+discarded; its ``# wall time`` line still goes to stderr.  Each seed's run
+loads the corpus afresh, so its line is the same in a range as on its own.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hilali import cli, cohomology, koszul, linalg  # noqa: E402
+from hilali import cli, cohomology, deformation, koszul, linalg  # noqa: E402
 
 
 def seed_range(text: str) -> range:
@@ -90,16 +91,25 @@ def main() -> int:
         counts["intify"] += 1
         return intify(row)
 
+    certify = cohomology.certify_elliptic
+
+    def counted_certify(model, max_probe=None):
+        counts["certify"] += 1
+        return certify(model, max_probe=max_probe)
+
     cohomology._leibniz, linalg._eliminate = counted_leibniz, counted_eliminate
     cohomology.ChainComplex.rows = counted_rows
     koszul.koszul_differential_rows = counted_koszul_rows
     for module in (linalg, koszul, cohomology):
         if getattr(module, "intify", None) is intify:
             module.intify = counted_intify
+    for module in (cohomology, deformation, cli):
+        if getattr(module, "certify_elliptic", None) is certify:
+            module.certify_elliptic = counted_certify
     for seed in args.seed:
         counts.update(dict.fromkeys(
             ("leibniz", "eliminate", "entries", "rows", "nnz", "cleared",
-             "koszul_rows", "koszul_cleared", "intify"), 0))
+             "koszul_rows", "koszul_cleared", "intify", "certify"), 0))
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
                              str(seed), "--jobs", "1"])
@@ -110,7 +120,8 @@ def main() -> int:
               f"rows_cleared {counts['cleared']} "
               f"koszul_rows {counts['koszul_rows']} "
               f"koszul_rows_cleared {counts['koszul_cleared']} "
-              f"intify_calls {counts['intify']}", flush=True)
+              f"intify_calls {counts['intify']} "
+              f"certify_elliptic_calls {counts['certify']}", flush=True)
     return 0
 
 

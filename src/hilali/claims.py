@@ -82,10 +82,11 @@ _CLAIMS = [
           "backed by an exact check of the isomorphism.",
           "perturb_and_reduce", "hilali reduce"),
     Claim("doubling",
-          "Tensoring with a free odd line exactly doubles total cohomology.  "
-          "dim H(W, d_0) is read from the current model's ranks through the "
-          "shift isomorphism m ybar -> m, checked on generators; the "
-          "vanishing window above the W bound is still checked.",
+          "Tensoring with a free odd line exactly doubles total cohomology: "
+          "(W, d_0) is the current model tensored with Lambda(ybar), "
+          "d(ybar) = 0, so by Kunneth b^W_p = b_p + b_(p - deg ybar).  "
+          "dim H(W, d_0) is read as twice the current model's complete "
+          "total, so the doubling holds by construction.",
           "perturb_and_reduce", "hilali reduce"),
     Claim("exp-r-lower-bound",
           "Iterating the cancellation over all n even generators yields "

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import mul
 
-from .algebra import Element, Monomial, restrict_element
+from .algebra import Element, Monomial
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError, UniverseMismatchError)
 from .linalg import Rref, intify, kernel_of_rows, rank_of_rows
@@ -166,43 +166,6 @@ class ChainComplex:
                 - self.rank(degree - 1, below))
 
 
-class FreeOddLineComplex:
-    """The complex of ``W = base ⊗ Λ(ybar)`` with ``d(ybar) = 0``, read
-    from ``base``: nothing is assembled, eliminated or memoized on W.
-
-    The constructor checks exactly that ybar is closed and no image mentions
-    it, so W is the base complex plus the ybar-block, which ``m ybar -> m``
-    carries isomorphically onto the base complex shifted by deg ybar.
-    """
-
-    def __init__(self, model: Model, base: ChainComplex, ybar: str):
-        uni = model.universe
-        rest = [(g.name, g.degree) for g in uni.generators if g.name != ybar]
-        embedded = {name: restrict_element(img, uni)
-                    for name, img in base.model.d.images.items()}
-        if (ybar not in uni.by_name or not uni.by_name[ybar].is_odd
-                or rest != [(g.name, g.degree)
-                            for g in base.model.universe.generators]
-                or model.d.images != embedded):
-            raise ModelError(f"the model is not the base model with a free "
-                             f"odd line {ybar} adjoined")
-        self.base = base
-        self.pure = base.pure
-        self.shift = uni.by_name[ybar].degree
-
-    def chain_dim(self, degree: int, q: int | None = None) -> int:
-        below = degree - self.shift
-        ybar_block = (0 if below < 0 else self.base.chain_dim(
-            below, None if q is None else q - 1))
-        return self.base.chain_dim(degree, q) + ybar_block
-
-    def rank(self, degree: int, q: int | None = None) -> int:
-        return (self.base.rank(degree, q) + self.base.rank(
-            degree - self.shift, None if q is None else q - 1))
-
-    betti_number = ChainComplex.betti_number
-
-
 def betti(model: Model, max_degree: int,
           chain_complex: ChainComplex | None = None) -> BettiTable:
     """Cohomology dimensions for degrees 0..max_degree.
@@ -285,8 +248,10 @@ def cohomology_table(model: Model, *, assume_elliptic: bool = False,
                      ) -> tuple[BettiTable, EllipticityCertificate | None]:
     """The complete Betti table and the certificate behind it: through the
     formal dimension bound of a model certified elliptic (see
-    :func:`require_elliptic`), or, under ``assume_elliptic``, through an
-    explicit ``max_degree``, complete by assumption, with no certificate.
+    :func:`require_elliptic`), by :func:`betti_complete`, which reflects
+    the lower half of a simply connected model's table; or, under
+    ``assume_elliptic``, through an explicit ``max_degree``, every degree
+    computed directly, complete by assumption, with no certificate.
     ``max_degree`` without ``assume_elliptic`` raises :class:`ModelError`."""
     if assume_elliptic:
         if max_degree is None:
@@ -300,12 +265,30 @@ def cohomology_table(model: Model, *, assume_elliptic: bool = False,
 
 def betti_complete(model: Model,
                    certificate: EllipticityCertificate) -> BettiTable:
-    """Betti table through the formal dimension bound, certified complete by
-    an explicit vanishing window of one maximal generator degree above it."""
+    """Betti table through the formal dimension bound N of a model certified
+    elliptic, marked complete.
+
+    When every generator has degree at least 2 the model is a simply
+    connected Sullivan algebra, elliptic by the certificate, so its
+    cohomology is a Poincaré duality algebra of formal dimension N
+    (S. Halperin, "Finiteness in the minimal models of Sullivan", Trans.
+    AMS 230 (1977); Félix, Halperin and Thomas, *Rational Homotopy Theory*,
+    Prop. 38.3): b_p = b_(N-p), and H vanishes above N.  Only degrees
+    0..N//2 are computed, and b_(N-p) is read as b_p.  Any other model, one
+    with a degree-1 generator (``Model(..., allow_degree_one=True)``), is
+    computed in every degree and checked against a vanishing window of one
+    maximal generator degree above N (see :func:`betti_below`).
+    """
     if not certificate.elliptic:
         raise ModelError("a complete table requires an ellipticity certificate")
-    window = max(g.degree for g in model.universe.generators)
-    return betti_below(model, certificate.formal_dimension_bound, window)
+    bound = certificate.formal_dimension_bound
+    generators = model.universe.generators
+    if any(g.degree < 2 for g in generators):
+        return betti_below(model, bound, max(g.degree for g in generators))
+    half = betti(model, bound // 2)
+    reflected = {p: half[min(p, bound - p)] for p in range(bound + 1)}
+    dims = {p: b for p, b in reflected.items() if b}
+    return BettiTable(dims, bound, sum(dims.values()), True)
 
 
 def betti_below(model: Model, bound: int, window: int) -> BettiTable:
@@ -385,17 +368,20 @@ def is_exact(model: Model, e: Element) -> bool:
 def betti_by_odd_count(model: Model,
                        certificate: EllipticityCertificate) -> dict[int, int]:
     """Total cohomology dimension split by the lower grading (odd factor
-    count): the block Betti numbers of :func:`betti_complete`'s table.
-    Requires a pure model, where d maps each piece q to q-1 and the complex
-    splits."""
+    count): the block Betti numbers of every degree through the formal
+    dimension bound of a model certified elliptic, each eliminated
+    directly, so the cohomology/Tor cross-check never reads a table
+    reflected by :func:`betti_complete`.  Requires a pure model, where d
+    maps each piece q to q-1 and the complex splits."""
     cx = ChainComplex(model)
     if not cx.pure:
         raise ModelError("the lower-grading split of cohomology needs a pure model")
-    table = betti_complete(model, certificate)
+    if not certificate.elliptic:
+        raise ModelError("a complete table requires an ellipticity certificate")
     totals: dict[int, int] = {}
     for q in range(len(model.universe.odds) + 1):
         total = sum(cx.betti_number(p, q)
-                    for p in range(table.max_degree_computed + 1))
+                    for p in range(certificate.formal_dimension_bound + 1))
         if total:
             totals[q] = total
     return totals

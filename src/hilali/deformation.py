@@ -3,15 +3,18 @@
 Two pipelines live here.  Quotient-module families ``(P_i + t Q_i)`` support
 fiber evaluation at exact rational parameters, the constant-length flatness
 test, and Tor semicontinuity sampling.  Differential perturbations adjoin a
-contractible odd line, verify the cancellation and doubling identities
-(the first at one random parameter, carried to the others by an exact
-rescaling isomorphism; the second on the current model's ranks, by an
-exact shift isomorphism, with no block of (W, d_0) eliminated), and drive
-the stepwise reduction to the all-odd model, producing the 2^r lower bound
-on total cohomology.  Each perturbed complex is computed only through W's
-formal dimension bound: every current model is certified elliptic, and the
-exact sequence 0 -> ΛV -> W -> ΛV·ybar -> 0 then gives W's vanishing above
-that bound.
+contractible odd line, verify the cancellation equality (at one random
+parameter, carried to the others by an exact rescaling isomorphism) and
+the semicontinuity inequality, and drive the stepwise reduction to the
+all-odd model, producing the 2^r lower bound on total cohomology.  Each
+quotient that keeps an even generator is certified elliptic before its
+Betti table is computed, and the table is read from its lower half by
+Poincaré duality (see
+:func:`~hilali.cohomology.betti_complete`).  The doubling ``dim H(W, d_0)
+= 2 dim H(current)`` is the Künneth formula for the free odd line, and
+each perturbed complex (W, d_xi) is computed directly, only through W's
+formal dimension bound: the exact sequence 0 -> ΛV -> W -> ΛV·ybar -> 0
+gives W's vanishing above that bound.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import Element
-from .cohomology import (ChainComplex, FreeOddLineComplex, betti,
-                         betti_below, certify_elliptic, cohomology_table,
-                         formal_dimension_bound)
+from .cohomology import (betti, betti_complete, certify_elliptic,
+                         cohomology_table, formal_dimension_bound)
 from .errors import ContradictionError, IndeterminateError, ModelError
 from .koszul import (QuotientModule, SModuleStructure, halperin_basis,
                      quotient_basis, tor_table)
@@ -272,7 +274,7 @@ class ReductionStep:
     ybar_degree: int
     dim_current: int
     dim_w_zero: int
-    doubling_ok: bool
+    doubling_ok: bool      # dim_w_zero = 2 dim_current, true by Künneth
     dim_next: int
     samples: tuple[ReductionSample, ...]
     anticommutator: dict[str, bool] = field(default_factory=dict)
@@ -299,11 +301,10 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     """Cancel the even generators one at a time against perturbed odd lines.
 
     Each step adjoins ybar with ``d_xi(ybar) = xi * x`` for the lowest even
-    generator x of the current model and checks: the cancellation equality
-    ``dim H(W, d_xi) = dim H(quotient)``, the semicontinuity inequality
-    ``dim H(W, d_xi) <= dim H(W, d_0)``, and the doubling
-    ``dim H(W, d_0) = 2 dim H(current)``.  The terminal model is all-odd with
-    zero differential and total dimension ``2^(n+r)``, yielding
+    generator x of the current model and checks the cancellation equality
+    ``dim H(W, d_xi) = dim H(quotient)`` and the semicontinuity inequality
+    ``dim H(W, d_xi) <= dim H(W, d_0)``.  The terminal model is all-odd
+    with zero differential and total dimension ``2^(n+r)``, yielding
     ``2^n dim H >= 2^(n+r)`` and the lower bound ``dim H >= 2^r``.
 
     For ``xi != 0``, ``ybar -> ybar / xi`` with every other generator fixed
@@ -314,23 +315,30 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     generators, that ``ybar -> (xi_1 / xi) ybar`` carries d_{xi_1} to d_xi
     (see :func:`check_ybar_rescaling`).
 
-    With ``d_0(ybar) = 0``, ``(W, d_0)`` is the current model's complex
-    plus its shift by ``deg ybar`` under ``m ybar -> m`` (see
-    :class:`FreeOddLineComplex`), so its ranks are the current model's
-    memoized ones: no block of ``(W, d_0)`` is eliminated.
+    Every current model is certified elliptic before its table is
+    computed: the input by :func:`cohomology_table`, and each quotient that
+    still has an even generator by :func:`certify_elliptic` (its pure-part
+    quotient ΛQ/(P, x) has finite length whenever ΛQ/(P) does, so a
+    failure raises :class:`ContradictionError`).  Their tables come from
+    :func:`~hilali.cohomology.betti_complete`, through the lower half of
+    each and Poincaré duality.  The all-odd quotient ΛP vanishes above
+    its bound sum(deg y) as an algebra, so its table is computed directly
+    through that bound.
 
-    Both perturbed tables stop at W's bound ``N_w = N + deg ybar``, with N
-    the current model's bound; neither has a vanishing window.  Every
-    current model is certified elliptic: the input by
-    :func:`cohomology_table`, and each quotient, before its step, by
-    :func:`certify_elliptic` (its pure-part quotient ΛQ/(P, x) has finite
-    length whenever ΛQ/(P) does, so a failure raises
-    :class:`ContradictionError`).  Then H(ΛV) vanishes above N, and for
-    every xi, zero included, the long exact sequence of
-    ``0 -> ΛV -> (W, d_xi) -> ΛV·ybar -> 0`` puts H^q(W) between H^q(ΛV)
-    and H^(q - deg ybar)(ΛV), both zero for q > N_w.  The windows that
-    stay are the input's and each quotient's, through which the doubling
-    and the cancellation equality are checked.
+    With ``d_0(ybar) = 0``, ``(W, d_0)`` is the current model tensored
+    with the free odd line Λ(ybar), so by Künneth
+    ``b^W_p = b_p + b_(p - deg ybar)`` and ``dim H(W, d_0)`` is twice the
+    current model's complete total: the doubling holds by construction,
+    and no block of ``(W, d_0)`` is eliminated.
+
+    ``(W, d_xi)`` is computed directly, with no reflection: it is the
+    independent side of the cancellation equality, and a ybar of degree 1
+    leaves it neither minimal nor simply connected.  Its table stops at
+    W's bound ``N_w = N + deg ybar``, with N the current model's bound,
+    and has no vanishing window: H(ΛV) vanishes above N, and for every
+    xi the long exact sequence of ``0 -> ΛV -> (W, d_xi) -> ΛV·ybar -> 0``
+    puts H^q(W) between H^q(ΛV) and H^(q - deg ybar)(ΛV), both zero for
+    q > N_w.
     """
     if samples < 1:
         raise ModelError("reduction sampling needs at least one parameter")
@@ -345,27 +353,23 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     dim_current = dim_h
     steps = []
     while any(not g.is_odd for g in current.universe.generators):
-        if steps:
-            certificate = certify_elliptic(current)
-            if not certificate.elliptic:
-                raise ContradictionError(
-                    f"the quotient by {steps[-1].x_name} is not certified "
-                    f"elliptic: {certificate.evidence}")
         target = min((g for g in current.universe.generators if not g.is_odd),
                      key=lambda g: (g.degree, g.index))
         pm = PerturbedModel(current, target.name)
         quotient = restrict_model(current, {target.name})
         bound_w = formal_dimension_bound(pm.w_model)
-        window_w = max(g.degree for g in pm.w_model.universe.generators)
-        w_zero = FreeOddLineComplex(pm.w_model, ChainComplex(current),
-                                    pm.ybar_name)
-        dim_w0 = betti(pm.w_model, bound_w, w_zero).total_dim
-        doubling_ok = dim_w0 == 2 * dim_current
-        if not doubling_ok:
-            raise ContradictionError(
-                f"doubling failed at {target.name}: dim H(W) = {dim_w0} != "
-                f"2 * {dim_current}")
-        dim_next = betti_below(quotient, bound_w, window_w).total_dim
+        if quotient.universe.evens:
+            certificate = certify_elliptic(quotient)
+            if not certificate.elliptic:
+                raise ContradictionError(
+                    f"the quotient by {target.name} is not certified "
+                    f"elliptic: {certificate.evidence}")
+            dim_next = betti_complete(quotient, certificate).total_dim
+        else:
+            # all-odd: ΛP itself is zero above its bound sum(deg y) = N_w
+            dim_next = betti(quotient, bound_w).total_dim
+        # Künneth for the free odd line: b^W_p = b_p + b_(p - deg ybar)
+        dim_w0 = 2 * dim_current
         # every sample must give dim H(W, d_xi) = dim_next, so the
         # semicontinuity inequality is the same for all of them
         if dim_next > dim_w0:
@@ -391,7 +395,7 @@ def perturb_and_reduce(model: Model, samples: int = 2,
             taken.append(ReductionSample(xi, dim_wxi, True, True))
         steps.append(ReductionStep(
             target.name, pm.w_model.universe.by_name[pm.ybar_name].degree,
-            dim_current, dim_w0, doubling_ok, dim_next, tuple(taken),
+            dim_current, dim_w0, True, dim_next, tuple(taken),
             pm.anticommutator_report()))
         current, dim_current = quotient, dim_next
     # terminal all-odd model: differential must vanish, total dim is 2^odd

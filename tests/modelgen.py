@@ -7,11 +7,15 @@ makes the square of the differential vanish by construction.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from pathlib import Path
 
-from hilali import Element, Model, universe
+from hilali import (Element, Model, certify_elliptic, classify, load_model,
+                    model_from_dict, universe)
 from hilali.algebra import restrict_element
 from hilali.linalg import kernel_of_rows
 
@@ -154,3 +158,37 @@ def random_element(rng: random.Random, uni, degree: int, max_terms: int = 4):
         if c:
             out = out + Element.from_monomial(uni, m, c)
     return out
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@cache
+def verdict_benchmark_documents(seed: int) -> tuple[tuple[str, dict], ...]:
+    """The model documents of the ``verdicts`` benchmark workload at one
+    seed, at its reference length, from ``bench/workloads.py`` (read, not
+    changed)."""
+    spec = importlib.util.spec_from_file_location(
+        "verdict_workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple(workloads.verdict_models(seed, workloads.REFERENCE_SECONDS))
+
+
+def certified_models() -> list[tuple[str, Model]]:
+    """A fresh copy of every hyperelliptic model certified elliptic among:
+    the corpus; ``random_hyperelliptic_model`` at seeds 0-4;
+    ``random_model`` at seeds 0-49 (seeds 0-4 draw none); and the
+    ``verdicts`` benchmark models of seed 0.  Each call builds new model
+    objects, so no rank is memoized on them yet."""
+    models = [(path.name.replace(".model.json", ""), load_model(path))
+              for path in sorted((REPO / "corpus").glob("*.model.json"))]
+    models += [(f"random_hyperelliptic_model seed {seed}",
+                random_hyperelliptic_model(random.Random(seed)))
+               for seed in range(5)]
+    models += [(f"random_model seed {seed}", random_model(random.Random(seed)))
+               for seed in range(50)]
+    models += [(f"verdicts seed 0 {key}", model_from_dict(doc))
+               for key, doc in verdict_benchmark_documents(0)]
+    return [(name, m) for name, m in models if classify(m).is_hyperelliptic
+            and certify_elliptic(m).elliptic]

@@ -59,6 +59,24 @@ def test_cohomology_machine_is_deterministic(capsys):
     assert doc["results"]["chi"] == 0
 
 
+def test_cohomology_rank_rows_are_the_direct_ranks(tmp_path, capsys):
+    """``rank_d`` is derived from the table, which a certified model reads
+    from its lower half; the derived ranks equal the ranks of d eliminated
+    directly, in every degree through N."""
+    from hilali import save_model
+    from hilali.cohomology import ChainComplex
+    from modelgen import certified_models
+    path = str(tmp_path / "m.model.json")
+    for name, m in certified_models():
+        save_model(m, path)
+        code, out, _ = run(capsys, "cohomology", path, "--format", "machine")
+        results = json.loads(out)["results"]
+        direct = ChainComplex(m)
+        assert code == 0 and results["poincare_symmetric"], name
+        assert [row["rank_d"] for row in results["rows"]] == \
+            [direct.rank(p) for p in range(results["max_degree"] + 1)], name
+
+
 def test_cohomology_needs_certificate_or_flag(tmp_path, capsys):
     code, out, err = run(capsys, "cohomology", model("nonelliptic-pair"))
     assert code == 2

@@ -2,13 +2,14 @@
 
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import hilali.cohomology
-from hilali import (Element, EngineError, Model, ModelError,
-                    PerturbedModel, UniverseMismatchError, betti,
+from hilali import (ContradictionError, Element, EngineError, Model,
+                    ModelError, PerturbedModel, UniverseMismatchError, betti,
                     betti_by_odd_count, betti_complete, certify_elliptic,
                     check_differential,
                     coboundary_basis, cocycle_basis, euler_characteristics,
@@ -16,12 +17,14 @@ from hilali import (Element, EngineError, Model, ModelError,
                     hilali_verdict, is_exact, parse_expression,
                     tensor_with_odd_line, universe)
 from hilali.algebra import Monomial
-from hilali.cohomology import ChainComplex, FreeOddLineComplex
+from hilali.cohomology import ChainComplex, betti_below
 from hilali.linalg import Echelon, intify, kernel_of_rows, rank_of_rows
 from hilali.model import _leibniz
 
 from dense_oracle import betti_dense, dense_rank, naive_differential
-from modelgen import random_hyperelliptic_model, random_model
+from free_odd_line import FreeOddLineComplex
+from modelgen import (certified_models, random_hyperelliptic_model,
+                      random_model)
 
 
 def build(specs, diff_texts, **kw):
@@ -128,6 +131,77 @@ def test_vanishing_window_above_bound(corpus_models):
         table = betti(m, bound + window)
         for p in range(bound + 1, bound + window + 1):
             assert table[p] == 0
+
+
+def test_betti_below_raises_on_a_class_above_its_bound(corpus_models):
+    # nonelliptic-pair has H^25 = 1; truncated at 24, the degrees through 24
+    # read as a palindrome, and only the window shows the class
+    m = corpus_models["nonelliptic-pair"]
+    window = max(g.degree for g in m.universe.generators)
+    truncated = betti(m, 24)
+    assert all(truncated[p] == truncated[24 - p] for p in range(25))
+    with pytest.raises(ContradictionError, match="degree 25 above the bound 24"):
+        betti_below(m, 24, window)
+
+
+def _copy(model):
+    """The same model over a new differential, with nothing memoized."""
+    return Model(model.universe, model.d.images, name=model.name)
+
+
+def test_reflected_tables_equal_the_direct_windowed_tables():
+    """Poincaré duality as an oracle: every certified table, eliminated
+    only through N // 2 and reflected, equals the table eliminated directly
+    in every degree through N, whose window of one maximal generator degree
+    above N is zero."""
+    checked = 0
+    for name, m in certified_models():
+        cert = certify_elliptic(m)
+        bound = cert.formal_dimension_bound
+        table = betti_complete(m, cert)
+        assert max(m.d.ranks) == bound // 2, name
+        window = max(g.degree for g in m.universe.generators)
+        fresh = _copy(m)
+        assert table == betti_below(fresh, bound, window), name
+        assert max(fresh.d.ranks) == bound + window
+        checked += 1
+    assert checked >= 250
+
+
+def test_tables_outside_the_duality_theorem_are_computed_above_half():
+    # under assume_elliptic there is no certificate: every degree is direct
+    m = build([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3), ("y3", 5)],
+              {"y1": "x1^2", "y2": "x2^2", "y3": "x1^2*x2"})
+    bound = formal_dimension_bound(m)
+    table, cert = cohomology_table(m, assume_elliptic=True, max_degree=bound)
+    assert cert is None and max(m.d.ranks) == bound > bound // 2
+    assert table.dims == betti_complete(_copy(m), certify_elliptic(m)).dims
+    # a degree-1 generator: not simply connected, so the windowed table
+    m = build([("x", 2), ("y", 3), ("u", 1)], {"y": "x^2"},
+              allow_degree_one=True)
+    cert = certify_elliptic(m)
+    assert cert.elliptic and cert.formal_dimension_bound == 3
+    table = betti_complete(m, cert)
+    assert table.dims == {0: 1, 1: 1, 2: 1, 3: 1} and table.complete
+    assert max(m.d.ranks) == 3 + 3
+    # a failed certificate never gives a table
+    with pytest.raises(ModelError):
+        betti_complete(m, replace(cert, elliptic=False))
+
+
+def test_odd_count_split_reads_no_reflected_table(corpus_models, monkeypatch):
+    def reflected(*args):
+        raise AssertionError("the cross-check read a reflected table")
+
+    names = ("n1r1-powers", "squarefree-n3", "pure-n2r1-diag")
+    totals = [cohomology_table(corpus_models[name])[0].total_dim
+              for name in names]
+    monkeypatch.setattr(hilali.cohomology, "betti_complete", reflected)
+    for name, total in zip(names, totals):
+        m = _copy(corpus_models[name])
+        cert = certify_elliptic(m)
+        assert sum(betti_by_odd_count(m, cert).values()) == total
+        assert max(m.d.ranks) == cert.formal_dimension_bound
 
 
 def test_euler_signs_on_certified_corpus(corpus_models):

@@ -14,9 +14,10 @@ from hilali import (ContradictionError, Element, Model, ModelError,
                     perturb_and_reduce, random_rational, restrict_model,
                     standard_family, tor_semicontinuity_check, universe)
 from hilali import deformation
-from hilali.cohomology import ChainComplex, betti_below
+from hilali.cohomology import ChainComplex, betti, betti_below
 
-from modelgen import random_hyperelliptic_model
+from free_odd_line import FreeOddLineComplex
+from modelgen import certified_models, random_hyperelliptic_model
 
 
 def pe(text, uni):
@@ -236,6 +237,53 @@ def test_reduce_raises_on_a_quotient_that_fails_certification(
     [quotient] = certified
     assert len(quotient.universe.generators) == \
         len(model.universe.generators) - 1
+
+
+@pytest.mark.parametrize("passing", [0, 1])
+def test_reduce_certifies_each_quotient_before_its_table(
+        corpus_models, monkeypatch, passing):
+    """The quotient whose certification fails raises before any degree of
+    its table is eliminated; the quotients before it were certified and
+    then computed."""
+    model = corpus_models["all-quadrics-n3r3"]
+    certified = []
+
+    def certify(quotient, max_probe=None):
+        certified.append(quotient)
+        certificate = certify_elliptic(quotient)
+        return replace(certificate, elliptic=len(certified) <= passing)
+
+    monkeypatch.setattr(deformation, "certify_elliptic", certify)
+    with pytest.raises(ContradictionError, match="not certified elliptic"):
+        perturb_and_reduce(model, seed=0)
+    assert len(certified) == passing + 1
+    assert certified[-1].d.ranks == {}
+    assert all(quotient.d.ranks for quotient in certified[:-1])
+
+
+def test_reduce_tables_equal_the_direct_complexes():
+    """Each step's dim H(W, d_0), from Künneth and the current model's
+    reflected table, equals the free-odd-line complex over the current
+    model, ranked directly through W's bound; and each quotient's reflected
+    total equals its table eliminated directly, with its window."""
+    steps = 0
+    for name, model in certified_models():
+        report = perturb_and_reduce(model, samples=1, seed=0)
+        current = Model(model.universe, model.d.images)
+        for step in report.steps:
+            pm = PerturbedModel(current, step.x_name)
+            bound = formal_dimension_bound(pm.w_model)
+            split = FreeOddLineComplex(pm.w_model, ChainComplex(current),
+                                       pm.ybar_name)
+            assert step.doubling_ok, name
+            assert step.dim_w_zero == \
+                betti(pm.w_model, bound, split).total_dim, name
+            current = restrict_model(current, {step.x_name})
+            window = max(g.degree for g in current.universe.generators)
+            assert step.dim_next == \
+                betti_below(current, bound, window).total_dim, name
+            steps += 1
+    assert steps >= 300
 
 
 def test_perturbed_models_are_assembled_only_through_the_bound(
