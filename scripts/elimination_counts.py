@@ -21,16 +21,22 @@ A to B inclusive when one is given, with these wrappers in place:
   ``tor_table`` (in the corpus's ``tor`` and ``deform`` claims), with the
   rows it builds counted, and the rows its clearing step leaves out;
 - ``intify``, in every ``hilali`` module that binds it;
-- ``certify_elliptic``, in every ``hilali`` module that binds it.
+- ``certify_elliptic``, in every ``hilali`` module that binds it, counting
+  the certificates computed, not the calls: a certificate kept on a model
+  comes back as the same object, so each distinct object returned is one
+  certificate computed;
+- ``quotient_basis``, in every ``hilali`` module that binds it: each call
+  builds one quotient (certificates, odd-basis searches, fibers).
 
 It prints one line per seed: the seed, the corpus run's exit code, ``_leibniz``
 calls, ``_eliminate`` calls, entries touched, the rows and nonzero
 entries assembled, the rows cleared, then the Koszul rows built, the
-Koszul rows cleared, the ``intify`` calls and the ``certify_elliptic``
-calls.  The counts depend only on the code and the seed, not on the
-machine, so two trees compare by ``diff``.  The corpus report itself is
-discarded; its ``# wall time`` line still goes to stderr.  Each seed's run
-loads the corpus afresh, so its line is the same in a range as on its own.
+Koszul rows cleared, the ``intify`` calls, the certificates computed and
+the ``quotient_basis`` calls.  The counts depend only on the code and the
+seed, not on the machine, so two trees compare by ``diff``.  The corpus
+report itself is discarded; its ``# wall time`` line still goes to stderr.
+Each seed's run loads the corpus afresh, so its line is the same in a range
+as on its own.
 """
 
 from __future__ import annotations
@@ -91,11 +97,18 @@ def main() -> int:
         counts["intify"] += 1
         return intify(row)
 
-    certify = cohomology.certify_elliptic
+    certify, certificates = cohomology.certify_elliptic, {}
 
     def counted_certify(model, max_probe=None):
-        counts["certify"] += 1
-        return certify(model, max_probe=max_probe)
+        certificate = certify(model, max_probe=max_probe)
+        certificates[id(certificate)] = certificate     # kept: ids stay unique
+        return certificate
+
+    quotient_basis = koszul.quotient_basis
+
+    def counted_quotient_basis(*args, **kwargs):
+        counts["quotients"] += 1
+        return quotient_basis(*args, **kwargs)
 
     cohomology._leibniz, linalg._eliminate = counted_leibniz, counted_eliminate
     cohomology.ChainComplex.rows = counted_rows
@@ -106,10 +119,14 @@ def main() -> int:
     for module in (cohomology, deformation, cli):
         if getattr(module, "certify_elliptic", None) is certify:
             module.certify_elliptic = counted_certify
+    for module in (koszul, cohomology, deformation):
+        if getattr(module, "quotient_basis", None) is quotient_basis:
+            module.quotient_basis = counted_quotient_basis
     for seed in args.seed:
         counts.update(dict.fromkeys(
             ("leibniz", "eliminate", "entries", "rows", "nnz", "cleared",
-             "koszul_rows", "koszul_cleared", "intify", "certify"), 0))
+             "koszul_rows", "koszul_cleared", "intify", "quotients"), 0))
+        certificates.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
                              str(seed), "--jobs", "1"])
@@ -121,7 +138,8 @@ def main() -> int:
               f"koszul_rows {counts['koszul_rows']} "
               f"koszul_rows_cleared {counts['koszul_cleared']} "
               f"intify_calls {counts['intify']} "
-              f"certify_elliptic_calls {counts['certify']}", flush=True)
+              f"certify_elliptic_calls {len(certificates)} "
+              f"quotient_basis_calls {counts['quotients']}", flush=True)
     return 0
 
 

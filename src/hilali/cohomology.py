@@ -36,16 +36,16 @@ class ChainComplex:
 
     The ranks are memoized on the model's differential (``model.d.ranks``),
     not on the complex, so every complex built over one model object
-    eliminates each degree once and classifies the model once
-    (``model.d.pure``).  The memo holds only ints and refers back to
+    eliminates each degree once and classifies the model once (in
+    ``model.d.memo``).  The ranks are only ints and refer back to
     nothing, so a model and its ranks are freed together.
     """
 
     def __init__(self, model: Model):
         self.model = model
-        if model.d.pure is None:
-            model.d.pure = classify(model).is_pure
-        self.pure = model.d.pure
+        if "pure" not in model.d.memo:
+            model.d.memo["pure"] = classify(model).is_pure
+        self.pure = model.d.memo["pure"]
         self._ranks = model.d.ranks
         self._tables = model.d.tables()
         self._zeros = model.universe.unit.exps
@@ -209,25 +209,29 @@ def certify_elliptic(model: Model, max_probe: int | None = None) -> EllipticityC
     zero-odd-factor component of the differential images has finite length.
     Failures of the probe are reported as "not certified" rather than proven
     non-elliptic, except where infinite length is definite; a probe whose
-    budget ran out marks the certificate ``indeterminate``.
+    budget ran out marks the certificate ``indeterminate``.  It is made
+    once per model and ``max_probe``, and kept in ``model.d.memo``.
     """
-    cls = classify(model)
-    if not cls.is_hyperelliptic:
+    key = ("certificate", max_probe)
+    if key in model.d.memo:
+        return model.d.memo[key]
+    if not classify(model).is_hyperelliptic:
         raise ModelError("ellipticity certification requires a hyperelliptic model")
     bound = formal_dimension_bound(model)
     ring, relations = odd_images(pure_part(model))
     try:
         module = quotient_basis(ring, relations, max_probe=max_probe)
+        certificate = EllipticityCertificate(
+            True, bound, f"pure-part quotient has finite length "
+            f"{module.length} (socle degree {module.socle_degree})",
+            module.length, module.socle_degree)
     except NotFiniteLengthError as exc:
-        return EllipticityCertificate(False, bound, f"not elliptic: {exc}")
+        certificate = EllipticityCertificate(False, bound, f"not elliptic: {exc}")
     except IndeterminateError as exc:
-        return EllipticityCertificate(False, bound, f"not certified: {exc}",
-                                      indeterminate=True)
-    return EllipticityCertificate(
-        True, bound,
-        f"pure-part quotient has finite length {module.length} "
-        f"(socle degree {module.socle_degree})",
-        module.length, module.socle_degree)
+        certificate = EllipticityCertificate(
+            False, bound, f"not certified: {exc}", indeterminate=True)
+    model.d.memo[key] = certificate
+    return certificate
 
 
 def require_elliptic(model: Model,
@@ -365,23 +369,21 @@ def is_exact(model: Model, e: Element) -> bool:
     return not residue
 
 
-def betti_by_odd_count(model: Model,
-                       certificate: EllipticityCertificate) -> dict[int, int]:
+def betti_by_odd_count(model: Model) -> dict[int, int]:
     """Total cohomology dimension split by the lower grading (odd factor
     count): the block Betti numbers of every degree through the formal
-    dimension bound of a model certified elliptic, each eliminated
-    directly, so the cohomology/Tor cross-check never reads a table
-    reflected by :func:`betti_complete`.  Requires a pure model, where d
-    maps each piece q to q-1 and the complex splits."""
+    dimension bound of a model certified elliptic (its own certificate, by
+    :func:`require_elliptic`), each eliminated directly, so the
+    cohomology/Tor cross-check never reads a table reflected by
+    :func:`betti_complete`.  Requires a pure model, where d maps each
+    piece q to q-1 and the complex splits."""
     cx = ChainComplex(model)
     if not cx.pure:
         raise ModelError("the lower-grading split of cohomology needs a pure model")
-    if not certificate.elliptic:
-        raise ModelError("a complete table requires an ellipticity certificate")
+    bound = require_elliptic(model).formal_dimension_bound
     totals: dict[int, int] = {}
     for q in range(len(model.universe.odds) + 1):
-        total = sum(cx.betti_number(p, q)
-                    for p in range(certificate.formal_dimension_bound + 1))
+        total = sum(cx.betti_number(p, q) for p in range(bound + 1))
         if total:
             totals[q] = total
     return totals

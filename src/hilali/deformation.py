@@ -286,7 +286,7 @@ class ReductionReport:
     n: int
     r: int
     dim_h: int
-    terminal_dim: int        # 2^(n+r), verified on the all-odd model
+    terminal_dim: int        # 2^(n+r) = dim ΛP, the all-odd model with d = 0
     chain_ok: bool           # 2^n * dim_h >= 2^(n+r)
     lower_bound_ok: bool     # dim_h >= 2^r
     seed: int
@@ -321,9 +321,9 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     quotient ΛQ/(P, x) has finite length whenever ΛQ/(P) does, so a
     failure raises :class:`ContradictionError`).  Their tables come from
     :func:`~hilali.cohomology.betti_complete`, through the lower half of
-    each and Poincaré duality.  The all-odd quotient ΛP vanishes above
-    its bound sum(deg y) as an algebra, so its table is computed directly
-    through that bound.
+    each and Poincaré duality.  The all-odd quotient ΛP is checked to
+    have d = 0 (a nonzero image raises :class:`ContradictionError`), so
+    its total is dim ΛP = 2^(n+r), read with no table.
 
     With ``d_0(ybar) = 0``, ``(W, d_0)`` is the current model tensored
     with the free odd line Λ(ybar), so by Künneth
@@ -365,9 +365,11 @@ def perturb_and_reduce(model: Model, samples: int = 2,
                     f"the quotient by {target.name} is not certified "
                     f"elliptic: {certificate.evidence}")
             dim_next = betti_complete(quotient, certificate).total_dim
+        elif quotient.d.images:
+            raise ContradictionError(
+                "terminal all-odd model has nonzero differential")
         else:
-            # all-odd: ΛP itself is zero above its bound sum(deg y) = N_w
-            dim_next = betti(quotient, bound_w).total_dim
+            dim_next = 2 ** len(quotient.universe.odds)    # H(ΛP, 0) = ΛP
         # Künneth for the free odd line: b^W_p = b_p + b_(p - deg ybar)
         dim_w0 = 2 * dim_current
         # every sample must give dim H(W, d_xi) = dim_next, so the
@@ -398,13 +400,7 @@ def perturb_and_reduce(model: Model, samples: int = 2,
             dim_current, dim_w0, True, dim_next, tuple(taken),
             pm.anticommutator_report()))
         current, dim_current = quotient, dim_next
-    # terminal all-odd model: differential must vanish, total dim is 2^odd
-    if any(not img.is_zero for img in current.d.images.values()):
-        raise ContradictionError("terminal all-odd model has nonzero differential")
     terminal_expected = 2 ** len(current.universe.odds)
-    if dim_current != terminal_expected:
-        raise ContradictionError(
-            f"terminal dimension {dim_current} != 2^{len(current.universe.odds)}")
     chain_ok = (2 ** n) * dim_h >= terminal_expected
     lower_bound_ok = dim_h >= 2 ** r
     if not (chain_ok and lower_bound_ok):

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
-from typing import TYPE_CHECKING
 
 from .algebra import (Element, GeneratorUniverse, Monomial, restrict_element,
                       universe)
@@ -40,9 +39,6 @@ from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError, UniverseMismatchError)
 from .linalg import Rref, intify, rank_of_rows
 from .model import Model, classify
-
-if TYPE_CHECKING:
-    from .cohomology import EllipticityCertificate
 
 
 class _MonomialIndex:
@@ -612,7 +608,7 @@ def _socle_dimension(module: QuotientModule) -> int:
 # -- odd-basis search for pure models -----------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class HalperinBasis:
     """Odd-generator combinations whose first n images cut a finite quotient."""
 
@@ -620,7 +616,6 @@ class HalperinBasis:
     images: list[Element]           # d z_j, elements of the even subring
     module: QuotientModule          # the finite-length certificate for the first n
     structure: SModuleStructure     # the last r images acting on the module
-    certificate: EllipticityCertificate     # the model's, from before the search
     attempts: int
     strategy: str
 
@@ -649,14 +644,23 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
     draw whose fibers have more than one point where the actions vanish is
     rejected and counted as an attempt (see
     :func:`_several_fiber_points`); the given images are never rejected.
+    The model must be certified elliptic.  The basis is kept in
+    ``model.d.memo`` by arguments, with its module and action matrices.
     """
+    key = ("odd basis", seed, budget, max_probe)
+    if key not in model.d.memo:
+        model.d.memo[key] = _search(model, seed, budget, max_probe)
+    return model.d.memo[key]
+
+
+def _search(model: Model, seed: int, budget: int,
+            max_probe: int | None) -> HalperinBasis:
     if budget < 0:
         raise ModelError(f"budget must be at least 0, not {budget}")
-    cls = classify(model)
-    if not cls.is_pure:
+    if not classify(model).is_pure:
         raise ModelError("the odd-basis search requires a pure model")
     from .cohomology import require_elliptic
-    certificate = require_elliptic(model)
+    require_elliptic(model)
     ring, images = odd_images(model)
     n = len(ring.evens)
     size = len(images)
@@ -681,8 +685,8 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
                       for i in range(size)]
             strategy = ("permutation" if list(subset) != list(range(n))
                         else "identity")
-            return _assemble(model, certificate, matrix, images, module,
-                             attempts, strategy)
+            return _assemble(model, matrix, images, module, attempts,
+                             strategy)
 
     # Stage 2: random invertible integer matrices.
     rng = random.Random(seed)
@@ -697,8 +701,8 @@ def halperin_basis(model: Model, seed: int = 0, budget: int = 64,
         module = test(z_images[:n])
         if module is not None and not _several_fiber_points(
                 ring, z_images[:n], z_images[n:]):
-            return _assemble(model, certificate, matrix, images, module,
-                             attempts, "random")
+            return _assemble(model, matrix, images, module, attempts,
+                             "random")
     raise IndeterminateError(
         f"no regular odd basis found within {budget} attempts (seed {seed})")
 
@@ -735,7 +739,7 @@ def _combination(row: list[int], elements: list[Element],
                Element.zero(uni))
 
 
-def _assemble(model: Model, certificate, matrix, images: list[Element],
+def _assemble(model: Model, matrix, images: list[Element],
               module: QuotientModule, attempts: int,
               strategy: str) -> HalperinBasis:
     """The basis z_i = sum_j matrix[i][j] y_j of the odd generators y_j, with
@@ -746,8 +750,8 @@ def _assemble(model: Model, certificate, matrix, images: list[Element],
     combos = [_combination(row, gens, uni) for row in matrix]
     z_images = [_combination(row, images, ring) for row in matrix]
     structure = SModuleStructure(module, z_images[len(ring.evens):])
-    return HalperinBasis(combos, z_images, module, structure, certificate,
-                         attempts, strategy)
+    return HalperinBasis(combos, z_images, module, structure, attempts,
+                         strategy)
 
 
 @dataclass(frozen=True)
@@ -770,7 +774,7 @@ def tor_via_model_cross_check(model: Model, basis: HalperinBasis,
     raises :class:`ContradictionError`.
     """
     from .cohomology import betti_by_odd_count
-    per_q = betti_by_odd_count(model, basis.certificate)
+    per_q = betti_by_odd_count(model)
     total = sum(per_q.values())
     r = basis.structure.parameter_count
     rows = []

@@ -38,10 +38,11 @@ class Derivation:
     terms and, when every even generator is closed, runs the kernel once per
     odd monomial y_S and reads d(f y_S) = f d(y_S) by shifting exponents.
     The ranks that :class:`~hilali.cohomology.ChainComplex` takes of the
-    derivation are memoized: per degree, by block key (the odd-factor count,
-    or None for a whole degree); so is the model's purity, which decides
-    the blocks (None until a complex first classifies the model), and the
-    report of :func:`check_differential` (None until it first runs).
+    derivation are kept in ``ranks``, per degree and block key (the
+    odd-factor count, or None for a whole degree).  The dict ``memo`` keeps
+    every other artifact of the model, made once: ``"pure"``,
+    ``"validation"``, ``("certificate", max_probe)`` and ``("odd basis",
+    seed, budget, max_probe)``; errors are not kept.
     """
 
     def __init__(self, uni: GeneratorUniverse, images: dict[str, Element]):
@@ -53,8 +54,7 @@ class Derivation:
         self.universe = uni
         self.images = {name: img for name, img in images.items() if not img.is_zero}
         self.ranks: dict[int, dict[int | None, int]] = {}
-        self.pure: bool | None = None
-        self.validation: ValidationReport | None = None
+        self.memo: dict = {}
 
     def of_generator(self, name: str) -> Element:
         img = self.images.get(name)
@@ -172,10 +172,10 @@ class ValidationReport:
 
 def check_differential(model: Model) -> ValidationReport:
     """Per generator: image homogeneous of degree +1 and d(d g) = 0.  A
-    model is immutable, so the report is made once and kept on its
-    differential."""
-    if model.d.validation is not None:
-        return model.d.validation
+    model is immutable, so the report is made once and kept in
+    ``model.d.memo``."""
+    if "validation" in model.d.memo:
+        return model.d.memo["validation"]
     entries = []
     ok = True
     for g in model.universe.generators:
@@ -199,8 +199,8 @@ def check_differential(model: Model) -> ValidationReport:
                     f"d(d({g.name})) = {format_element(square)} != 0"
         entries.append(GeneratorCheck(g.name, degree_ok, square_ok, message))
         ok = ok and degree_ok and square_ok
-    model.d.validation = ValidationReport(tuple(entries), ok)
-    return model.d.validation
+    report = model.d.memo["validation"] = ValidationReport(tuple(entries), ok)
+    return report
 
 
 def check_minimal(model: Model) -> bool:

@@ -20,6 +20,15 @@ from hilali.algebra import restrict_element
 from hilali.linalg import kernel_of_rows
 
 
+def fresh_copy(model: Model) -> Model:
+    """The same model over a new differential, with nothing memoized: no
+    rank, certificate or odd basis.  A test that patches an engine function
+    reads a copy, so no artifact that an earlier test kept on a shared
+    corpus model answers in place of the patched code."""
+    return Model(model.universe, model.d.images, name=model.name,
+                 allow_degree_one=True)
+
+
 def closed_elements(model: Model, degree: int, *, min_word_length: int = 2,
                     require_even_factor: bool = False) -> list[Element]:
     """Basis of the closed subspace spanned by admissible monomials."""
@@ -180,7 +189,7 @@ def certified_models() -> list[tuple[str, Model]]:
     the corpus; ``random_hyperelliptic_model`` at seeds 0-4;
     ``random_model`` at seeds 0-49 (seeds 0-4 draw none); and the
     ``verdicts`` benchmark models of seed 0.  Each call builds new model
-    objects, so no rank is memoized on them yet."""
+    objects, so no rank is memoized on them yet (only the certificate)."""
     models = [(path.name.replace(".model.json", ""), load_model(path))
               for path in sorted((REPO / "corpus").glob("*.model.json"))]
     models += [(f"random_hyperelliptic_model seed {seed}",

@@ -440,14 +440,14 @@ def test_run_manifest_assembles_each_degree_of_a_differential_once(
 
 def test_tor_cross_check_certifies_once_and_builds_one_table(monkeypatch, capsys):
     import hilali
-    calls = {"certify_elliptic": 0, "tor_table": 0}
+    returned = {"certify_elliptic": [], "tor_table": []}
 
     def counted(name):
         original = getattr(hilali, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+            returned[name].append(original(*args, **kwargs))
+            return returned[name][-1]
         for module in (hilali.cli, hilali.cohomology, hilali.koszul,
                        hilali.deformation):
             if getattr(module, name, None) is original:
@@ -457,7 +457,30 @@ def test_tor_cross_check_certifies_once_and_builds_one_table(monkeypatch, capsys
     counted("tor_table")
     code, out, _ = run(capsys, "tor", model("n1r1-powers"), "--cross-check")
     assert code == 0 and "cross-check: total H = 4 = total Tor = 4 (ok)" in out
-    assert calls == {"certify_elliptic": 1, "tor_table": 1}
+    # the search and the cross-check both read the certificate; a kept
+    # certificate comes back as the same object, so each object returned
+    # is one certificate computed
+    assert len(returned["certify_elliptic"]) == 2
+    assert {name: len(set(map(id, values)))
+            for name, values in returned.items()} == {
+        "certify_elliptic": 1, "tor_table": 1}
+
+
+def test_run_manifest_searches_the_odd_basis_once(monkeypatch):
+    import hilali.koszul
+    search = hilali.koszul._search
+    searched = []
+
+    def counted(model, *args):
+        searched.append(args)
+        return search(model, *args)
+
+    monkeypatch.setattr(hilali.koszul, "_search", counted)
+    entry = run_manifest(str(CORPUS / "squarefree-n2.manifest.json"), 0)
+    assert {r["operation"] for r in entry["results"]} >= {
+        "tor_bounds", "cross_check", "flatness", "semicontinuity"}
+    assert all(r["ok"] for r in entry["results"])
+    assert searched == [(0, 64, None)]
 
 
 def test_corpus_jobs_2_prints_what_jobs_1_prints(tmp_path, capsys):

@@ -23,8 +23,8 @@ from hilali.model import _leibniz
 
 from dense_oracle import betti_dense, dense_rank, naive_differential
 from free_odd_line import FreeOddLineComplex
-from modelgen import (certified_models, random_hyperelliptic_model,
-                      random_model)
+from modelgen import (certified_models, fresh_copy,
+                      random_hyperelliptic_model, random_model)
 
 
 def build(specs, diff_texts, **kw):
@@ -144,11 +144,6 @@ def test_betti_below_raises_on_a_class_above_its_bound(corpus_models):
         betti_below(m, 24, window)
 
 
-def _copy(model):
-    """The same model over a new differential, with nothing memoized."""
-    return Model(model.universe, model.d.images, name=model.name)
-
-
 def test_reflected_tables_equal_the_direct_windowed_tables():
     """Poincaré duality as an oracle: every certified table, eliminated
     only through N // 2 and reflected, equals the table eliminated directly
@@ -161,7 +156,7 @@ def test_reflected_tables_equal_the_direct_windowed_tables():
         table = betti_complete(m, cert)
         assert max(m.d.ranks) == bound // 2, name
         window = max(g.degree for g in m.universe.generators)
-        fresh = _copy(m)
+        fresh = fresh_copy(m)
         assert table == betti_below(fresh, bound, window), name
         assert max(fresh.d.ranks) == bound + window
         checked += 1
@@ -175,7 +170,8 @@ def test_tables_outside_the_duality_theorem_are_computed_above_half():
     bound = formal_dimension_bound(m)
     table, cert = cohomology_table(m, assume_elliptic=True, max_degree=bound)
     assert cert is None and max(m.d.ranks) == bound > bound // 2
-    assert table.dims == betti_complete(_copy(m), certify_elliptic(m)).dims
+    assert table.dims == betti_complete(fresh_copy(m),
+                                        certify_elliptic(m)).dims
     # a degree-1 generator: not simply connected, so the windowed table
     m = build([("x", 2), ("y", 3), ("u", 1)], {"y": "x^2"},
               allow_degree_one=True)
@@ -198,9 +194,9 @@ def test_odd_count_split_reads_no_reflected_table(corpus_models, monkeypatch):
               for name in names]
     monkeypatch.setattr(hilali.cohomology, "betti_complete", reflected)
     for name, total in zip(names, totals):
-        m = _copy(corpus_models[name])
+        m = fresh_copy(corpus_models[name])
         cert = certify_elliptic(m)
-        assert sum(betti_by_odd_count(m, cert).values()) == total
+        assert sum(betti_by_odd_count(m).values()) == total
         assert max(m.d.ranks) == cert.formal_dimension_bound
 
 
@@ -327,7 +323,7 @@ def test_free_odd_line_blocks_add_up_to_the_whole_complex(corpus_models,
 
 
 def test_complexes_of_one_model_share_its_ranks(corpus_models, monkeypatch):
-    models = [corpus_models[name]
+    models = [fresh_copy(corpus_models[name])
               for name in ("squarefree-n2", "hyper-nonpure-n3r4")]
     first = ChainComplex(models[0]), ChainComplex(models[1])
     ranks = [[cx.rank(p) for p in range(16)] for cx in first]
@@ -354,20 +350,30 @@ def test_complexes_of_one_model_classify_it_once(corpus_models, monkeypatch):
 
     monkeypatch.setattr(hilali.cohomology, "classify", counted)
     for name, pure in (("squarefree-n2", True), ("hyper-nonpure-n3r4", False)):
-        m = corpus_models[name]
-        m.d.pure = None
+        m = fresh_copy(corpus_models[name])
         assert [ChainComplex(m).pure for _ in range(2)] == [pure, pure]
-        assert calls.count(m) == 1 and m.d.pure is pure
+        assert calls.count(m) == 1 and m.d.memo["pure"] is pure
 
 
 def test_differential_keeps_only_images_and_ranks(corpus_models):
-    # monomial images are computed and dropped; only the ranks, the
-    # model's purity and its validation report stay
-    m = corpus_models["all-quadrics-n3r3"]
-    table, _ = cohomology_table(m)
+    # monomial images are computed and dropped; only the ranks and the
+    # memo stay, and a certified table leaves in the memo only the model's
+    # purity, its validation report and its certificate
+    m = fresh_copy(corpus_models["all-quadrics-n3r3"])
+    table, cert = cohomology_table(m)
     assert table.complete and m.d.ranks
-    assert set(vars(m.d)) == {"universe", "images", "ranks", "pure",
-                              "validation"}
+    assert set(vars(m.d)) == {"universe", "images", "ranks", "memo"}
+    assert m.d.memo == {"pure": True, "validation": check_differential(m),
+                        ("certificate", None): cert}
+
+
+def test_certificates_are_kept_per_probe_ceiling(corpus_models):
+    m = fresh_copy(corpus_models["all-quadrics-n3r3"])
+    assert certify_elliptic(m, max_probe=1).indeterminate
+    cert = certify_elliptic(m)
+    assert cert.elliptic and cert.length == 4
+    assert certify_elliptic(m, max_probe=1).indeterminate
+    assert certify_elliptic(m) is cert
 
 
 @pytest.mark.parametrize("name", ["pure-n2r1-diag", "hyper-nonpure-n3r4"])
@@ -400,8 +406,9 @@ def test_free_odd_line_needs_the_base_with_a_closed_line(corpus_models):
 def test_betti_by_odd_count_sums_to_total(corpus_models):
     m = corpus_models["n1r1-powers"]
     cert = certify_elliptic(m)
-    per_q = betti_by_odd_count(m, cert)
+    per_q = betti_by_odd_count(m)
     assert per_q == {0: 2, 1: 2}
+    assert sum(per_q.values()) == betti_complete(m, cert).total_dim
 
 
 def test_odd_count_split_needs_pure_model(corpus_models):
@@ -409,7 +416,16 @@ def test_odd_count_split_needs_pure_model(corpus_models):
     with pytest.raises(ModelError):
         ChainComplex(m).rank(3, 1)
     with pytest.raises(ModelError):
-        betti_by_odd_count(m, certify_elliptic(m))
+        betti_by_odd_count(m)
+
+
+def test_betti_by_odd_count_needs_a_certified_model():
+    # pure, with an image that leaves the quotient infinite
+    m = build([("x1", 2), ("x2", 2), ("y1", 3), ("y2", 3)],
+              {"y1": "x1^2", "y2": "x1*x2"})
+    assert classify(m).is_pure and not certify_elliptic(m).elliptic
+    with pytest.raises(ModelError, match="not certified elliptic"):
+        betti_by_odd_count(m)
 
 
 def _dense_block_betti(m, bound):
@@ -453,7 +469,7 @@ def test_betti_by_odd_count_matches_dense_blocks(corpus_models):
         per_q = {}
         for (p, q), dim in oracle.items():
             per_q[q] = per_q.get(q, 0) + dim
-        assert betti_by_odd_count(m, cert) == \
+        assert betti_by_odd_count(m) == \
             {q: dim for q, dim in per_q.items() if dim}, name
         checked += 1
     assert checked == 11
@@ -721,7 +737,7 @@ def _full_blocks(cx, p):
 def test_cleared_ranks_equal_the_full_row_ranks(corpus_models, requested):
     cleared = 0
     for m, top in _cleared_models(corpus_models):
-        m.d.ranks.clear()
+        m = fresh_copy(m)
         cx = ChainComplex(m)
         for p in range(top + 1):
             full = _full_blocks(cx, p)
@@ -738,7 +754,7 @@ def test_every_cleared_row_reduces_to_zero_modulo_the_kept_rows(
         corpus_models, requested):
     checked = 0
     for m, top in _cleared_models(corpus_models):
-        m.d.ranks.clear()
+        m = fresh_copy(m)
         cx = ChainComplex(m)
         for p in range(top + 1):
             if len(cx.basis(p)) > 150:
@@ -768,7 +784,7 @@ def test_the_kernel_runs_only_for_odd_subsets_with_a_kept_row(
     for m, top in _cleared_models(corpus_models):
         if any(m.d.tables()[1]):
             continue            # the per-row kernel: one call per kept row
-        m.d.ranks.clear()
+        m = fresh_copy(m)
         cx = ChainComplex(m)
         for p in range(top + 1):
             requested.clear()

@@ -17,7 +17,8 @@ from hilali import deformation
 from hilali.cohomology import ChainComplex, betti, betti_below
 
 from free_odd_line import FreeOddLineComplex
-from modelgen import certified_models, random_hyperelliptic_model
+from modelgen import (certified_models, fresh_copy,
+                      random_hyperelliptic_model)
 
 
 def pe(text, uni):
@@ -224,7 +225,7 @@ def test_reduce_raises_on_a_quotient_that_fails_certification(
     by ``certify_elliptic`` as the deformation module binds it, so a
     failure there can only come from a quotient, and it is a
     contradiction."""
-    model = corpus_models["pairwise-nonregular-n2r1"]
+    model = fresh_copy(corpus_models["pairwise-nonregular-n2r1"])
     certified = []
 
     def failing(quotient):
@@ -245,7 +246,7 @@ def test_reduce_certifies_each_quotient_before_its_table(
     """The quotient whose certification fails raises before any degree of
     its table is eliminated; the quotients before it were certified and
     then computed."""
-    model = corpus_models["all-quadrics-n3r3"]
+    model = fresh_copy(corpus_models["all-quadrics-n3r3"])
     certified = []
 
     def certify(quotient, max_probe=None):
@@ -259,6 +260,21 @@ def test_reduce_certifies_each_quotient_before_its_table(
     assert len(certified) == passing + 1
     assert certified[-1].d.ranks == {}
     assert all(quotient.d.ranks for quotient in certified[:-1])
+
+
+def test_terminal_quotient_table_is_its_chain_dimensions(corpus_models):
+    """``reduce`` reads the all-odd quotient's total as dim ΛP = 2^(n+r)
+    once its d is checked to be zero; its table, computed directly
+    through its bound, has that total."""
+    for model in _reducible_models(corpus_models):
+        report = perturb_and_reduce(model, samples=1, seed=0)
+        terminal = restrict_model(
+            model, {g.name for g in model.universe.evens})
+        assert terminal.d.images == {} and not terminal.universe.evens
+        total = betti(terminal, formal_dimension_bound(terminal)).total_dim
+        assert total == report.terminal_dim == 2 ** (report.n + report.r)
+        if report.steps:
+            assert report.steps[-1].dim_next == total
 
 
 def test_reduce_tables_equal_the_direct_complexes():

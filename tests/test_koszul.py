@@ -19,6 +19,7 @@ from hilali.koszul import _relation_rows, koszul_differential_rows
 from hilali.linalg import Echelon, Rref, intify, rank_of_rows
 
 from dense_oracle import dense_rank
+from modelgen import fresh_copy
 
 
 def ring2():
@@ -350,10 +351,33 @@ def test_random_stage_returns_a_basis_with_one_fiber_point(corpus_models,
     # without the check, seed 14's first regular draw has two fiber points;
     # the search rejects it and counts it as an attempt
     monkeypatch.setattr(koszul, "_several_fiber_points", lambda *args: False)
-    first = halperin_basis(model, seed=14)
+    first = halperin_basis(fresh_copy(model), seed=14)
     monkeypatch.undo()
     assert _fiber_length(first) == 2
     assert halperin_basis(model, seed=14).attempts == first.attempts + 1
+
+
+def test_odd_bases_are_kept_per_search_arguments(corpus_models):
+    entangled = fresh_copy(corpus_models["entangled-pairs-n2r1"])
+    with pytest.raises(IndeterminateError):
+        halperin_basis(entangled, budget=0)
+    basis = halperin_basis(entangled)
+    assert basis.strategy == "random"
+    # a kept basis answers only its own arguments; a raised search is
+    # searched again
+    with pytest.raises(IndeterminateError):
+        halperin_basis(entangled, budget=0)
+    assert halperin_basis(entangled) is basis
+
+
+def test_each_seed_searches_its_own_odd_basis(corpus_models):
+    entangled = fresh_copy(corpus_models["entangled-pairs-n2r1"])
+    basis = halperin_basis(entangled, seed=0)
+    assert halperin_basis(entangled, seed=0) is basis
+    other = halperin_basis(entangled, seed=1)
+    assert other is not basis
+    assert other.combinations == halperin_basis(
+        fresh_copy(entangled), seed=1).combinations != basis.combinations
 
 
 def test_given_images_are_kept_whatever_their_fiber_length(corpus_models):

@@ -63,11 +63,11 @@ def test_check_differential_passes(mixed_powers):
 def test_check_differential_reports_once_per_model(mixed_powers):
     # a model is immutable, so its report is made once and kept on d
     report = check_differential(mixed_powers)
-    assert mixed_powers.d.validation is report
+    assert mixed_powers.d.memo["validation"] is report
     assert check_differential(mixed_powers) is report
     failing = build([("x", 4), ("y2", 3), ("y1", 2)], {"y1": "y2", "y2": "x"})
     assert check_differential(failing) is check_differential(failing)
-    assert not failing.d.validation.passed
+    assert not failing.d.memo["validation"].passed
 
 
 def test_linear_image_valid_but_not_minimal():
