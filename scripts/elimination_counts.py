@@ -26,13 +26,15 @@ A to B inclusive when one is given, with these wrappers in place:
   comes back as the same object, so each distinct object returned is one
   certificate computed;
 - ``quotient_basis``, in every ``hilali`` module that binds it: each call
-  builds one quotient (certificates, odd-basis searches, fibers).
+  builds one quotient (certificates, odd-basis searches, fibers);
+- ``hilali.koszul.Rref``, the span a quotient reduces against, with the
+  rows added to it counted.
 
 It prints one line per seed: the seed, the corpus run's exit code, ``_leibniz``
 calls, ``_eliminate`` calls, entries touched, the rows and nonzero
 entries assembled, the rows cleared, then the Koszul rows built, the
-Koszul rows cleared, the ``intify`` calls, the certificates computed and
-the ``quotient_basis`` calls.  The counts depend only on the code and the
+Koszul rows cleared, the ``intify`` calls, the certificates computed, the
+``quotient_basis`` calls and the rows added to quotient spans.  The counts depend only on the code and the
 seed, not on the machine, so two trees compare by ``diff``.  The corpus
 report itself is discarded; its ``# wall time`` line still goes to stderr.
 Each seed's run loads the corpus afresh, so its line is the same in a range
@@ -110,7 +112,13 @@ def main() -> int:
         counts["quotients"] += 1
         return quotient_basis(*args, **kwargs)
 
+    class StaircaseRref(koszul.Rref):
+        def add(self, row):
+            counts["staircase_rows"] += 1
+            return super().add(row)
+
     cohomology._leibniz, linalg._eliminate = counted_leibniz, counted_eliminate
+    koszul.Rref = StaircaseRref
     cohomology.ChainComplex.rows = counted_rows
     koszul.koszul_differential_rows = counted_koszul_rows
     for module in (linalg, koszul, cohomology):
@@ -125,7 +133,8 @@ def main() -> int:
     for seed in args.seed:
         counts.update(dict.fromkeys(
             ("leibniz", "eliminate", "entries", "rows", "nnz", "cleared",
-             "koszul_rows", "koszul_cleared", "intify", "quotients"), 0))
+             "koszul_rows", "koszul_cleared", "intify", "quotients",
+             "staircase_rows"), 0))
         certificates.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
@@ -139,7 +148,8 @@ def main() -> int:
               f"koszul_rows_cleared {counts['koszul_cleared']} "
               f"intify_calls {counts['intify']} "
               f"certify_elliptic_calls {len(certificates)} "
-              f"quotient_basis_calls {counts['quotients']}", flush=True)
+              f"quotient_basis_calls {counts['quotients']} "
+              f"staircase_rows {counts['staircase_rows']}", flush=True)
     return 0
 
 

@@ -206,11 +206,11 @@ def certify_elliptic(model: Model, max_probe: int | None = None) -> EllipticityC
     """Certify finite-dimensional cohomology of a hyperelliptic model.
 
     Criterion: the quotient of the even polynomial subring by every
-    zero-odd-factor component of the differential images has finite length.
-    Failures of the probe are reported as "not certified" rather than proven
-    non-elliptic, except where infinite length is definite; a probe whose
-    budget ran out marks the certificate ``indeterminate``.  It is made
-    once per model and ``max_probe``, and kept in ``model.d.memo``.
+    zero-odd-factor component of the differential images has finite length,
+    which :func:`~hilali.koszul.quotient_basis` decides exactly.  Infinite
+    length proves the model not elliptic; a computation that would pass
+    ``max_probe`` marks the certificate ``indeterminate``.  It is made once
+    per model and ``max_probe``, and kept in ``model.d.memo``.
     """
     key = ("certificate", max_probe)
     if key in model.d.memo:

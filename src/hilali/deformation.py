@@ -27,7 +27,7 @@ from math import comb
 from .algebra import Element
 from .cohomology import (betti, betti_complete, certify_elliptic,
                          cohomology_table, formal_dimension_bound)
-from .errors import ContradictionError, IndeterminateError, ModelError
+from .errors import ContradictionError, ModelError
 from .koszul import (QuotientModule, SModuleStructure, halperin_basis,
                      quotient_basis, tor_table)
 from .model import (Derivation, Model, check_differential, classify,
@@ -89,20 +89,22 @@ def standard_family(model: Model, seed: int = 0):
     """The family ``(P_i + t x_i)`` attached to a pure elliptic model.
 
     The P's come from the odd-basis search; the remaining images act as the
-    module parameters.  Returns ``(family, action_polys)``.
+    module parameters.  The fiber at t = 0 is the search's own module,
+    whose relations are the P's.  Returns ``(family, action_polys)``.
     """
     basis = halperin_basis(model, seed=seed)
     ring = basis.module.ring
     n = len(ring.evens)
     perturbations = [Element.generator(ring, g.name) for g in ring.evens]
     family = ModuleFamily(ring, basis.images[:n], perturbations)
+    family.fiber_cache[Fraction(0)] = basis.module
     return family, basis.images[n:]
 
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    verdict: str                     # "flat" | "not flat" | "indeterminate"
-    lengths: tuple[tuple[Fraction, int | None], ...]
+    verdict: str                     # "flat" | "not flat"
+    lengths: tuple[tuple[Fraction, int], ...]
     common_length: int | None
     seed: int
 
@@ -118,20 +120,11 @@ def flatness_check(family: ModuleFamily, samples: int = 5,
     if samples < 2:
         raise ModelError("flatness sampling needs at least two fibers")
     points = [Fraction(0)] + _distinct_parameters(random.Random(seed), samples)
-    lengths: list[tuple[Fraction, int | None]] = []
-    indeterminate = False
-    for xi in points:
-        try:
-            lengths.append((xi, family.fiber(xi).length))
-        except IndeterminateError:
-            lengths.append((xi, None))
-            indeterminate = True
-    if indeterminate:
-        return FlatnessReport("indeterminate", tuple(lengths), None, seed)
+    lengths = tuple((xi, family.fiber(xi).length) for xi in points)
     values = {length for _, length in lengths}
     if len(values) == 1:
-        return FlatnessReport("flat", tuple(lengths), values.pop(), seed)
-    return FlatnessReport("not flat", tuple(lengths), None, seed)
+        return FlatnessReport("flat", lengths, values.pop(), seed)
+    return FlatnessReport("not flat", lengths, None, seed)
 
 
 @dataclass(frozen=True)

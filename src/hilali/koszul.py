@@ -2,18 +2,23 @@
 odd-basis search for pure models, Koszul homology and the Tor table, and the
 complete-intersection duality pairing.
 
-The central primitive is :func:`quotient_basis`: a degree-truncated linear
-algebra construction of ``R/(P_1..P_k)`` with a certified monomial basis.  It
-avoids Groebner machinery; finiteness is certified by a vanishing window of
-quotient dimensions plus a multiplicative closure check (every ``x_j * b``
-reduces back into the basis span).  Every product on the staircase, whether
-a relation multiple ``m * P_i``, a closure product ``b * x_j`` or a column
-``b * poly`` of a multiplication matrix, is formed on exponent vectors, with
-each relation's terms scaled once to integers; no ``Element`` is multiplied
-per product.  A multiple ``m * P_i`` whose ``m`` is divisible by the leading
-monomial of an earlier relation is never formed: it lies in the span of the
-other rows of its degree and below (Buchberger's product criterion), so it
-would only reduce to zero.
+The central primitive is :func:`quotient_basis`: ``R/(P_1..P_k)`` with the
+monomial basis of a Groebner basis G of the ideal I, computed by
+Buchberger's algorithm on integer, primitive polynomials in the order of
+``GeneratorUniverse.basis`` (weighted degree, then lex on exponent
+vectors), a degree-compatible monomial order.  By Macaulay's basis theorem
+the monomials that no leading term of G divides are a basis of R/I, for
+filtered (inhomogeneous) relations as for graded ones, and R/I has finite
+length exactly when every variable has a pure power among the leading
+terms (B. Buchberger, PhD thesis, Innsbruck 1965; Cox, Little and O'Shea,
+*Ideals, Varieties, and Algorithms*, ch. 2 §6-§10 and ch. 5 §3).
+
+Reductions modulo I go through an :class:`~hilali.linalg.Rref` span with
+one integer row m * g per non-standard monomial m * LT(g), its columns the
+negated packed keys of the monomials, so each row's pivot is its leading
+monomial.  Since the order is degree-compatible, the rows through degree D
+span I ∩ R_{<=D}: the canonical remainder of a vector of degree at most D
+is its normal form, and no row is ever dependent.
 
 A multiplication matrix is integer columns and one denominator, and every
 row that reaches elimination is an integer row.  The Koszul complex
@@ -30,96 +35,183 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb, gcd, lcm
+from operator import mul
 
-from .algebra import (Element, GeneratorUniverse, Monomial, restrict_element,
-                      universe)
+from .algebra import (KEY_BITS, Element, GeneratorUniverse, Monomial,
+                      restrict_element, universe)
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError, UniverseMismatchError)
 from .linalg import Rref, intify, rank_of_rows
 from .model import Model, classify
 
 
-class _MonomialIndex:
-    """Stable global index over ring monomials, extended degree by degree.
-
-    Columns are negated so that the elimination pivot (the smallest column)
-    is the *leading* monomial: highest degree, then highest canonical key.
-    Standard monomial bases below the staircase then stabilize as the
-    truncation degree grows, also for inhomogeneous ideals.  The ring has
-    no odd generators, so a monomial's exponent vector is its key, and a
-    product's column is looked up from the sum of two exponent vectors.
-    """
+class _Keys:
+    """Packed integer keys of the monomials of an even ring: the weighted
+    degree above one field per exponent, the first most significant.  Keys
+    sort in the monomial order and add under multiplication.  Each field
+    has a guard bit above its ``KEY_BITS``, which the divisibility test
+    borrows from; ``GeneratorUniverse.key_weights(degree)`` checks that a
+    degree keeps every exponent below ``2^KEY_BITS``."""
 
     def __init__(self, ring: GeneratorUniverse):
-        self.ring = ring
-        self.cols: dict[tuple[int, ...], int] = {}
-        self.monomials: list[Monomial] = []
-        self.ends: list[int] = []   # ends[d]: monomials of degree <= d
-        self.degree_extent = -1
+        width = KEY_BITS + 1
+        n = len(ring.evens)
+        self.shifts = [width * (n - 1 - i) for i in range(n)]
+        self.degree_shift = width * n
+        self.weights = tuple((g.degree << self.degree_shift) + (1 << s)
+                             for g, s in zip(ring.evens, self.shifts))
+        self.guards = sum(1 << (s + KEY_BITS) for s in self.shifts)
 
-    def extend_to(self, degree: int) -> None:
-        while self.degree_extent < degree:
-            self.degree_extent += 1
-            for m in self.ring.basis(self.degree_extent):
-                self.monomials.append(m)
-                self.cols[m.exps] = -len(self.monomials)
-            self.ends.append(len(self.monomials))
+    def key(self, exps: tuple[int, ...]) -> int:
+        return sum(map(mul, exps, self.weights))
 
-    def monomial_of(self, col: int) -> Monomial:
-        return self.monomials[-col - 1]
+    def exps(self, key: int) -> tuple[int, ...]:
+        mask = (1 << KEY_BITS) - 1
+        return tuple((key >> s) & mask for s in self.shifts)
 
-    def product(self, exps: tuple[int, ...], terms) -> dict:
-        """Vector of ``x^exps`` times the ``(exps, coefficient)`` terms;
-        monomial multiplication is injective, so no two terms merge."""
-        cols = self.cols
-        return {cols[tuple(map(int.__add__, exps, e))]: c for e, c in terms}
+    def degree(self, key: int) -> int:
+        return key >> self.degree_shift
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether monomial a divides monomial b: no field of b - a
+        borrows from its guard bit."""
+        return ((b | self.guards) - a) & self.guards == self.guards
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.key(tuple(map(max, self.exps(a), self.exps(b))))
+
+
+def _subtract(f: dict[int, int], a: int, g: dict[int, int], shift: int,
+              c: int) -> dict[int, int]:
+    """a * f - c * x^shift * g, for integer polynomials on keys; f is
+    updated in place when a is 1."""
+    out = {k: a * v for k, v in f.items()} if a != 1 else f
+    for k, v in g.items():
+        k += shift
+        w = out.get(k, 0) - c * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
+
+
+def _normal_form(keys: _Keys, f: dict[int, int],
+                 basis: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """The remainder of an integer polynomial f on division by the
+    ``(lead, poly)`` pairs of ``basis``, fraction-free: each step cancels
+    the largest term a lead divides by the smallest integer multiples, and
+    drops the content a non-unit multiple leaves.  It is primitive with a
+    positive leading coefficient, or ``{}``."""
+    f, rest = dict(f), {}
+    while f:
+        top = max(f)
+        for lead, g in basis:
+            if keys.divides(lead, top):
+                break
+        else:
+            rest[top] = f.pop(top)
+            continue
+        h = gcd(g[lead], f[top])
+        a, c = g[lead] // h, f[top] // h
+        f = _subtract(f, a, g, top - lead, c)
+        if a != 1:
+            rest = {k: a * v for k, v in rest.items()}
+            h = gcd(*f.values(), *rest.values())
+            if h > 1:
+                f = {k: v // h for k, v in f.items()}
+                rest = {k: v // h for k, v in rest.items()}
+    if not rest:
+        return rest
+    h = gcd(*rest.values())
+    if rest[max(rest)] < 0:
+        h = -h
+    return {k: v // h for k, v in rest.items()} if h != 1 else rest
+
+
+def _groebner(keys: _Keys, polys: list[dict[int, int]], reach
+              ) -> list[tuple[int, dict[int, int]]]:
+    """The reduced Groebner basis of the integer ``polys``, as ``(lead,
+    poly)`` pairs in increasing lead order.
+
+    Buchberger's algorithm as Cox, Little and O'Shea improve it (ch. 2
+    §10): pairs go in increasing lcm order, skipping those whose leads are
+    coprime (the product criterion) or whose lcm a third lead divides with
+    both of its pairs with them treated (the chain criterion).
+    ``reach(degree)`` gets the lcm degree of every pair reduced.
+    """
+    basis: list[tuple[int, dict[int, int]]] = []
+    pairs: list[tuple[int, int, int]] = []
+    pending: set[tuple[int, int]] = set()
+
+    def add(poly):
+        lead = max(poly)
+        j = len(basis)
+        for i, (other, _) in enumerate(basis):
+            heappush(pairs, (keys.lcm(other, lead), i, j))
+            pending.add((i, j))
+        basis.append((lead, poly))
+
+    for poly in polys:
+        poly = _normal_form(keys, poly, basis)
+        if poly:
+            add(poly)
+    while pairs:
+        top, i, j = heappop(pairs)
+        pending.discard((i, j))
+        (a, f), (b, g) = basis[i], basis[j]
+        if top == a + b or any(
+                keys.divides(c, top) and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                for k, (c, _) in enumerate(basis) if k != i and k != j):
+            continue
+        reach(keys.degree(top))
+        h = gcd(f[a], g[b])
+        s = _subtract({k + top - a: v for k, v in f.items()}, g[b] // h,
+                      g, top - b, f[a] // h)
+        poly = _normal_form(keys, s, basis)
+        if poly:
+            add(poly)
+    minimal = [(lead, poly) for lead, poly in basis
+               if not any(other != lead and keys.divides(other, lead)
+                          for other, _ in basis)]
+    return sorted((lead, _normal_form(keys, poly, [
+        pair for pair in minimal if pair[0] != lead]))
+        for lead, poly in minimal)
 
 
 class QuotientModule:
-    """``R/(P_1..P_k)`` with a certified monomial basis.
+    """``R/(P_1..P_k)`` with its monomial basis, built by
+    :func:`quotient_basis` from the reduced Groebner basis G of the ideal.
 
-    ``graded`` instances use the weighted grading of homogeneous relations
-    (per-degree spans are then exactly the ideal's graded pieces, so length
-    and socle degree are exact).  ``filtered`` instances use the total-degree
-    filtration for inhomogeneous relations; the closure certificate bounds
-    the length and the stabilization window makes it exact in practice.
-
-    :func:`quotient_basis` builds one instance, extends its relation span
-    degree by degree, and sets its basis from the standard monomials of the
-    staircase; until then the basis is empty.
-
-    The relation span is an :class:`~hilali.linalg.Rref` of integer rows.
-    Every vector reduced against it is an integer vector, scaled once where
-    it is formed, and comes back as an integer remainder with one scale:
-    :meth:`reduce` divides at the end and answers in ``Fraction``
-    coordinates, :meth:`multiplication_matrix` keeps integer columns and
-    one denominator per matrix.
+    ``standard_basis`` is the monomials that no leading term of G divides,
+    in the order of ``GeneratorUniverse.basis``.  ``graded`` says whether
+    every relation is homogeneous: :func:`duality_pairing` then pairs
+    graded pieces.  The span's rows m * g (g the first element of G whose
+    leading term divides m * LT(g)) are added degree by degree only as far
+    as a reduction asks.  A reduced vector is an integer vector, scaled
+    once where it is formed, and comes back as an integer remainder with
+    one scale: :meth:`reduce` divides at the end, and
+    :meth:`multiplication_matrix` keeps integer columns and one denominator.
     """
 
     def __init__(self, ring: GeneratorUniverse, relations: list[Element],
-                 graded: bool, max_probe: int):
+                 keys: _Keys, groebner: list[tuple[int, dict[int, int]]],
+                 standard: list[int]):
         self.ring = ring
         self.relations = relations
-        self.graded = graded
-        self._index = _MonomialIndex(ring)
-        self._relation_terms = _relation_terms(self._index, relations)
+        self.graded = all(r.is_homogeneous for r in relations)
+        self._keys = keys
+        self._groebner = groebner
         self._rref = Rref()
         self._span_extent = -1
-        self._max_probe = max_probe
-        # inhomogeneous staircases need covering combinations from a few
-        # stages above the degree being reduced
-        self._slack = 0 if graded else max(
-            (top for top, _, _ in self._relation_terms), default=0)
-        self._set_basis([])
-
-    def _set_basis(self, basis: list[Monomial]) -> None:
-        self.standard_basis = basis
-        cols = self._index.cols
-        self.basis_positions = {cols[m.exps]: i for i, m in enumerate(basis)}
-        self.length = len(basis)
-        self._degrees = [self.ring.degree_of(m) for m in basis]
+        self.standard_basis = [Monomial(keys.exps(k), ()) for k in standard]
+        self.basis_positions = {-k: i for i, k in enumerate(standard)}
+        self.length = len(standard)
+        self._degrees = [keys.degree(k) for k in standard]
         self.socle_degree = max(self._degrees, default=0)
 
     def basis_by_degree(self) -> dict[int, list[Monomial]]:
@@ -128,42 +220,20 @@ class QuotientModule:
             table.setdefault(degree, []).append(m)
         return table
 
-    def _standard_monomials(self, top: int) -> list[Monomial]:
-        """Monomials of degree at most ``top`` that lead no element of the
-        relation span computed so far."""
-        if top < 0:
-            return []
-        index = self._index
-        index.extend_to(top)
-        pivots = self._rref.pivots
-        return [m for i, m in enumerate(index.monomials[:index.ends[top]])
-                if -(i + 1) not in pivots]
-
-    def _extend_spans(self, degree: int) -> None:
+    def _extend_span(self, degree: int) -> None:
+        if degree <= self._span_extent:
+            return
+        self.ring.key_weights(degree)
+        keys = self._keys
         while self._span_extent < degree:
             self._span_extent += 1
-            # every row of the degree enters the span before the guard
-            # raises, so a caller that goes on probing loses none of them;
-            # the skipped multiples lie in the span already
-            pivots = [self._rref.add(row) for row in _relation_rows(
-                self._index, self._relation_terms, self._span_extent)]
-            if any(p in self.basis_positions for p in pivots):
-                raise IndeterminateError(
-                    "a certified basis monomial became a leading term at "
-                    f"degree {self._span_extent}; the probe "
-                    f"(max degree {self._max_probe}) was too small")
-
-    def _remainder(self, vector: dict[int, int]) -> tuple[dict[int, int], int]:
-        """Reduce an integer ``vector`` modulo the span, as ``(remainder,
-        scale)`` (see :meth:`~hilali.linalg.Rref.reduce`); the remainder
-        must lie on basis columns."""
-        reduced, scale = self._rref.reduce(vector)
-        for j in reduced:
-            if j not in self.basis_positions:
-                raise IndeterminateError(
-                    "reduction left the certified basis span; the probe "
-                    f"(max degree {self._max_probe}) was too small")
-        return reduced, scale
+            for m in self.ring.basis(self._span_extent):
+                key = keys.key(m.exps)
+                for lead, g in self._groebner:
+                    if keys.divides(lead, key):
+                        shift = key - lead
+                        self._rref.add({-k - shift: c for k, c in g.items()})
+                        break
 
     def reduce(self, e: Element) -> dict[Monomial, Fraction]:
         """Coordinates of the class of ``e`` over the standard basis.  The
@@ -174,13 +244,13 @@ class QuotientModule:
         top = e.top_degree()
         if top is None:
             return {}
-        self._extend_spans(top + self._slack)   # extends the index there too
-        index = self._index
-        vector, denom = intify({index.cols[m.exps]: c
+        self._extend_span(top)
+        vector, denom = intify({-self._keys.key(m.exps): c
                                 for m, c in e.terms.items()})
-        reduced, scale = self._remainder(vector)
+        reduced, scale = self._rref.reduce(vector)
         denom *= scale
-        return {index.monomial_of(j): Fraction(c, denom)
+        basis, positions = self.standard_basis, self.basis_positions
+        return {basis[positions[j]]: Fraction(c, denom)
                 for j, c in reduced.items()}
 
     def multiplication_matrix(self, poly: Element
@@ -188,27 +258,21 @@ class QuotientModule:
         """Multiplication by ``poly`` on the standard basis, as integer
         columns and one positive denominator D: the matrix is the columns
         divided by D, column j the coordinates of b_j * poly by basis
-        position.
-
-        poly's terms are scaled to integers once, as each relation's are.
-        Each product b * poly is formed on exponent vectors and reduced as
-        :meth:`reduce` would reduce it, in basis order: the span is first
-        extended to its top degree (plus the filtered slack), which also
-        extends the monomial index there.  Each column is then brought to
-        the lcm of the reductions' scales.
+        position.  poly's terms are scaled to integers once, each product
+        b * poly is formed on keys and reduced as :meth:`reduce` would, and
+        each column is brought to the lcm of the reductions' scales.
         """
         if poly.universe != self.ring:
             raise UniverseMismatchError("operands live over different universes")
         top = poly.top_degree()
         if top is None:
             return [{} for _ in self.standard_basis], 1
+        self._extend_span(self.socle_degree + top)
         scaled, denom = intify(poly.terms)
-        terms = [(m.exps, c) for m, c in scaled.items()]
-        index, positions = self._index, self.basis_positions
-        reduced = []
-        for b, degree in zip(self.standard_basis, self._degrees):
-            self._extend_spans(degree + top + self._slack)
-            reduced.append(self._remainder(index.product(b.exps, terms)))
+        positions = self.basis_positions     # the basis columns, in order
+        terms = [(self._keys.key(m.exps), c) for m, c in scaled.items()]
+        reduced = [self._rref.reduce({col - k: c for k, c in terms})
+                   for col in positions]
         common = lcm(*[scale for _, scale in reduced])
         return [{positions[j]: c for j, c in row.items()} if scale == common
                 else {positions[j]: c * (common // scale)
@@ -216,68 +280,17 @@ class QuotientModule:
                 for row, scale in reduced], denom * common
 
 
-def _relation_terms(index, relations):
-    """Each nonzero relation P_i as ``(top degree, leading exponents,
-    integer terms)``: the terms are ``(exps, D*c)`` with D the lcm of P_i's
-    denominators, and the leading monomial is the term with the smallest
-    column, the largest in the index's monomial order (degree first, then
-    exponent vector)."""
-    out = []
-    for rel in relations:
-        top = rel.top_degree()
-        if top is None:
-            continue
-        index.extend_to(top)
-        terms = [(m.exps, c) for m, c in intify(rel.terms)[0].items()]
-        lead = min(terms, key=lambda t: index.cols[t[0]])[0]
-        out.append((top, lead, terms))
-    return out
-
-
-def _relation_rows(index, relation_terms, degree):
-    """Integer vectors of the multiples m * P_i whose (top) degree equals
-    ``degree`` and whose m no earlier leading monomial LM(P_j), j < i,
-    divides; each is D times the vector of m * P_i.
-
-    A skipped m = u * LM(P_j) adds nothing.  With P_j scaled to leading
-    coefficient 1, m * P_i = u * P_i * P_j - u * (P_j - LM(P_j)) * P_i is a
-    sum of multiples t * P_j (t a monomial of u * P_i) and s * P_i (s below
-    m in the monomial order), all of top degree at most ``degree``.  By
-    induction on (i, m) each of those is spanned by rows that are kept, so
-    the span through every degree, its pivots and every remainder are those
-    of all the multiples.
-    """
-    index.extend_to(degree)
-    basis = index.ring.basis
-    rows = []
-    leads = []
-    for top, lead, terms in relation_terms:
-        if top <= degree:
-            rows += [index.product(m.exps, terms) for m in basis(degree - top)
-                     if not any(all(map(int.__ge__, m.exps, earlier))
-                                for earlier in leads)]
-        leads.append(lead)
-    return rows
-
-
-def _socle_prediction(ring: GeneratorUniverse, relations: list[Element]) -> int:
-    """Top degree of the quotient when the relations are a homogeneous
-    complete intersection; a heuristic upper bound otherwise.  There must
-    be at least as many relations as variables."""
-    if not ring.evens:
-        return 0
-    degs = sorted((rel.top_degree() for rel in relations), reverse=True)
-    return sum(degs[:len(ring.evens)]) - sum(g.degree for g in ring.evens)
-
-
 def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
                    max_probe: int | None = None) -> QuotientModule:
-    """Construct ``R/(P_1..P_k)`` with a certified finite monomial basis.
+    """``R/(P_1..P_k)`` with the monomial basis of its reduced Groebner
+    basis (see the module docstring).
 
-    Raises :class:`NotFiniteLengthError` when infinite length is proven
-    (fewer relations than variables, or a homogeneous complete intersection
-    with a class above its predicted socle degree), and
-    :class:`IndeterminateError` when the probe budget runs out undecided.
+    Raises :class:`NotFiniteLengthError` when the quotient has infinite
+    length: with fewer relations than variables, or when a variable has no
+    pure power among the leading terms.  Under ``max_probe``, a relation's
+    degree, the lcm degree of an S-pair reduced, or the socle degree + 1
+    above it raises :class:`IndeterminateError`; without one nothing is
+    capped, since Buchberger's algorithm terminates.
     """
     if max_probe is not None and max_probe < 0:
         raise ModelError(f"max_probe must be at least 0, not {max_probe}")
@@ -292,62 +305,35 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
         raise NotFiniteLengthError(
             f"{len(relations)} relations cannot cut {n} variables down to "
             "finite length")
-    graded = all(r.is_homogeneous for r in relations)
-    prediction = _socle_prediction(ring, relations)
-    is_ci = len(relations) == n
-    window = max((g.degree for g in ring.evens), default=1) + 1
-    if max_probe is None:
-        top = max((r.top_degree() or 0 for r in relations), default=0)
-        max_probe = prediction + 2 * top + window
 
-    # Homogeneous relations: the degree-D span is exactly the ideal's
-    # degree-D piece, so the standard monomials through D are final once D
-    # is spanned.  Inhomogeneous relations: leading-term cancellations
-    # materialize a few stages after the degrees they correct, so the top
-    # slice of the staircase is always provisional; judge stabilization
-    # below a trailing cut, and on a failed closure certificate keep probing.
-    module = QuotientModule(ring, relations, graded, max_probe)
-    lag = 0 if graded else window
-    wait_past = prediction if is_ci else -1
-    previous: list[Monomial] = []
-    stable_run = 0
-    for degree in range(max_probe + 1):
-        module._extend_spans(degree)
-        current = module._standard_monomials(degree - lag)
-        if graded and is_ci and degree > prediction and \
-                len(current) > len(previous):
+    def reach(degree: int) -> None:
+        if max_probe is not None and degree > max_probe:
+            raise IndeterminateError(
+                f"the Groebner basis reaches degree {degree}, above the "
+                f"probe ceiling {max_probe}")
+        ring.key_weights(degree)
+
+    keys = _Keys(ring)
+    polys = []
+    for rel in relations:
+        reach(rel.top_degree())
+        polys.append({keys.key(m.exps): c
+                      for m, c in intify(rel.terms)[0].items()})
+    groebner = _groebner(keys, polys, reach)
+    leads = [keys.exps(lead) for lead, _ in groebner]
+    bounds = []
+    for i, g in enumerate(ring.evens):
+        powers = [e[i] for e in leads if not any(e[:i] + e[i + 1:])]
+        if not powers:
             raise NotFiniteLengthError(
-                f"nonzero class in degree {degree} above the predicted socle "
-                f"degree {prediction}; the relations are not a regular sequence")
-        stable_run = stable_run + 1 if current == previous else 0
-        previous = current
-        if stable_run >= window and degree > wait_past and (graded or current):
-            module._set_basis(current)
-            try:
-                _closure_certificate(module)
-            except IndeterminateError:
-                if graded:
-                    raise
-                module._set_basis([])
-                stable_run = 0
-            else:
-                return module
-    raise IndeterminateError(
-        f"{'quotient dimensions' if graded else 'the standard monomial set'} "
-        f"did not stabilize by degree {max_probe} (not finite length, or "
-        "probe too small)")
-
-
-def _closure_certificate(module: QuotientModule) -> None:
-    """Check x_j * b reduces into the basis span for every basis element b.
-
-    Together with the vanishing window this certifies that the basis spans
-    the quotient: span(B) + I is stable under every multiplication, contains
-    1, hence equals R.
-    """
-    ring = module.ring
-    for g in ring.evens:
-        module.multiplication_matrix(Element.generator(ring, g.name))
+                f"no pure power of {g.name} among the leading terms of a "
+                "Groebner basis: the quotient has infinite length")
+        bounds.append(min(powers))
+    standard = sorted(key for key in map(keys.key, product(*map(range, bounds)))
+                      if not any(keys.divides(lead, key)
+                                 for lead, _ in groebner))
+    reach((keys.degree(standard[-1]) if standard else 0) + 1)
+    return QuotientModule(ring, relations, keys, groebner, standard)
 
 
 def is_regular_sequence(ring: GeneratorUniverse, relations: list[Element],
@@ -728,7 +714,7 @@ def _several_fiber_points(ring: GeneratorUniverse, forms: list[Element],
                  for p, g in zip(forms, ring.evens)]
     try:
         return quotient_basis(ring, relations + actions).length > 1
-    except (NotFiniteLengthError, IndeterminateError):
+    except NotFiniteLengthError:
         return False
 
 

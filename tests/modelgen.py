@@ -173,15 +173,16 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 @cache
-def verdict_benchmark_documents(seed: int) -> tuple[tuple[str, dict], ...]:
-    """The model documents of the ``verdicts`` benchmark workload at one
-    seed, at its reference length, from ``bench/workloads.py`` (read, not
-    changed)."""
+def benchmark_documents(workload: str, seed: int
+                        ) -> tuple[tuple[str, dict], ...]:
+    """The model documents of a benchmark workload (``verdicts`` or
+    ``koszul``) at one seed, at its reference length, from
+    ``bench/workloads.py`` (read, not changed)."""
     spec = importlib.util.spec_from_file_location(
-        "verdict_workloads", REPO / "bench" / "workloads.py")
+        "bench_workloads", REPO / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return tuple(workloads.verdict_models(seed, workloads.REFERENCE_SECONDS))
+    return tuple(workloads.MODELS[workload](seed, workloads.REFERENCE_SECONDS))
 
 
 def certified_models() -> list[tuple[str, Model]]:
@@ -198,6 +199,6 @@ def certified_models() -> list[tuple[str, Model]]:
     models += [(f"random_model seed {seed}", random_model(random.Random(seed)))
                for seed in range(50)]
     models += [(f"verdicts seed 0 {key}", model_from_dict(doc))
-               for key, doc in verdict_benchmark_documents(0)]
+               for key, doc in benchmark_documents("verdicts", 0)]
     return [(name, m) for name, m in models if classify(m).is_hyperelliptic
             and certify_elliptic(m).elliptic]

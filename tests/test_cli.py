@@ -280,6 +280,25 @@ def test_bare_engine_error_is_input_error(capsys):
     assert "Traceback" not in err
 
 
+def test_s_pair_above_the_probe_ceiling_exit_3(tmp_path, capsys):
+    # The images x1*x2 and x1^2 + x2^2 have degree 4 and their quotient
+    # has socle degree 4, but their S-pairs have lcm degrees 6 and 8.
+    doc = {"format": "hilali-model/1", "name": "s-pair-ceiling",
+           "generators": [{"name": "x1", "degree": 2},
+                          {"name": "x2", "degree": 2},
+                          {"name": "y1", "degree": 3},
+                          {"name": "y2", "degree": 3}],
+           "differential": {"y1": "x1*x2", "y2": "x1^2 + x2^2"}}
+    path = str(tmp_path / "s-pair.model.json")
+    (tmp_path / "s-pair.model.json").write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "regseq", path, "--max-probe", "8")
+    assert code == 0 and "True" in out
+    for command in ("regseq", "hilali"):
+        code, _, err = run(capsys, command, path, "--max-probe", "5")
+        assert code == 3
+        assert "degree 6, above the probe ceiling 5" in err
+
+
 def test_certification_budget_exhaustion_exit_3(capsys):
     from hilali import certify_elliptic, load_model
     cert = certify_elliptic(load_model(model("sphere-s3")), max_probe=0)

@@ -83,6 +83,19 @@ def test_standard_family_flat_for_mixed_powers(corpus_models):
     assert report.common_length == 18
 
 
+@pytest.mark.parametrize("name", ["n1r1-powers", "entangled-pairs-n2r1"])
+def test_standard_family_fiber_at_zero_is_the_odd_basis_module(corpus_models,
+                                                               name):
+    # The fiber at t = 0 has the P's as its relations, so it is the odd
+    # basis's own module, not a second quotient built from them.
+    from hilali import halperin_basis
+    model = fresh_copy(corpus_models[name])
+    family, _ = standard_family(model)
+    basis = halperin_basis(model)
+    assert family.fiber(0) is basis.module
+    assert family.relations_at(0) == basis.module.relations
+
+
 def test_semicontinuity_strict_for_n1r1():
     ring = universe([("x", 2)])
     family = ModuleFamily(ring, [pe("x^2", ring)], [Element.generator(ring, "x")])

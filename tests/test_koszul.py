@@ -1,10 +1,14 @@
 """Quotient bases, regular sequences, the odd-basis search, Tor tables,
 endpoint bounds, and the duality pairing."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from operator import add, ge, sub
 
 import pytest
 
@@ -13,13 +17,16 @@ from hilali import (Element, IndeterminateError, Model, ModelError,
                     duality_pairing, halperin_basis, is_regular_sequence,
                     parse_expression, quotient_basis, tor_bounds_check,
                     tor_table, tor_via_model_cross_check, universe)
-from hilali import koszul
-from hilali.algebra import restrict_element
-from hilali.koszul import _relation_rows, koszul_differential_rows
-from hilali.linalg import Echelon, Rref, intify, rank_of_rows
+from hilali import cli, cohomology, deformation, koszul
+from hilali.algebra import Monomial, restrict_element
+from hilali.errors import EngineError
+from hilali.koszul import koszul_differential_rows
+from hilali.linalg import Echelon, Rref, rank_of_rows
 
+from conftest import CORPUS
 from dense_oracle import dense_rank
-from modelgen import fresh_copy
+from modelgen import benchmark_documents, fresh_copy
+from staircase_oracle import staircase
 
 
 def ring2():
@@ -32,8 +39,7 @@ def pe(text, uni):
 
 def reduce_vector(module, e):
     """Coordinates of the class of ``e`` by standard basis position."""
-    cols = module._index.cols
-    return {module.basis_positions[cols[m.exps]]: c
+    return {module.standard_basis.index(m): c
             for m, c in module.reduce(e).items()}
 
 
@@ -117,19 +123,160 @@ def test_probe_exhaustion_is_indeterminate():
                        max_probe=6)
 
 
-def test_leading_term_guard_keeps_every_row_of_its_degree():
-    # A filtered probe goes on past a failed candidate basis, so the guard
-    # may raise only after every relation multiple of its degree is spanned.
+def test_only_an_s_pair_passes_the_probe_ceiling():
+    # The relations have degree 4 and the socle degree + 1 is 5, but the
+    # S-polynomial of the pair, x2^3, comes from its lcm x1^2*x2 of degree 6.
     ring = universe([("x1", 2), ("x2", 2)])
-    relations = [pe("x1^2", ring), pe("x2^2", ring)]
-    module = QuotientModule(ring, relations, graded=True, max_probe=8)
-    module._extend_spans(3)
-    module._set_basis(module._standard_monomials(4))   # holds x1^2 and x2^2
-    with pytest.raises(IndeterminateError, match="leading term at degree 4"):
-        module._extend_spans(4)
-    rows = _relation_rows(module._index, module._relation_terms, 4)
-    assert len(rows) == 2
-    assert all(module._rref.reduce(row) == ({}, 1) for row in rows)
+    relations = [pe("x1*x2", ring), pe("x1^2 + x2^2", ring)]
+    module = quotient_basis(ring, relations)
+    assert (module.length, module.socle_degree) == (4, 4)
+    with pytest.raises(IndeterminateError, match="degree 6"):
+        quotient_basis(ring, relations, max_probe=5)
+    assert quotient_basis(ring, relations, max_probe=8).length == 4
+
+
+def test_chain_criterion_waits_for_pending_pairs():
+    # The leads x*y, x*z and y*z each divide the lcm x*y*z of the other
+    # two; a pair may be skipped for a third lead only once both of its
+    # pairs with that lead are treated, or the basis misses an element.
+    ring = universe([("x", 2), ("y", 2), ("z", 2)])
+    relations = [pe(t, ring) for t in ("x*y - 2*y^2 + 2*z^2",
+                                       "x*z + y^2 + 2*y*z - z^2", "y*z",
+                                       "x^3", "y^3")]
+    module = quotient_basis(ring, relations)
+    assert module.length == 7
+    assert module.standard_basis == staircase(ring, relations)
+
+
+@pytest.fixture(scope="module")
+def built_quotients(tmp_path_factory):
+    """Every quotient that ``hilali corpus corpus --seed 0`` and the koszul
+    benchmark items (``tor`` and ``deform``) of seeds 0-4 build, once per
+    relation set, as ``(ring, relations, module or the error raised)``;
+    and the number of rows added to quotient spans, and of those that were
+    dependent."""
+    built, rows = {}, {"added": 0, "dependent": 0}
+    original = koszul.quotient_basis
+
+    def recording(ring, relations, max_probe=None):
+        assert max_probe is None
+        key = (ring, tuple(frozenset(r.terms.items()) for r in relations))
+        try:
+            module = original(ring, relations)
+        except EngineError as exc:
+            built[key] = (ring, relations, exc)
+            raise
+        built[key] = (ring, relations, module)
+        return module
+
+    class CountingRref(Rref):
+        def add(self, row):
+            col = Rref.add(self, row)
+            rows["added"] += 1
+            rows["dependent"] += col is None
+            return col
+
+    runs = [["corpus", str(CORPUS), "--seed", "0", "--jobs", "1"]]
+    directory = tmp_path_factory.mktemp("koszul")
+    for seed in range(5):
+        for key, doc in benchmark_documents("koszul", seed):
+            path = directory / f"{seed}-{key}.model.json"
+            path.write_text(json.dumps(doc))
+            runs += [[command, str(path), "--seed", str(seed)]
+                     for command in ("tor", "deform")]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (koszul, cohomology, deformation):
+            patch.setattr(module, "quotient_basis", recording)
+        patch.setattr(koszul, "Rref", CountingRref)
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+    return list(built.values()), rows
+
+
+def test_staircase_matches_the_degree_by_degree_oracle(built_quotients):
+    # The standard basis read from the Groebner basis is the staircase the
+    # degree-by-degree probe found, graded and filtered; a quotient of
+    # infinite length fails both ways.
+    built, _ = built_quotients
+    kinds = set()
+    for ring, relations, result in built:
+        if isinstance(result, QuotientModule):
+            assert result.standard_basis == staircase(ring, relations)
+            kinds.add(result.graded)
+        else:
+            assert isinstance(result, NotFiniteLengthError)
+            with pytest.raises((NotFiniteLengthError, IndeterminateError)):
+                staircase(ring, relations)
+    assert kinds == {True, False}
+
+
+def _remainder(f, basis, order):
+    """The remainder of ``{exps: Fraction}`` f on division by ``basis``,
+    leading terms taken by ``order``."""
+    f, rest = dict(f), {}
+    leads = [max(g, key=order) for g in basis]
+    while f:
+        top = max(f, key=order)
+        divisors = [(g, lead) for g, lead in zip(basis, leads)
+                    if all(map(ge, top, lead))]
+        if not divisors:
+            rest[top] = f.pop(top)
+            continue
+        g, lead = divisors[0]
+        factor, shift = f[top] / g[lead], tuple(map(sub, top, lead))
+        for e, c in g.items():
+            e = tuple(map(add, e, shift))
+            v = f.get(e, 0) - factor * c
+            if v:
+                f[e] = v
+            else:
+                del f[e]
+    return rest
+
+
+def _s_polynomial(f, g, order):
+    lead_f, lead_g = max(f, key=order), max(g, key=order)
+    top = tuple(map(max, lead_f, lead_g))
+    out = {}
+    for h, lead, sign in ((f, lead_f, 1), (g, lead_g, -1)):
+        shift = tuple(map(sub, top, lead))
+        for e, c in h.items():
+            e = tuple(map(add, e, shift))
+            out[e] = out.get(e, 0) + sign * Fraction(c, h[lead])
+    return {e: c for e, c in out.items() if c}
+
+
+def test_every_s_pair_of_the_groebner_basis_reduces_to_zero(built_quotients):
+    # Buchberger's criterion, checked in Fraction arithmetic with leading
+    # terms in the ring's canonical order: G is a Groebner basis.  It is
+    # also reduced: no leading term divides a term of another element.
+    built, _ = built_quotients
+    pairs = 0
+    for ring, _, module in built:
+        if not isinstance(module, QuotientModule):
+            continue
+
+        def order(e):
+            return ring.sort_key(Monomial(e, ()))
+        keys = module._keys
+        basis = [{keys.exps(k): c for k, c in g.items()}
+                 for _, g in module._groebner]
+        leads = [max(g, key=order) for g in basis]
+        assert [keys.exps(lead) for lead, _ in module._groebner] == leads
+        assert not any(all(map(ge, e, lead)) for i, g in enumerate(basis)
+                       for e in g for j, lead in enumerate(leads) if i != j)
+        for f, g in combinations(basis, 2):
+            assert not _remainder(_s_polynomial(f, g, order), basis, order)
+            pairs += 1
+    assert pairs
+
+
+def test_no_staircase_row_is_dependent(built_quotients):
+    # One row per non-standard monomial, led by that monomial: every row
+    # added to a quotient span is a new pivot.
+    _, rows = built_quotients
+    assert rows["added"] and not rows["dependent"]
 
 
 def test_regular_sequence_requires_count_match():
@@ -500,47 +647,16 @@ def _standard_fibers(model):
     return [family.fiber(xi) for xi in points], actions
 
 
-def _leading_exponents(index, rel):
-    """The exponents of the term of ``rel`` with the smallest column."""
-    return min((m.exps for m in rel.terms), key=index.cols.__getitem__)
-
-
 def test_integer_products_match_element_products(corpus_models):
-    # Relation rows and multiplication columns are formed on exponent
-    # vectors; each must agree with the Element product it replaces, and
-    # each multiple skipped by the product criterion must already lie in
-    # the span.
-    graded = filtered = skipped = 0
+    # Multiplication columns are formed on packed keys; each must agree
+    # with the Element product it replaces.
+    graded = filtered = 0
     for model in _pure_elliptic_models(corpus_models):
         fibers, actions = _standard_fibers(model)
         for module in fibers:
-            ring, index, relations = module.ring, module._index, module.relations
+            ring = module.ring
             graded += module.graded
             filtered += not module.graded
-            leads = [_leading_exponents(index, rel) for rel in relations]
-            for degree in range(module._span_extent + 1):
-                rows = iter(_relation_rows(index, module._relation_terms,
-                                           degree))
-                for i, rel in enumerate(relations):
-                    top = rel.top_degree()
-                    if top > degree:
-                        continue
-                    for m in ring.basis(degree - top):
-                        prod = Element.from_monomial(ring, m) * rel
-                        expected = {index.cols[p.exps]: c
-                                    for p, c in prod.terms.items()}
-                        if any(all(a >= b for a, b in zip(m.exps, lead))
-                               for lead in leads[:i]):
-                            assert module._rref.reduce(
-                                intify(expected)[0]) == ({}, 1)
-                            skipped += 1
-                            continue
-                        row = next(rows)
-                        assert row.keys() == expected.keys()
-                        ratios = {Fraction(row[j]) / c
-                                  for j, c in expected.items()}
-                        assert len(ratios) == 1 and ratios.pop() > 0
-                assert next(rows, None) is None
             gens = [Element.generator(ring, g.name) for g in ring.evens]
             for p in actions + gens:
                 cols, denom = module.multiplication_matrix(p)
@@ -549,65 +665,7 @@ def test_integer_products_match_element_products(corpus_models):
                         for col in cols] == [
                     reduce_vector(module, Element.from_monomial(ring, b) * p)
                     for b in module.standard_basis]
-    assert graded and filtered and skipped
-
-
-def _pivots_by_degree(module, rows_of_degree):
-    """Pivot columns after each degree through the module's span extent,
-    of an Rref fed ``rows_of_degree(degree)`` degree by degree."""
-    rref = Rref()
-    out = []
-    for degree in range(module._span_extent + 1):
-        for row in rows_of_degree(degree):
-            rref.add(row)
-        out.append(set(rref.pivots))
-    return out
-
-
-def _every_multiple(module):
-    """Integer rows of every relation multiple m * P_i, by (top) degree."""
-    ring, index = module.ring, module._index
-
-    def rows(degree):
-        return [intify({index.cols[p.exps]: c for p, c in
-                        (Element.from_monomial(ring, m) * rel).terms.items()})[0]
-                for rel in module.relations if rel.top_degree() <= degree
-                for m in ring.basis(degree - rel.top_degree())]
-    return rows
-
-
-def _assert_skip_keeps_span(module):
-    kept = _pivots_by_degree(module, lambda degree: _relation_rows(
-        module._index, module._relation_terms, degree))
-    assert kept == _pivots_by_degree(module, _every_multiple(module))
-    assert kept[-1] == set(module._rref.pivots)
-
-
-def test_product_criterion_keeps_the_span(corpus_models):
-    # The staircase skips m * P_i when an earlier leading monomial divides
-    # m; its pivots must be those of all the multiples, degree by degree.
-    ring = universe([("x1", 2), ("x2", 2)])
-    for texts, graded in ((("x1^2", "x1^2", "x2^3"), True),
-                          (("x1^2", "x1*x2"), True),
-                          (("x1^2 + 3*x1", "x2^2 - 1/2*x2"), False)):
-        module = QuotientModule(ring, [pe(t, ring) for t in texts], graded,
-                                max_probe=12)
-        module._extend_spans(12)
-        _assert_skip_keeps_span(module)
-    # on the non-regular pair, x1^2 * (x1*x2) is skipped: it is
-    # (x1*x2) * x1^2, a multiple of the first relation
-    relations = [pe("x1^2", ring), pe("x1*x2", ring)]
-    module = QuotientModule(ring, relations, graded=True, max_probe=12)
-    assert len(_relation_rows(module._index, module._relation_terms, 8)) == 5
-    relations = [pe(t, ring) for t in ("x1^2", "x1^2", "x2^3")]
-    assert quotient_basis(ring, relations).length == 6
-    filtered = 0
-    for model in _pure_elliptic_models(corpus_models):
-        fibers, _ = _standard_fibers(model)
-        for module in fibers:
-            _assert_skip_keeps_span(module)
-            filtered += not module.graded
-    assert filtered
+    assert graded and filtered
 
 
 def _accumulated_koszul_rows(s, k):
@@ -752,7 +810,7 @@ def test_halperin_images_are_restricted_images_of_combinations(corpus_models):
 
 
 def test_filtered_fiber_lengths_match_groebner_staircase(corpus_models):
-    # An independent oracle for the filtered ("exact in practice") path:
+    # An independent oracle for the filtered path, in another monomial order:
     # the number of standard monomials of a Groebner basis of P_i + xi x_i.
     sympy = pytest.importorskip("sympy")
     checked = 0
