@@ -28,15 +28,18 @@ A to B inclusive when one is given, with these wrappers in place:
 - ``quotient_basis``, in every ``hilali`` module that binds it: each call
   builds one quotient (certificates, odd-basis searches, fibers);
 - ``hilali.koszul.Rref``, the span a quotient reduces against, with the
-  rows added to it counted.
+  rows added to it counted;
+- ``hilali.koszul._normal_form``, one reduction of Buchberger's algorithm
+  (a relation, an S-pair, or an element of the basis being made reduced).
 
-It prints one line per seed: the seed, the corpus run's exit code, ``_leibniz``
-calls, ``_eliminate`` calls, entries touched, the rows and nonzero
-entries assembled, the rows cleared, then the Koszul rows built, the
+It prints one line per seed: the seed, the corpus run's exit code,
+``_leibniz`` calls, ``_eliminate`` calls, entries touched, the rows and
+nonzero entries assembled, the rows cleared, then the Koszul rows built, the
 Koszul rows cleared, the ``intify`` calls, the certificates computed, the
-``quotient_basis`` calls and the rows added to quotient spans.  The counts depend only on the code and the
-seed, not on the machine, so two trees compare by ``diff``.  The corpus
-report itself is discarded; its ``# wall time`` line still goes to stderr.
+``quotient_basis`` calls, the rows added to quotient spans and the
+``_normal_form`` calls.  The counts depend only on the code and the seed,
+not on the machine, so two trees compare by ``diff``.  The corpus report
+itself is discarded; its ``# wall time`` line still goes to stderr.
 Each seed's run loads the corpus afresh, so its line is the same in a range
 as on its own.
 """
@@ -112,13 +115,19 @@ def main() -> int:
         counts["quotients"] += 1
         return quotient_basis(*args, **kwargs)
 
+    normal_form = koszul._normal_form
+
+    def counted_normal_form(*args):
+        counts["normal_forms"] += 1
+        return normal_form(*args)
+
     class StaircaseRref(koszul.Rref):
         def add(self, row):
             counts["staircase_rows"] += 1
             return super().add(row)
 
     cohomology._leibniz, linalg._eliminate = counted_leibniz, counted_eliminate
-    koszul.Rref = StaircaseRref
+    koszul.Rref, koszul._normal_form = StaircaseRref, counted_normal_form
     cohomology.ChainComplex.rows = counted_rows
     koszul.koszul_differential_rows = counted_koszul_rows
     for module in (linalg, koszul, cohomology):
@@ -134,7 +143,7 @@ def main() -> int:
         counts.update(dict.fromkeys(
             ("leibniz", "eliminate", "entries", "rows", "nnz", "cleared",
              "koszul_rows", "koszul_cleared", "intify", "quotients",
-             "staircase_rows"), 0))
+             "staircase_rows", "normal_forms"), 0))
         certificates.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
@@ -149,7 +158,8 @@ def main() -> int:
               f"intify_calls {counts['intify']} "
               f"certify_elliptic_calls {len(certificates)} "
               f"quotient_basis_calls {counts['quotients']} "
-              f"staircase_rows {counts['staircase_rows']}", flush=True)
+              f"staircase_rows {counts['staircase_rows']} "
+              f"normal_form_calls {counts['normal_forms']}", flush=True)
     return 0
 
 

@@ -73,12 +73,16 @@ class GeneratorUniverse:
         self.unit = Monomial((0,) * len(self.evens), ())
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._odd_by_degree: dict[int, list[tuple[int, ...]]] | None = None
-        self._odd_index: dict[tuple[int, ...], int] = {}
-        # the k-th even exponent's field sits KEY_BITS * (n - 1 - k) bits
-        # above the odd-subset index, which takes len(odds) bits
-        n, r = len(self.evens), len(self.odds)
-        self._key_weights = tuple(1 << (r + KEY_BITS * (n - 1 - k))
-                                  for k in range(n))
+        self._odd_keys: dict[tuple[int, ...], int] = {}
+        # below the degree, the k-th even exponent's field, with its guard
+        # bit, sits (KEY_BITS + 1) * (n - 1 - k) bits above the odd-subset
+        # index, which takes len(odds) bits
+        width, n, r = KEY_BITS + 1, len(self.evens), len(self.odds)
+        self._key_shifts = tuple(r + width * (n - 1 - k) for k in range(n))
+        self._degree_shift = r + width * n
+        self._key_weights = tuple((g.degree << self._degree_shift) + (1 << s)
+                                  for g, s in zip(self.evens, self._key_shifts))
+        self._key_guards = sum(1 << (s + KEY_BITS) for s in self._key_shifts)
         self._key_limit = min((g.degree << KEY_BITS for g in self.evens),
                               default=None)
 
@@ -146,16 +150,17 @@ class GeneratorUniverse:
     # -- degree-indexed bases ---------------------------------------------
 
     def _odd_subsets_by_degree(self) -> dict[int, list[tuple[int, ...]]]:
-        # Ascending odd subsets by degree, and the index of each subset in
-        # the lexicographic order of all of them, built once per universe.
+        # Ascending odd subsets by degree, and the key of each subset: its
+        # degree above its index in the lexicographic order of all of them,
+        # built once per universe.
         if self._odd_by_degree is None:
             r = len(self.odds)
             subsets = sorted(subset for size in range(r + 1)
                              for subset in combinations(range(r), size))
             table: dict[int, list[tuple[int, ...]]] = {}
             for i, subset in enumerate(subsets):
-                self._odd_index[subset] = i
                 d = sum(self.odds[k].degree for k in subset)
+                self._odd_keys[subset] = (d << self._degree_shift) + i
                 table.setdefault(d, []).append(subset)
             self._odd_by_degree = table
         return self._odd_by_degree
@@ -165,7 +170,7 @@ class GeneratorUniverse:
     def key_weights(self, top_degree: int) -> tuple[int, ...]:
         """The weight of each even exponent in :meth:`key`, for monomials
         of degree at most ``top_degree``: ``key(m)`` is the dot product of
-        ``m.exps`` with the weights plus the index of ``m.odds``.  A degree
+        ``m.exps`` with the weights plus the key of ``m.odds``.  A degree
         in which an exponent could overflow its field raises
         :class:`EngineError`."""
         if self._key_limit is not None and top_degree >= self._key_limit:
@@ -174,18 +179,41 @@ class GeneratorUniverse:
         return self._key_weights
 
     def key(self, m: Monomial) -> int:
-        """One integer label for a monomial.
+        """One integer label for a monomial, the engine's one key format.
 
-        The even exponents fill fixed-width bit fields, the first exponent
-        most significant; below them sits the index of the odd subset in
-        the lexicographic order of ascending tuples.  Within one degree,
-        keys therefore order monomials canonically, and multiplying by an
-        even monomial f, which leaves the odd part alone, adds its key:
-        key(f*m) = key(f) + key(m).
+        From the top: the weighted degree; one field per even exponent,
+        the first most significant, each ``KEY_BITS`` wide with a guard
+        bit above; the index of the odd subset in the lexicographic order
+        of ascending tuples.  Keys therefore order monomials canonically
+        (:meth:`sort_key`), and multiplying by an even monomial f, which
+        leaves the odd part alone, adds its key: key(f*m) = key(f) +
+        key(m).  :meth:`divides`, :meth:`lcm`, :meth:`key_exps` and
+        :meth:`key_degree` read keys back.
         """
         weights = self.key_weights(self.degree_of(m))
-        self._odd_subsets_by_degree()       # fills self._odd_index
-        return sum(map(mul, m.exps, weights)) + self._odd_index[m.odds]
+        self._odd_subsets_by_degree()       # fills self._odd_keys
+        return sum(map(mul, m.exps, weights)) + self._odd_keys[m.odds]
+
+    def key_exps(self, key: int) -> tuple[int, ...]:
+        """The even exponents of the monomial with this key."""
+        mask = (1 << KEY_BITS) - 1
+        return tuple((key >> s) & mask for s in self._key_shifts)
+
+    def key_degree(self, key: int) -> int:
+        """The degree of the monomial with this key."""
+        return key >> self._degree_shift
+
+    def divides(self, a: int, b: int) -> bool:
+        """Whether the monomial with key a divides the one with key b, for
+        monomials without odd factors: no exponent field of b - a borrows
+        from its guard bit."""
+        guards = self._key_guards
+        return ((b | guards) - a) & guards == guards
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of the lcm of two monomials without odd factors."""
+        return sum(map(mul, map(max, self.key_exps(a), self.key_exps(b)),
+                       self._key_weights))
 
     def basis_keys(self, degree: int) -> list[int]:
         """:meth:`key` of each monomial of :meth:`basis`, in basis order.
@@ -193,14 +221,14 @@ class GeneratorUniverse:
         together, so key(f) is a dot product once per f and each key one
         addition."""
         weights = self.key_weights(degree)
-        index = self._odd_index         # filled by basis()
+        odd_keys = self._odd_keys       # filled by basis()
         keys = []
         f = None
         for m in self._basis(degree):
             if m.exps is not f:
                 f = m.exps
                 shift = sum(map(mul, f, weights))
-            keys.append(shift + index[m.odds])
+            keys.append(shift + odd_keys[m.odds])
         return keys
 
     def basis(self, degree: int) -> list[Monomial]:

@@ -166,8 +166,7 @@ class ChainComplex:
                 - self.rank(degree - 1, below))
 
 
-def betti(model: Model, max_degree: int,
-          chain_complex: ChainComplex | None = None) -> BettiTable:
+def betti(model: Model, max_degree: int) -> BettiTable:
     """Cohomology dimensions for degrees 0..max_degree.
 
     dims[p] = dim ker(d_p) - rank(d_{p-1}), by exact row reduction over the
@@ -176,7 +175,7 @@ def betti(model: Model, max_degree: int,
     """
     if max_degree < 0:
         raise EngineError("max_degree must be non-negative")
-    cx = chain_complex if chain_complex is not None else ChainComplex(model)
+    cx = ChainComplex(model)
     dims = {}
     for p in range(max_degree + 1):
         b = cx.betti_number(p)

@@ -38,50 +38,13 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, product
 from math import comb, gcd, lcm
-from operator import mul
 
-from .algebra import (KEY_BITS, Element, GeneratorUniverse, Monomial,
-                      restrict_element, universe)
+from .algebra import (Element, GeneratorUniverse, Monomial, restrict_element,
+                      universe)
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      ModelError, NotFiniteLengthError, UniverseMismatchError)
 from .linalg import Rref, intify, rank_of_rows
 from .model import Model, classify
-
-
-class _Keys:
-    """Packed integer keys of the monomials of an even ring: the weighted
-    degree above one field per exponent, the first most significant.  Keys
-    sort in the monomial order and add under multiplication.  Each field
-    has a guard bit above its ``KEY_BITS``, which the divisibility test
-    borrows from; ``GeneratorUniverse.key_weights(degree)`` checks that a
-    degree keeps every exponent below ``2^KEY_BITS``."""
-
-    def __init__(self, ring: GeneratorUniverse):
-        width = KEY_BITS + 1
-        n = len(ring.evens)
-        self.shifts = [width * (n - 1 - i) for i in range(n)]
-        self.degree_shift = width * n
-        self.weights = tuple((g.degree << self.degree_shift) + (1 << s)
-                             for g, s in zip(ring.evens, self.shifts))
-        self.guards = sum(1 << (s + KEY_BITS) for s in self.shifts)
-
-    def key(self, exps: tuple[int, ...]) -> int:
-        return sum(map(mul, exps, self.weights))
-
-    def exps(self, key: int) -> tuple[int, ...]:
-        mask = (1 << KEY_BITS) - 1
-        return tuple((key >> s) & mask for s in self.shifts)
-
-    def degree(self, key: int) -> int:
-        return key >> self.degree_shift
-
-    def divides(self, a: int, b: int) -> bool:
-        """Whether monomial a divides monomial b: no field of b - a
-        borrows from its guard bit."""
-        return ((b | self.guards) - a) & self.guards == self.guards
-
-    def lcm(self, a: int, b: int) -> int:
-        return self.key(tuple(map(max, self.exps(a), self.exps(b))))
 
 
 def _subtract(f: dict[int, int], a: int, g: dict[int, int], shift: int,
@@ -99,18 +62,18 @@ def _subtract(f: dict[int, int], a: int, g: dict[int, int], shift: int,
     return out
 
 
-def _normal_form(keys: _Keys, f: dict[int, int],
+def _normal_form(ring: GeneratorUniverse, f: dict[int, int],
                  basis: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
-    """The remainder of an integer polynomial f on division by the
-    ``(lead, poly)`` pairs of ``basis``, fraction-free: each step cancels
-    the largest term a lead divides by the smallest integer multiples, and
-    drops the content a non-unit multiple leaves.  It is primitive with a
-    positive leading coefficient, or ``{}``."""
+    """The remainder of an integer polynomial f on the keys of ``ring``,
+    on division by the ``(lead, poly)`` pairs of ``basis``, fraction-free:
+    each step cancels the largest term a lead divides by the smallest
+    integer multiples, and drops the content a non-unit multiple leaves.
+    It is primitive with a positive leading coefficient, or ``{}``."""
     f, rest = dict(f), {}
     while f:
         top = max(f)
         for lead, g in basis:
-            if keys.divides(lead, top):
+            if ring.divides(lead, top):
                 break
         else:
             rest[top] = f.pop(top)
@@ -132,7 +95,7 @@ def _normal_form(keys: _Keys, f: dict[int, int],
     return {k: v // h for k, v in rest.items()} if h != 1 else rest
 
 
-def _groebner(keys: _Keys, polys: list[dict[int, int]], reach
+def _groebner(ring: GeneratorUniverse, polys: list[dict[int, int]], reach
               ) -> list[tuple[int, dict[int, int]]]:
     """The reduced Groebner basis of the integer ``polys``, as ``(lead,
     poly)`` pairs in increasing lead order.
@@ -151,12 +114,12 @@ def _groebner(keys: _Keys, polys: list[dict[int, int]], reach
         lead = max(poly)
         j = len(basis)
         for i, (other, _) in enumerate(basis):
-            heappush(pairs, (keys.lcm(other, lead), i, j))
+            heappush(pairs, (ring.lcm(other, lead), i, j))
             pending.add((i, j))
         basis.append((lead, poly))
 
     for poly in polys:
-        poly = _normal_form(keys, poly, basis)
+        poly = _normal_form(ring, poly, basis)
         if poly:
             add(poly)
     while pairs:
@@ -164,21 +127,21 @@ def _groebner(keys: _Keys, polys: list[dict[int, int]], reach
         pending.discard((i, j))
         (a, f), (b, g) = basis[i], basis[j]
         if top == a + b or any(
-                keys.divides(c, top) and (min(i, k), max(i, k)) not in pending
+                ring.divides(c, top) and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
                 for k, (c, _) in enumerate(basis) if k != i and k != j):
             continue
-        reach(keys.degree(top))
+        reach(ring.key_degree(top))
         h = gcd(f[a], g[b])
         s = _subtract({k + top - a: v for k, v in f.items()}, g[b] // h,
                       g, top - b, f[a] // h)
-        poly = _normal_form(keys, s, basis)
+        poly = _normal_form(ring, s, basis)
         if poly:
             add(poly)
     minimal = [(lead, poly) for lead, poly in basis
-               if not any(other != lead and keys.divides(other, lead)
+               if not any(other != lead and ring.divides(other, lead)
                           for other, _ in basis)]
-    return sorted((lead, _normal_form(keys, poly, [
+    return sorted((lead, _normal_form(ring, poly, [
         pair for pair in minimal if pair[0] != lead]))
         for lead, poly in minimal)
 
@@ -199,19 +162,19 @@ class QuotientModule:
     """
 
     def __init__(self, ring: GeneratorUniverse, relations: list[Element],
-                 keys: _Keys, groebner: list[tuple[int, dict[int, int]]],
+                 groebner: list[tuple[int, dict[int, int]]],
                  standard: list[int]):
         self.ring = ring
         self.relations = relations
         self.graded = all(r.is_homogeneous for r in relations)
-        self._keys = keys
         self._groebner = groebner
         self._rref = Rref()
         self._span_extent = -1
-        self.standard_basis = [Monomial(keys.exps(k), ()) for k in standard]
+        self.standard_basis = [Monomial(ring.key_exps(k), ())
+                               for k in standard]
         self.basis_positions = {-k: i for i, k in enumerate(standard)}
         self.length = len(standard)
-        self._degrees = [keys.degree(k) for k in standard]
+        self._degrees = [ring.key_degree(k) for k in standard]
         self.socle_degree = max(self._degrees, default=0)
 
     def basis_by_degree(self) -> dict[int, list[Monomial]]:
@@ -221,31 +184,27 @@ class QuotientModule:
         return table
 
     def _extend_span(self, degree: int) -> None:
-        if degree <= self._span_extent:
-            return
-        self.ring.key_weights(degree)
-        keys = self._keys
-        while self._span_extent < degree:
-            self._span_extent += 1
-            for m in self.ring.basis(self._span_extent):
-                key = keys.key(m.exps)
+        ring = self.ring
+        for d in range(self._span_extent + 1, degree + 1):
+            for key in ring.basis_keys(d):
                 for lead, g in self._groebner:
-                    if keys.divides(lead, key):
+                    if ring.divides(lead, key):
                         shift = key - lead
                         self._rref.add({-k - shift: c for k, c in g.items()})
                         break
+            self._span_extent = d
 
     def reduce(self, e: Element) -> dict[Monomial, Fraction]:
         """Coordinates of the class of ``e`` over the standard basis.  The
         element is scaled to integers once, and the coordinates are divided
         by both scales at the end."""
         if e.universe != self.ring:
-            raise ModelError("element lives over a different ring")
+            raise UniverseMismatchError("element lives over a different ring")
         top = e.top_degree()
         if top is None:
             return {}
         self._extend_span(top)
-        vector, denom = intify({-self._keys.key(m.exps): c
+        vector, denom = intify({-self.ring.key(m): c
                                 for m, c in e.terms.items()})
         reduced, scale = self._rref.reduce(vector)
         denom *= scale
@@ -270,7 +229,7 @@ class QuotientModule:
         self._extend_span(self.socle_degree + top)
         scaled, denom = intify(poly.terms)
         positions = self.basis_positions     # the basis columns, in order
-        terms = [(self._keys.key(m.exps), c) for m, c in scaled.items()]
+        terms = [(self.ring.key(m), c) for m, c in scaled.items()]
         reduced = [self._rref.reduce({col - k: c for k, c in terms})
                    for col in positions]
         common = lcm(*[scale for _, scale in reduced])
@@ -313,14 +272,12 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
                 f"probe ceiling {max_probe}")
         ring.key_weights(degree)
 
-    keys = _Keys(ring)
     polys = []
     for rel in relations:
         reach(rel.top_degree())
-        polys.append({keys.key(m.exps): c
-                      for m, c in intify(rel.terms)[0].items()})
-    groebner = _groebner(keys, polys, reach)
-    leads = [keys.exps(lead) for lead, _ in groebner]
+        polys.append({ring.key(m): c for m, c in intify(rel.terms)[0].items()})
+    groebner = _groebner(ring, polys, reach)
+    leads = [ring.key_exps(lead) for lead, _ in groebner]
     bounds = []
     for i, g in enumerate(ring.evens):
         powers = [e[i] for e in leads if not any(e[:i] + e[i + 1:])]
@@ -329,11 +286,16 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
                 f"no pure power of {g.name} among the leading terms of a "
                 "Groebner basis: the quotient has infinite length")
         bounds.append(min(powers))
-    standard = sorted(key for key in map(keys.key, product(*map(range, bounds)))
-                      if not any(keys.divides(lead, key)
+    # keys add under multiplication, so a box monomial's key is the sum of
+    # the keys of its pure powers
+    pure_keys = [[ring.key(Monomial(tuple(e if k == i else 0
+                                          for k in range(n)), ()))
+                  for e in range(bound)] for i, bound in enumerate(bounds)]
+    standard = sorted(key for key in map(sum, product(*pure_keys))
+                      if not any(ring.divides(lead, key)
                                  for lead, _ in groebner))
-    reach((keys.degree(standard[-1]) if standard else 0) + 1)
-    return QuotientModule(ring, relations, keys, groebner, standard)
+    reach((ring.key_degree(standard[-1]) if standard else 0) + 1)
+    return QuotientModule(ring, relations, groebner, standard)
 
 
 def is_regular_sequence(ring: GeneratorUniverse, relations: list[Element],

@@ -192,11 +192,34 @@ def test_restrict_element_into_reordered_odds_equals_parsing_there(mixed):
                             dropped) == parse_expression("-y3*y1", dropped)
 
 
+def test_key_divisibility_lcm_and_decoding_follow_the_exponents():
+    rng = random.Random(7)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        ring = universe([(f"x{i}", 2 * rng.randint(1, 4)) for i in range(n)])
+        monomials = [Monomial(tuple(rng.randint(0, 5) for _ in range(n)), ())
+                     for _ in range(12)]
+        for a in monomials:
+            ka = ring.key(a)
+            assert ring.key_exps(ka) == a.exps
+            assert ring.key_degree(ka) == ring.degree_of(a)
+            for b in monomials:
+                kb = ring.key(b)
+                assert ring.divides(ka, kb) == all(map(operator.le, a.exps,
+                                                       b.exps)), (a, b)
+                top = Monomial(tuple(map(max, a.exps, b.exps)), ())
+                assert ring.lcm(ka, kb) == ring.key(top), (a, b)
+
+
 def test_packed_key_rejects_a_degree_that_could_overflow_a_field():
     uni = universe([("x", 2), ("z", 4), ("y", 3)])
-    # x^e y: one odd-index bit below the fields of x and z
-    top = Monomial(((1 << KEY_BITS) - 2, 0), (0,))
-    assert uni.key(top) == (((1 << KEY_BITS) - 2) << (KEY_BITS + 1)) + 1
+    # x^e y: the degree above the fields of x and z, each with its guard
+    # bit, above one odd-index bit
+    e = (1 << KEY_BITS) - 2
+    top = Monomial((e, 0), (0,))
+    width = KEY_BITS + 1
+    assert uni.key(top) == ((2 * e + 3) << (2 * width + 1)) \
+        + (e << (width + 1)) + 1
     for m in (Monomial((1 << KEY_BITS, 0), ()),
               # z's exponent fits, but x's could overflow in that degree
               Monomial((0, 1 << (KEY_BITS - 1)), ())):

@@ -608,6 +608,11 @@ def test_packed_keys_order_each_degree_and_add_under_even_shifts(
                     shifted = Monomial(tuple(map(operator.add, b.exps,
                                                  x.exps)), b.odds)
                     assert key(shifted) == key(x) + k, (m.name, b, x)
+        # the degree sits above every exponent field, so keys order the
+        # monomials of all degrees canonically, not only those of one
+        monomials = [b for p in range(top + 1) for b in uni.basis(p)]
+        assert sorted(monomials, key=key) == sorted(
+            monomials, key=uni.sort_key) == monomials, m.name
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from hilali import (Element, IndeterminateError, Model, ModelError,
                     tor_table, tor_via_model_cross_check, universe)
 from hilali import cli, cohomology, deformation, koszul
 from hilali.algebra import Monomial, restrict_element
-from hilali.errors import EngineError
+from hilali.errors import EngineError, UniverseMismatchError
 from hilali.koszul import koszul_differential_rows
 from hilali.linalg import Echelon, Rref, rank_of_rows
 
@@ -259,11 +259,10 @@ def test_every_s_pair_of_the_groebner_basis_reduces_to_zero(built_quotients):
 
         def order(e):
             return ring.sort_key(Monomial(e, ()))
-        keys = module._keys
-        basis = [{keys.exps(k): c for k, c in g.items()}
+        basis = [{ring.key_exps(k): c for k, c in g.items()}
                  for _, g in module._groebner]
         leads = [max(g, key=order) for g in basis]
-        assert [keys.exps(lead) for lead, _ in module._groebner] == leads
+        assert [ring.key_exps(lead) for lead, _ in module._groebner] == leads
         assert not any(all(map(ge, e, lead)) for i, g in enumerate(basis)
                        for e in g for j, lead in enumerate(leads) if i != j)
         for f, g in combinations(basis, 2):
@@ -310,6 +309,14 @@ def test_reduction_is_multiplicative_closure():
     x = Element.generator(ring, "x")
     coords = module.reduce(x * x)
     assert coords == {ring.monomial({"x": 1}): Fraction(-1)}
+
+
+def test_reduce_and_products_reject_an_element_over_another_ring():
+    module = quotient_basis(ring2(), [pe("x1^2", ring2()), pe("x2^2", ring2())])
+    other = universe([("x1", 2), ("x2", 4)])
+    for method in (module.reduce, module.multiplication_matrix):
+        with pytest.raises(UniverseMismatchError):
+            method(pe("x1", other))
 
 
 def test_tor_of_augmentation_is_binomial():
