@@ -288,9 +288,8 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
         bounds.append(min(powers))
     # keys add under multiplication, so a box monomial's key is the sum of
     # the keys of its pure powers
-    pure_keys = [[ring.key(Monomial(tuple(e if k == i else 0
-                                          for k in range(n)), ()))
-                  for e in range(bound)] for i, bound in enumerate(bounds)]
+    pure_keys = [[ring.key(ring.monomial({g.name: e})) for e in range(bound)]
+                 for g, bound in zip(ring.evens, bounds)]
     standard = sorted(key for key in map(sum, product(*pure_keys))
                       if not any(ring.divides(lead, key)
                                  for lead, _ in groebner))
