@@ -78,7 +78,7 @@ class GeneratorUniverse:
         # bit, sits (KEY_BITS + 1) * (n - 1 - k) bits above the odd-subset
         # index, which takes len(odds) bits
         width, n, r = KEY_BITS + 1, len(self.evens), len(self.odds)
-        self._key_shifts = tuple(r + width * (n - 1 - k) for k in range(n))
+        self._key_shifts = tuple(range(r + width * (n - 1), r - 1, -width))
         self._degree_shift = r + width * n
         self._key_weights = tuple((g.degree << self._degree_shift) + (1 << s)
                                   for g, s in zip(self.evens, self._key_shifts))
@@ -190,9 +190,12 @@ class GeneratorUniverse:
         key(m).  :meth:`divides`, :meth:`lcm`, :meth:`key_exps` and
         :meth:`key_degree` read keys back.
         """
-        weights = self.key_weights(self.degree_of(m))
         self._odd_subsets_by_degree()       # fills self._odd_keys
-        return sum(map(mul, m.exps, weights)) + self._odd_keys[m.odds]
+        key = sum(map(mul, m.exps, self._key_weights)) + self._odd_keys[m.odds]
+        # the degree field reads at least the degree, and exactly it unless
+        # an exponent overflows, which the guard rejects either way
+        self.key_weights(key >> self._degree_shift)
+        return key
 
     def key_exps(self, key: int) -> tuple[int, ...]:
         """The even exponents of the monomial with this key."""

@@ -287,9 +287,10 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
                 "Groebner basis: the quotient has infinite length")
         bounds.append(min(powers))
     # keys add under multiplication, so a box monomial's key is the sum of
-    # the keys of its pure powers
-    pure_keys = [[ring.key(ring.monomial({g.name: e})) for e in range(bound)]
-                 for g, bound in zip(ring.evens, bounds)]
+    # the keys e * w of its pure powers, each below a pure power that leads
+    weights = ring.key_weights(max(
+        (bound * g.degree for g, bound in zip(ring.evens, bounds)), default=0))
+    pure_keys = [range(0, bound * w, w) for bound, w in zip(bounds, weights)]
     standard = sorted(key for key in map(sum, product(*pure_keys))
                       if not any(ring.divides(lead, key)
                                  for lead, _ in groebner))
