@@ -13,12 +13,17 @@ length exactly when every variable has a pure power among the leading
 terms (B. Buchberger, PhD thesis, Innsbruck 1965; Cox, Little and O'Shea,
 *Ideals, Varieties, and Algorithms*, ch. 2 §6-§10 and ch. 5 §3).
 
-Reductions modulo I go through an :class:`~hilali.linalg.Rref` span with
-one integer row m * g per non-standard monomial m * LT(g), its columns the
-negated packed keys of the monomials, so each row's pivot is its leading
-monomial.  Since the order is degree-compatible, the rows through degree D
-span I ∩ R_{<=D}: the canonical remainder of a vector of degree at most D
-is its normal form, and no row is ever dependent.
+Reductions modulo I go through an :class:`~hilali.linalg.Rref` span whose
+columns are the negated packed keys of the monomials, so each row's pivot
+is its leading monomial.  The span holds one fully reduced row per
+non-standard monomial m that a reduction has reached: a primitive multiple
+of m - NF(m), NF the normal form modulo G, built when first needed from
+x^shift * g, for the first g in G whose leading term divides m.  Its only
+non-standard column is its pivot, so a vector is reduced by one
+elimination per non-standard term, and its canonical remainder is its
+normal form.  By Macaulay's basis theorem that row is unique: no row is
+ever dependent, and no remainder or scale depends on which rows were built
+first.
 
 A multiplication matrix is integer columns and one denominator, and every
 row that reaches elimination is an integer row.  The Koszul complex
@@ -153,12 +158,12 @@ class QuotientModule:
     ``standard_basis`` is the monomials that no leading term of G divides,
     in the order of ``GeneratorUniverse.basis``.  ``graded`` says whether
     every relation is homogeneous: :func:`duality_pairing` then pairs
-    graded pieces.  The span's rows m * g (g the first element of G whose
-    leading term divides m * LT(g)) are added degree by degree only as far
-    as a reduction asks.  A reduced vector is an integer vector, scaled
-    once where it is formed, and comes back as an integer remainder with
-    one scale: :meth:`reduce` divides at the end, and
-    :meth:`multiplication_matrix` keeps integer columns and one denominator.
+    graded pieces.  The span holds a row for each non-standard monomial a
+    reduction has reached, and for no other (see the module docstring).  A
+    reduced vector is an integer vector, scaled once where it is formed,
+    and comes back as an integer remainder with one scale: :meth:`reduce`
+    divides at the end, and :meth:`multiplication_matrix` keeps integer
+    columns and one denominator.
     """
 
     def __init__(self, ring: GeneratorUniverse, relations: list[Element],
@@ -169,7 +174,6 @@ class QuotientModule:
         self.graded = all(r.is_homogeneous for r in relations)
         self._groebner = groebner
         self._rref = Rref()
-        self._span_extent = -1
         self.standard_basis = [Monomial(ring.key_exps(k), ())
                                for k in standard]
         self.basis_positions = {-k: i for i, k in enumerate(standard)}
@@ -183,16 +187,32 @@ class QuotientModule:
             table.setdefault(degree, []).append(m)
         return table
 
-    def _extend_span(self, degree: int) -> None:
-        ring = self.ring
-        for d in range(self._span_extent + 1, degree + 1):
-            for key in ring.basis_keys(d):
-                for lead, g in self._groebner:
-                    if ring.divides(lead, key):
-                        shift = key - lead
-                        self._rref.add({-k - shift: c for k, c in g.items()})
-                        break
-            self._span_extent = d
+    def _reduce(self, vector: dict[int, int]) -> tuple[dict[int, int], int]:
+        """The normal form of an integer vector on negated keys, as
+        ``(remainder, scale)`` from :meth:`Rref.reduce`, on standard
+        columns only.  Each non-standard monomial m of the vector without a
+        row gets one first, and so does each such monomial in the tail of
+        x^shift * g, g the first element of G whose leading term divides m:
+        a stack collects them all.  The tail lies below m, so the rows are
+        built smallest monomial first, each x^shift * g reduced through
+        the span before it is added."""
+        rows, standard = self._rref.pivots, self.basis_positions
+        multiples: dict[int, dict[int, int]] = {}
+        stack = [j for j in vector if j not in standard and j not in rows]
+        while stack:
+            j = stack.pop()
+            if j in multiples:
+                continue
+            for lead, g in self._groebner:
+                if self.ring.divides(lead, -j):
+                    break
+            shift = -j - lead
+            multiples[j] = row = {-k - shift: c for k, c in g.items()}
+            stack += [c for c in row if c not in standard and c not in rows
+                      and c not in multiples]
+        for j in sorted(multiples, reverse=True):   # the smallest m first
+            self._rref.add(self._rref.reduce(multiples[j])[0])
+        return self._rref.reduce(vector)
 
     def reduce(self, e: Element) -> dict[Monomial, Fraction]:
         """Coordinates of the class of ``e`` over the standard basis.  The
@@ -200,13 +220,11 @@ class QuotientModule:
         by both scales at the end."""
         if e.universe != self.ring:
             raise UniverseMismatchError("element lives over a different ring")
-        top = e.top_degree()
-        if top is None:
+        if e.is_zero:
             return {}
-        self._extend_span(top)
         vector, denom = intify({-self.ring.key(m): c
                                 for m, c in e.terms.items()})
-        reduced, scale = self._rref.reduce(vector)
+        reduced, scale = self._reduce(vector)
         denom *= scale
         basis, positions = self.standard_basis, self.basis_positions
         return {basis[positions[j]]: Fraction(c, denom)
@@ -226,11 +244,12 @@ class QuotientModule:
         top = poly.top_degree()
         if top is None:
             return [{} for _ in self.standard_basis], 1
-        self._extend_span(self.socle_degree + top)
+        # the products reach degree socle + top: their keys must not overflow
+        self.ring.key_weights(self.socle_degree + top)
         scaled, denom = intify(poly.terms)
         positions = self.basis_positions     # the basis columns, in order
         terms = [(self.ring.key(m), c) for m, c in scaled.items()]
-        reduced = [self._rref.reduce({col - k: c for k, c in terms})
+        reduced = [self._reduce({col - k: c for k, c in terms})
                    for col in positions]
         common = lcm(*[scale for _, scale in reduced])
         return [{positions[j]: c for j, c in row.items()} if scale == common
@@ -258,7 +277,7 @@ def quotient_basis(ring: GeneratorUniverse, relations: list[Element],
     relations = [r for r in relations if not r.is_zero]
     for r in relations:
         if r.universe != ring:
-            raise ModelError("relation lives over a different ring")
+            raise UniverseMismatchError("relation lives over a different ring")
     n = len(ring.evens)
     if len(relations) < n:
         raise NotFiniteLengthError(
@@ -495,8 +514,8 @@ def _graded_pairing(module: QuotientModule) -> PairingReport:
         for u in left:
             row = {}
             for j, v in enumerate(right):
-                prod = Element.from_monomial(module.ring, u) * \
-                    Element.from_monomial(module.ring, v)
+                prod = Element.from_monomial(module.ring, Monomial(
+                    tuple(map(int.__add__, u.exps, v.exps)), ()))
                 coeff = module.reduce(prod).get(socle_monomial, Fraction(0))
                 if coeff:
                     row[j] = coeff

@@ -175,9 +175,11 @@ class Rref(Echelon):
         mutated, but may be returned as the remainder.
 
         The pivot columns the row carries are found by intersecting key
-        views, which runs in C; most columns of a stored row are pivot
-        columns themselves, so updating the set from the pivot row's
-        columns in Python costs more than this rescan."""
+        views, which runs in C.  In ``is_exact``'s echelon span most
+        columns of a stored row are pivot columns themselves, so updating
+        the set from the pivot row's columns in Python costs more than this
+        rescan.  A quotient span's rows carry no pivot column but their
+        own, and there the rescan costs little beside the elimination."""
         pivots = self.pivots.keys()
         hits = row.keys() & pivots
         scale = 1

@@ -2,6 +2,7 @@
 endpoint bounds, and the duality pairing."""
 
 import contextlib
+import functools
 import io
 import json
 import random
@@ -272,10 +273,61 @@ def test_every_s_pair_of_the_groebner_basis_reduces_to_zero(built_quotients):
 
 
 def test_no_staircase_row_is_dependent(built_quotients):
-    # One row per non-standard monomial, led by that monomial: every row
-    # added to a quotient span is a new pivot.
+    # One row per non-standard monomial a reduction reaches, led by that
+    # monomial: every row added to a quotient span is a new pivot.
     _, rows = built_quotients
     assert rows["added"] and not rows["dependent"]
+
+
+def test_each_span_row_is_a_monomial_minus_its_normal_form(built_quotients):
+    # A stored row is a * (m - NF(m)): its one non-standard column is its
+    # pivot, the negated key of m.
+    built, _ = built_quotients
+    stored = 0
+    for _, _, module in built:
+        if isinstance(module, QuotientModule):
+            for col, row in module._rref.pivots.items():
+                assert [c for c in row if c not in module.basis_positions] \
+                    == [col]
+                stored += 1
+    assert stored
+
+
+def test_products_match_fraction_division_by_the_groebner_basis(
+        built_quotients):
+    # An oracle apart from the span: every multiplication column, over its
+    # denominator, and every reduction of b * p is the remainder of b * p
+    # on Fraction division by the module's G, for p a variable and a
+    # mixed polynomial with fractional coefficients.
+    built, _ = built_quotients
+    kinds = set()
+    for ring, _, module in built:
+        if not isinstance(module, QuotientModule):
+            continue
+        kinds.add(module.graded)
+
+        @functools.cache
+        def order(e):
+            return ring.sort_key(Monomial(e, ()))
+        basis = [{ring.key_exps(k): c for k, c in g.items()}
+                 for _, g in module._groebner]
+        position = {m.exps: i for i, m in enumerate(module.standard_basis)}
+        gens = [Element.generator(ring, g.name) for g in ring.evens]
+        mixed = sum(((x * gens[i - 1]).scale(Fraction(i + 1, 3))
+                     for i, x in enumerate(gens)),
+                    Element.one(ring).scale(Fraction(1, 2)))
+        for p in gens[-1:] + [mixed]:
+            cols, denom = module.multiplication_matrix(p)
+            for b, col in zip(module.standard_basis, cols):
+                product = {tuple(map(add, b.exps, m.exps)): c
+                           for m, c in p.terms.items()}
+                expected = {position[e]: c for e, c in
+                            _remainder(product, basis, order).items()}
+                assert {j: Fraction(c, denom) for j, c in col.items()} \
+                    == expected
+                assert reduce_vector(
+                    module, Element.from_monomial(ring, b) * p) == expected
+    assert kinds == {True, False}
 
 
 def test_regular_sequence_requires_count_match():
@@ -317,6 +369,8 @@ def test_reduce_and_products_reject_an_element_over_another_ring():
     for method in (module.reduce, module.multiplication_matrix):
         with pytest.raises(UniverseMismatchError):
             method(pe("x1", other))
+    with pytest.raises(UniverseMismatchError):
+        quotient_basis(ring2(), [pe("x1^2", ring2()), pe("x2^2", other)])
 
 
 def test_tor_of_augmentation_is_binomial():
