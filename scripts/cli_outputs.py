@@ -17,10 +17,12 @@ every command that takes a seed (``tor``, ``tor --cross-check``, ``deform``,
 ``reduce`` and ``corpus``) runs at seed S; without it, those commands run at
 their default seed and ``corpus`` at seed 0.  With ``--corpus-seeds A-B``,
 the matrix is only ``corpus corpus --seed s --format machine`` for each s
-from A to B inclusive.  Two trees give the same output exactly when their
-lines are equal, so a byte check of a change is a ``diff`` of two runs.
-Each invocation runs in a fresh process of ``python3 -m hilali.cli``
-against this checkout's ``src/``.
+from A to B inclusive, run in this process, through ``hilali.cli.main``,
+from the repository root, one seed after another.  Two trees give the same
+output exactly when their lines are equal, so a byte check of a change is a
+``diff`` of two runs.  Every other invocation of the fixed matrix runs in a
+fresh process of ``python3 -m hilali.cli`` against this checkout's
+``src/``.
 
 With ``--koszul-seeds A-B``, the matrix is the ``koszul`` benchmark
 workload at each seed s from A to B: ``bench/workloads.py`` (read, not
@@ -53,6 +55,7 @@ import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 COMMANDS = (["validate"], ["classify"], ["cohomology"], ["hilali"], ["tor"],
             ["tor", "--cross-check"], ["regseq"], ["deform"], ["reduce"])
@@ -102,11 +105,25 @@ def fingerprint(argv: list[str], code: int, stdout: bytes,
     return " ".join([*argv, str(code), sha256(stdout), sha256(stderr)])
 
 
+def in_process(argv: list[str]) -> str:
+    """The line of one call of ``hilali.cli.main`` in this process, from the
+    current directory; an exception that escapes the CLI prints exit code
+    -1."""
+    from hilali import cli
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception:
+            traceback.print_exc()
+            code = -1
+    return fingerprint(argv, code, out.getvalue().encode(),
+                       err.getvalue().encode())
+
+
 def workload_lines(workload: str, seeds: range):
     """One line per CLI call of ``WORKLOAD_CALLS[workload]`` on the models
     of that benchmark workload at each seed, keyed by model file name."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from hilali import cli
     here = os.getcwd()
     for seed in seeds:
         with tempfile.TemporaryDirectory() as directory:
@@ -118,19 +135,9 @@ def workload_lines(workload: str, seeds: range):
             try:
                 for _, invocations in items:
                     for argv in WORKLOAD_CALLS[workload](invocations):
-                        argv = [Path(a).name if a.startswith(directory) else a
-                                for a in argv]
-                        out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), \
-                                contextlib.redirect_stderr(err):
-                            try:
-                                code = cli.main(argv)
-                            except Exception:
-                                traceback.print_exc()
-                                code = -1
-                        yield fingerprint(argv, code,
-                                          out.getvalue().encode(),
-                                          err.getvalue().encode())
+                        yield in_process([
+                            Path(a).name if a.startswith(directory) else a
+                            for a in argv])
             finally:
                 os.chdir(here)
 
@@ -156,9 +163,13 @@ def main() -> int:
             for text in workload_lines(workload, seeds):
                 print(text, flush=True)
             return 0
+    if args.corpus_seeds is not None:
+        os.chdir(ROOT)
+        for argv in corpus_invocations(args.corpus_seeds):
+            print(in_process(argv), flush=True)
+        return 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for argv in (invocations(args.seed) if args.corpus_seeds is None
-                 else corpus_invocations(args.corpus_seeds)):
+    for argv in invocations(args.seed):
         proc = subprocess.run([sys.executable, "-m", "hilali.cli", *argv],
                               capture_output=True, cwd=ROOT, env=env)
         print(fingerprint(argv, proc.returncode, proc.stdout, proc.stderr),

@@ -18,9 +18,9 @@ from .cohomology import (BettiTable, EllipticityCertificate, Verdict, betti,
                          hilali_verdict, is_exact, require_elliptic)
 from .deformation import (FlatnessReport, ModuleFamily, PerturbedModel,
                           ReductionReport, SemicontinuityReport,
-                          check_ybar_rescaling, flatness_check,
-                          perturb_and_reduce, random_rational,
-                          standard_family, tor_semicontinuity_check)
+                          flatness_check, perturb_and_reduce,
+                          random_rational, standard_family,
+                          tor_semicontinuity_check)
 from .errors import (ContradictionError, EngineError, IndeterminateError,
                      InhomogeneousError, ModelError, NotFiniteLengthError,
                      ParseError, UniverseMismatchError)

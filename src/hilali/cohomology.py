@@ -266,6 +266,13 @@ def cohomology_table(model: Model, *, assume_elliptic: bool = False,
     return betti_complete(model, certificate), certificate
 
 
+def simply_connected(model: Model) -> bool:
+    """Does every generator have degree at least 2?  Then the cohomology of
+    a model certified elliptic is a Poincaré duality algebra (see
+    :func:`betti_complete`), read from its lower half."""
+    return all(g.degree >= 2 for g in model.universe.generators)
+
+
 def betti_complete(model: Model,
                    certificate: EllipticityCertificate) -> BettiTable:
     """Betti table through the formal dimension bound N of a model certified
@@ -285,9 +292,9 @@ def betti_complete(model: Model,
     if not certificate.elliptic:
         raise ModelError("a complete table requires an ellipticity certificate")
     bound = certificate.formal_dimension_bound
-    generators = model.universe.generators
-    if any(g.degree < 2 for g in generators):
-        return betti_below(model, bound, max(g.degree for g in generators))
+    if not simply_connected(model):
+        window = max(g.degree for g in model.universe.generators)
+        return betti_below(model, bound, window)
     half = betti(model, bound // 2)
     reflected = {p: half[min(p, bound - p)] for p in range(bound + 1)}
     dims = {p: b for p, b in reflected.items() if b}

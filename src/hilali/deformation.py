@@ -3,18 +3,13 @@
 Two pipelines live here.  Quotient-module families ``(P_i + t Q_i)`` support
 fiber evaluation at exact rational parameters, the constant-length flatness
 test, and Tor semicontinuity sampling.  Differential perturbations adjoin a
-contractible odd line, verify the cancellation equality (at one random
-parameter, carried to the others by an exact rescaling isomorphism) and
-the semicontinuity inequality, and drive the stepwise reduction to the
-all-odd model, producing the 2^r lower bound on total cohomology.  Each
-quotient that keeps an even generator is certified elliptic before its
-Betti table is computed, and the table is read from its lower half by
-Poincaré duality (see
-:func:`~hilali.cohomology.betti_complete`).  The doubling ``dim H(W, d_0)
-= 2 dim H(current)`` is the Künneth formula for the free odd line, and
-each perturbed complex (W, d_xi) is computed directly, only through W's
-formal dimension bound: the exact sequence 0 -> ΛV -> W -> ΛV·ybar -> 0
-gives W's vanishing above that bound.
+contractible odd line, verify the cancellation equality and the
+semicontinuity inequality, and drive the stepwise reduction to the
+all-odd model, producing the 2^r lower bound on total cohomology.  The
+doubling ``dim H(W, d_0) = 2 dim H(current)`` is the Künneth formula for
+the free odd line, and ``dim H(W, d_xi)``, one number for every xi != 0, is
+read from the lower half of W through the exact sequence
+0 -> ΛV -> W -> ΛV·ybar -> 0 and Poincaré duality of H(ΛV).
 """
 
 from __future__ import annotations
@@ -25,8 +20,9 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import Element
-from .cohomology import (betti, betti_complete, certify_elliptic,
-                         cohomology_table, formal_dimension_bound)
+from .cohomology import (ChainComplex, betti_complete, certify_elliptic,
+                         cohomology_table, formal_dimension_bound,
+                         simply_connected)
 from .errors import ContradictionError, ModelError
 from .koszul import (QuotientModule, SModuleStructure, halperin_basis,
                      quotient_basis, tor_table)
@@ -225,32 +221,27 @@ class PerturbedModel:
                 "graded_anticommute": anti}
 
 
-def check_ybar_rescaling(source: Model, target: Model, ybar: str,
-                         factor: Fraction) -> None:
-    """Check on generators that ``ybar -> factor * ybar``, with every other
-    generator fixed, is a DGA isomorphism ``(W, d_source) -> (W, d_target)``.
+def _multiplication_ranks(current: Model, perturbed: Model,
+                          x_degree: int) -> list[int]:
+    """r_q = rank(x·: H^q -> H^(q+|x|)) on H = H(current), q = 0..N - |x|
+    with N the current model's bound, from the ranks of ``perturbed``: the
+    current model ΛV with ybar adjoined and ``d_xi(ybar) = xi x``.
 
-    Both sides of ``phi d_source = d_target phi`` are derivations along the
-    algebra map phi, so they agree everywhere once they agree on generators:
-    ``d_source(ybar) = factor * d_target(ybar)``, every other image is the
-    same in both, and no image mentions ybar (phi fixes ybar-free elements).
-    A nonzero factor makes phi invertible.  A failed check raises
-    :class:`ContradictionError`.
+    d_xi is block-triangular on W = ΛV ⊕ ΛV·ybar, so rank d_W in degree
+    q + |x| - 1 is rank d_q + rank d_(q+|x|-1) + r_q; and r_q = 0 for
+    larger q, since H vanishes above N.  A simply connected H is a Poincaré
+    duality algebra of formal dimension N (Halperin 1977; FHT Prop. 38.3),
+    where <xa, b> = <a, xb> makes x· on H^q the transpose of x· on
+    H^(N-|x|-q): above the middle, r_q is read as r_(N-|x|-q).
     """
-    uni = source.universe
-    if target.universe != uni or factor == 0:
-        raise ContradictionError(
-            f"{ybar} -> {factor} * {ybar} is not an isomorphism between the "
-            "perturbed models")
-    position = uni.odds.index(uni.by_name[ybar])
-    for g in uni.generators:
-        image = source.d.of_generator(g.name)
-        other = target.d.of_generator(g.name)
-        expected = other.scale(factor) if g.name == ybar else other
-        if image != expected or any(position in m.odds for m in image.terms):
-            raise ContradictionError(
-                f"{ybar} -> {factor} * {ybar} does not carry d({g.name}) of "
-                "one perturbed model to the other")
+    cx, cw = ChainComplex(current), ChainComplex(perturbed)
+    top = formal_dimension_bound(current) - x_degree
+    fold = simply_connected(current)
+    def x_rank(q: int) -> int:
+        q = min(q, top - q) if fold else q
+        return (cw.rank(q + x_degree - 1) - cx.rank(q)
+                - cx.rank(q + x_degree - 1))
+    return [x_rank(q) for q in range(top + 1)]
 
 
 @dataclass(frozen=True)
@@ -301,37 +292,26 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     ``2^n dim H >= 2^(n+r)`` and the lower bound ``dim H >= 2^r``.
 
     For ``xi != 0``, ``ybar -> ybar / xi`` with every other generator fixed
-    is a DGA isomorphism ``(W, d_1) -> (W, d_xi)``: x is closed and no image
-    mentions ybar.  So dim H(W, d_xi) is the same for every nonzero xi.  It
-    is computed at the first of ``samples`` drawn parameters; every further
-    one is reported with that dimension after an exact check, on
-    generators, that ``ybar -> (xi_1 / xi) ybar`` carries d_{xi_1} to d_xi
-    (see :func:`check_ybar_rescaling`).
+    is a DGA isomorphism ``(W, d_1) -> (W, d_xi)``: x is closed and no
+    image mentions the fresh ybar.  So dim H(W, d_xi) is one number per
+    step, ``2 (dim H - sum_q r_q)`` by the long exact sequence of
+    ``0 -> ΛV -> W -> ΛV·ybar -> 0`` (see :func:`_multiplication_ranks`),
+    at most dim H(W, d_0) by construction.  It is reported for every
+    drawn xi, each checked to give ``(d + xi delta)^2 = 0``.
 
     Every current model is certified elliptic before its table is
     computed: the input by :func:`cohomology_table`, and each quotient that
-    still has an even generator by :func:`certify_elliptic` (its pure-part
+    keeps an even generator by :func:`certify_elliptic` (its pure-part
     quotient ΛQ/(P, x) has finite length whenever ΛQ/(P) does, so a
     failure raises :class:`ContradictionError`).  Their tables come from
-    :func:`~hilali.cohomology.betti_complete`, through the lower half of
-    each and Poincaré duality.  The all-odd quotient ΛP is checked to
-    have d = 0 (a nonzero image raises :class:`ContradictionError`), so
-    its total is dim ΛP = 2^(n+r), read with no table.
+    :func:`~hilali.cohomology.betti_complete`.  The all-odd quotient ΛP is
+    checked to have d = 0, so its total is dim ΛP = 2^(n+r), read with no
+    table.
 
-    With ``d_0(ybar) = 0``, ``(W, d_0)`` is the current model tensored
-    with the free odd line Λ(ybar), so by Künneth
-    ``b^W_p = b_p + b_(p - deg ybar)`` and ``dim H(W, d_0)`` is twice the
-    current model's complete total: the doubling holds by construction,
-    and no block of ``(W, d_0)`` is eliminated.
-
-    ``(W, d_xi)`` is computed directly, with no reflection: it is the
-    independent side of the cancellation equality, and a ybar of degree 1
-    leaves it neither minimal nor simply connected.  Its table stops at
-    W's bound ``N_w = N + deg ybar``, with N the current model's bound,
-    and has no vanishing window: H(ΛV) vanishes above N, and for every
-    xi the long exact sequence of ``0 -> ΛV -> (W, d_xi) -> ΛV·ybar -> 0``
-    puts H^q(W) between H^q(ΛV) and H^(q - deg ybar)(ΛV), both zero for
-    q > N_w.
+    ``(W, d_0)`` is the current model tensored with the free odd line
+    Λ(ybar), so by Künneth ``dim H(W, d_0)`` is twice the current model's
+    total: the doubling holds by construction, and no block of
+    ``(W, d_0)`` is eliminated.
     """
     if samples < 1:
         raise ModelError("reduction sampling needs at least one parameter")
@@ -350,7 +330,6 @@ def perturb_and_reduce(model: Model, samples: int = 2,
                      key=lambda g: (g.degree, g.index))
         pm = PerturbedModel(current, target.name)
         quotient = restrict_model(current, {target.name})
-        bound_w = formal_dimension_bound(pm.w_model)
         if quotient.universe.evens:
             certificate = certify_elliptic(quotient)
             if not certificate.elliptic:
@@ -365,32 +344,27 @@ def perturb_and_reduce(model: Model, samples: int = 2,
             dim_next = 2 ** len(quotient.universe.odds)    # H(ΛP, 0) = ΛP
         # Künneth for the free odd line: b^W_p = b_p + b_(p - deg ybar)
         dim_w0 = 2 * dim_current
-        # every sample must give dim H(W, d_xi) = dim_next, so the
-        # semicontinuity inequality is the same for all of them
+        # dim H(W, d_xi) = dim_next for every xi, so this bounds them all
         if dim_next > dim_w0:
             raise ContradictionError(
                 f"semicontinuity failed at {target.name}: dim H(next) = "
                 f"{dim_next} > dim H(W, d_0) = {dim_w0}")
-        taken: list[ReductionSample] = []
-        for xi in _distinct_parameters(rng, samples):
-            perturbed = pm.at_parameter(xi)
-            if not check_differential(perturbed).passed:
-                raise ContradictionError(
-                    f"(d + xi delta)^2 != 0 at xi = {xi}")
-            if not taken:
-                xi_1, first = xi, perturbed
-                dim_wxi = betti(perturbed, bound_w).total_dim
-                if dim_wxi != dim_next:
-                    raise ContradictionError(
-                        f"cancellation equality failed at {target.name}, "
-                        f"xi = {xi}: dim H(W, d_xi) = {dim_wxi} != {dim_next}")
-            else:
-                check_ybar_rescaling(first, perturbed, pm.ybar_name,
-                                     xi_1 / xi)
-            taken.append(ReductionSample(xi, dim_wxi, True, True))
+        perturbed = {xi: pm.at_parameter(xi)
+                     for xi in _distinct_parameters(rng, samples)}
+        for xi, w in perturbed.items():
+            if not check_differential(w).passed:
+                raise ContradictionError(f"(d + xi delta)^2 != 0 at xi = {xi}")
+        dim_wxi = 2 * (dim_current - sum(_multiplication_ranks(
+            current, next(iter(perturbed.values())), target.degree)))
+        if dim_wxi != dim_next:
+            raise ContradictionError(
+                f"cancellation equality failed at {target.name}: "
+                f"dim H(W, d_xi) = {dim_wxi} != {dim_next}")
         steps.append(ReductionStep(
             target.name, pm.w_model.universe.by_name[pm.ybar_name].degree,
-            dim_current, dim_w0, True, dim_next, tuple(taken),
+            dim_current, dim_w0, True, dim_next,
+            tuple(ReductionSample(xi, dim_wxi, True, True)
+                  for xi in perturbed),
             pm.anticommutator_report()))
         current, dim_current = quotient, dim_next
     terminal_expected = 2 ** len(current.universe.odds)

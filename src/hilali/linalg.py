@@ -29,10 +29,9 @@ from fractions import Fraction
 from math import gcd
 
 Row = dict[int, int]
-FracRow = dict[int, Fraction]
 
 
-def intify(row: FracRow) -> tuple[Row, int]:
+def intify(row: dict[int, Fraction]) -> tuple[Row, int]:
     """Scale a rational row to an integer row.
 
     Returns ``(irow, scale)`` with ``irow == scale * row`` exactly, so callers
@@ -142,9 +141,9 @@ def rank_of_rows(rows: list[Row], pivots: set[int] | None = None) -> int:
     return ech.rank
 
 
-def kernel_of_rows(rows: list[Row], ncols: int) -> list[FracRow]:
+def kernel_of_rows(rows: list[Row], ncols: int) -> list[Row]:
     """Basis of ``{c : sum_i c_i row_i = 0}`` for integer rows, in reduced
-    echelon form.
+    echelon form, as integer rows.
 
     Augmented elimination: row ``i`` is tagged with a 1 in column
     ``ncols + i``.  The reduced rows whose pivot is a tag column have a zero
@@ -153,7 +152,7 @@ def kernel_of_rows(rows: list[Row], ncols: int) -> list[FracRow]:
     rref = Rref()
     for i, row in enumerate(rows):
         rref.add({**row, ncols + i: 1})
-    return [{j - ncols: Fraction(v) for j, v in row.items()}
+    return [{j - ncols: v for j, v in row.items()}
             for col, row in rref.reduced().items() if col >= ncols]
 
 

@@ -8,13 +8,14 @@ import pytest
 
 from hilali import (ContradictionError, Element, Model, ModelError,
                     ModuleFamily, PerturbedModel, certify_elliptic,
-                    check_differential, classify,
-                    check_ybar_rescaling, flatness_check,
+                    check_differential, classify, flatness_check,
                     formal_dimension_bound, parse_expression,
                     perturb_and_reduce, random_rational, restrict_model,
                     standard_family, tor_semicontinuity_check, universe)
-from hilali import deformation
-from hilali.cohomology import ChainComplex, betti, betti_below
+from hilali import coboundary_basis, cocycle_basis, deformation
+from hilali.cohomology import (ChainComplex, betti, betti_below,
+                               simply_connected)
+from hilali.linalg import intify, rank_of_rows
 
 from free_odd_line import FreeOddLineComplex
 from modelgen import (certified_models, fresh_copy,
@@ -210,9 +211,9 @@ def _reducible_models(corpus_models):
 
 
 def test_reduce_dimensions_match_whole_complexes(corpus_models):
-    """dim H(W, d_0) from the block split, and dim H(W, d_xi) carried by
-    rescaling, both computed only through W's bound, equal the whole
-    complexes of W eliminated directly with their vanishing windows."""
+    """dim H(W, d_0) from the block split, and dim H(W, d_xi) read from the
+    lower half of W for every sample, equal the whole complexes of W
+    eliminated directly with their vanishing windows."""
     models = _reducible_models(corpus_models)
     assert len(models) >= 15
     for model in models:
@@ -317,35 +318,110 @@ def test_reduce_tables_equal_the_direct_complexes():
 
 def test_perturbed_models_are_assembled_only_through_the_bound(
         corpus_models, monkeypatch):
-    """No (W, d_xi) is assembled in a degree whose image lies above W's
-    bound: its rows stop at d_{N_w}, which maps into degree N_w + 1."""
-    # id -> (model, N_w) and id -> (model, top degree assembled); holding
-    # the model keeps every id distinct
-    bounds = {}
+    """With every generator of degree at least 2, no (W, d_xi) row is
+    assembled above degree (N - |x|) // 2 + |x| - 1, with N the current
+    model's bound: r_q is ranked for q up to the middle of 0..N - |x| only,
+    and read by duality above it."""
+    # id -> (model, highest degree of W whose rows may be assembled) and
+    # id -> (model, highest degree assembled); holding the model keeps
+    # every id distinct
+    limits = {}
     top = {}
     at_parameter, rows = PerturbedModel.at_parameter, ChainComplex.rows
 
     def recorded(self, xi):
         perturbed = at_parameter(self, xi)
-        bounds[id(perturbed)] = (perturbed,
-                                 formal_dimension_bound(self.w_model))
+        e = self.base.universe.by_name[self.x_name].degree
+        limits[id(perturbed)] = (
+            perturbed, (formal_dimension_bound(self.base) - e) // 2 + e - 1)
         return perturbed
 
     def assembling(self, degree, *monomials):
         _, highest = top.get(id(self.model), (None, -1))
-        top[id(self.model)] = (self.model, max(highest, degree + 1))
+        top[id(self.model)] = (self.model, max(highest, degree))
         return rows(self, degree, *monomials)
 
     monkeypatch.setattr(PerturbedModel, "at_parameter", recorded)
     monkeypatch.setattr(ChainComplex, "rows", assembling)
     for model in _reducible_models(corpus_models):
-        bounds.clear()
+        assert simply_connected(model)
+        limits.clear()
         report = perturb_and_reduce(model, samples=2, seed=0)
-        assert len(bounds) == 2 * len(report.steps)
-        assembled = [(top[key][1], bound)
-                     for key, (_, bound) in bounds.items() if key in top]
+        assert len(limits) == 2 * len(report.steps)
+        assembled = [(top[key][1], limit)
+                     for key, (_, limit) in limits.items() if key in top]
         assert len(assembled) == len(report.steps)
-        assert all(degree <= bound + 1 for degree, bound in assembled)
+        assert all(degree <= limit for degree, limit in assembled)
+
+
+def _x_rank_by_cocycles(model, x_name, q):
+    """rank(x·: H^q -> H^(q+|x|)), counted from explicit bases: the
+    cocycles of degree q times x, modulo the coboundaries of degree
+    q + |x|."""
+    uni = model.universe
+    x = Element.generator(uni, x_name)
+    target = q + uni.by_name[x_name].degree
+    index = {m: i for i, m in enumerate(uni.basis(target))}
+
+    def row(e):
+        return intify({index[m]: c for m, c in e.terms.items()})[0]
+    boundaries = [row(b) for b in coboundary_basis(model, target)]
+    products = [row(x * z) for z in cocycle_basis(model, q)]
+    return rank_of_rows(boundaries + products) - len(boundaries)
+
+
+def test_multiplication_ranks_match_cocycle_counts():
+    """Every r_q that ``reduce`` reads from the block-triangular ranks of
+    (W, d_xi), q = 0..N - |x|, equals the rank of x· counted from cocycle
+    and coboundary bases; with no generator of degree 1 that count also
+    equals the count at N - |x| - q."""
+    rng = random.Random(36)
+    steps = 0
+    for name, model in certified_models():
+        current = fresh_copy(model)
+        while current.universe.evens:
+            x = min(current.universe.evens, key=lambda g: (g.degree, g.index))
+            pm = PerturbedModel(current, x.name)
+            ranks = deformation._multiplication_ranks(
+                current, pm.at_parameter(random_rational(rng)), x.degree)
+            top = formal_dimension_bound(current) - x.degree
+            counted = [_x_rank_by_cocycles(current, x.name, q)
+                       for q in range(top + 1)]
+            assert ranks == counted, (name, x.name)
+            if simply_connected(current):
+                assert counted == counted[::-1], (name, x.name)
+            current = restrict_model(current, {x.name})
+            steps += 1
+    assert steps >= 300
+
+
+def test_reduce_ranks_every_degree_over_a_degree_one_generator(monkeypatch):
+    """With a degree-1 generator no cited duality reflects r_q, so every
+    q = 0..N - |x| is ranked: the perturbed complex through degree N - 1.
+    dim H(W, d_xi) equals the whole W eliminated with its window."""
+    uni = universe([("x", 2), ("z", 1), ("y", 3)])
+    model = Model(uni, {"y": pe("x^2", uni)}, allow_degree_one=True)
+    assert not simply_connected(model)
+    perturbed = []
+    at_parameter = PerturbedModel.at_parameter
+
+    def recorded(self, xi):
+        perturbed.append(at_parameter(self, xi))
+        return perturbed[-1]
+
+    monkeypatch.setattr(PerturbedModel, "at_parameter", recorded)
+    report = perturb_and_reduce(model, samples=2, seed=0)
+    assert report.dim_h == 4
+    [step] = report.steps
+    assert [sample.dim_w_xi for sample in step.samples] == [4, 4]
+    bound = formal_dimension_bound(model)
+    assert max(perturbed[0].d.ranks) == bound - 1
+    pm = PerturbedModel(model, "x")
+    bound_w = formal_dimension_bound(pm.w_model)
+    window = max(g.degree for g in pm.w_model.universe.generators)
+    for sample in step.samples:
+        assert sample.dim_w_xi == betti_below(
+            at_parameter(pm, sample.xi), bound_w, window).total_dim
 
 
 def test_perturbed_complex_is_eliminated_once_per_step(corpus_models,
@@ -382,29 +458,6 @@ def test_perturbed_complex_is_eliminated_once_per_step(corpus_models,
         # (W, d_0) is read from the current model's ranks, never assembled
         assert len(extended) == len(report.steps)
         assert not any(id(w) in assembled for w in extended)
-
-
-def test_rescaling_check_rejects_unrelated_perturbations():
-    uni = universe([("x", 2), ("y", 3)])
-    pm = PerturbedModel(Model(uni, {"y": pe("x^2", uni)}), "x")
-    first, other = pm.at_parameter(Fraction(1, 2)), pm.at_parameter(3)
-    check_ybar_rescaling(first, other, "ybar", Fraction(1, 6))
-    with pytest.raises(ContradictionError):
-        check_ybar_rescaling(first, other, "ybar", Fraction(1, 3))
-    w = pm.w_model.universe
-
-    def with_dy(text):
-        return Model(w, {**other.d.images, "y": pe(text, w)},
-                     allow_degree_one=True)
-
-    for changed in (with_dy("2*x^2"), with_dy("x^2 + ybar*y")):
-        with pytest.raises(ContradictionError):
-            check_ybar_rescaling(first, changed, "ybar", Fraction(1, 6))
-    # an image that mentions ybar is not fixed by the rescaling, even when
-    # both models agree on it
-    mentions_ybar = with_dy("x^2 + ybar*y")
-    with pytest.raises(ContradictionError):
-        check_ybar_rescaling(mentions_ybar, mentions_ybar, "ybar", Fraction(1))
 
 
 def test_reduce_needs_one_sample():
