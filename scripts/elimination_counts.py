@@ -30,16 +30,20 @@ A to B inclusive when one is given, with these wrappers in place:
 - ``hilali.koszul.Rref``, the span a quotient reduces against, with the
   rows added to it counted;
 - ``hilali.koszul._normal_form``, one reduction of Buchberger's algorithm
-  (a relation, an S-pair, or an element of the basis being made reduced).
+  (a relation, an S-pair, or an element of the basis being made reduced);
+- ``hilali.deformation.PerturbedModel.at_parameter``, one perturbed model
+  (W, d_xi) of a ``reduce`` step;
+- ``hilali.model.Derivation.__call__``, a derivation applied to an element.
 
 It prints one line per seed: the seed, the corpus run's exit code,
 ``_leibniz`` calls, ``_eliminate`` calls, entries touched, the rows and
 nonzero entries assembled, the rows cleared, then the Koszul rows built, the
 Koszul rows cleared, the ``intify`` calls, the certificates computed, the
-``quotient_basis`` calls, the rows added to quotient spans and the
-``_normal_form`` calls.  The counts depend only on the code and the seed,
-not on the machine, so two trees compare by ``diff``.  The corpus report
-itself is discarded; its ``# wall time`` line still goes to stderr.
+``quotient_basis`` calls, the rows added to quotient spans, the
+``_normal_form`` calls, the perturbed models built and the derivation
+calls.  The counts depend only on the code and the seed, not on the
+machine, so two trees compare by ``diff``.  The corpus report itself is
+discarded; its ``# wall time`` line still goes to stderr.
 Each seed's run loads the corpus afresh, so its line is the same in a range
 as on its own.
 """
@@ -56,6 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from hilali import cli, cohomology, deformation, koszul, linalg  # noqa: E402
+from hilali.model import Derivation  # noqa: E402
 
 
 def seed_range(text: str) -> range:
@@ -121,6 +126,18 @@ def main() -> int:
         counts["normal_forms"] += 1
         return normal_form(*args)
 
+    at_parameter = deformation.PerturbedModel.at_parameter
+
+    def counted_at_parameter(self, xi):
+        counts["at_parameter"] += 1
+        return at_parameter(self, xi)
+
+    derivation_call = Derivation.__call__
+
+    def counted_derivation_call(self, e):
+        counts["derivation"] += 1
+        return derivation_call(self, e)
+
     class StaircaseRref(koszul.Rref):
         def add(self, row):
             counts["staircase_rows"] += 1
@@ -130,6 +147,8 @@ def main() -> int:
     koszul.Rref, koszul._normal_form = StaircaseRref, counted_normal_form
     cohomology.ChainComplex.rows = counted_rows
     koszul.koszul_differential_rows = counted_koszul_rows
+    deformation.PerturbedModel.at_parameter = counted_at_parameter
+    Derivation.__call__ = counted_derivation_call
     for module in (linalg, koszul, cohomology):
         if getattr(module, "intify", None) is intify:
             module.intify = counted_intify
@@ -143,7 +162,8 @@ def main() -> int:
         counts.update(dict.fromkeys(
             ("leibniz", "eliminate", "entries", "rows", "nnz", "cleared",
              "koszul_rows", "koszul_cleared", "intify", "quotients",
-             "staircase_rows", "normal_forms"), 0))
+             "staircase_rows", "normal_forms", "at_parameter",
+             "derivation"), 0))
         certificates.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
@@ -159,7 +179,9 @@ def main() -> int:
               f"certify_elliptic_calls {len(certificates)} "
               f"quotient_basis_calls {counts['quotients']} "
               f"staircase_rows {counts['staircase_rows']} "
-              f"normal_form_calls {counts['normal_forms']}", flush=True)
+              f"normal_form_calls {counts['normal_forms']} "
+              f"at_parameter_calls {counts['at_parameter']} "
+              f"derivation_calls {counts['derivation']}", flush=True)
     return 0
 
 

@@ -78,8 +78,9 @@ _CLAIMS = [
           "contractible: the perturbed total cohomology equals that of the "
           "model with the pair removed.  For every xi != 0, ybar -> ybar/xi "
           "is a DGA isomorphism (W, d_1) -> (W, d_xi), so this holds exactly "
-          "for every nonzero xi at once; the sampled xi are labels, each "
-          "backed by an exact check of the isomorphism.",
+          "for every nonzero xi at once; the sampled xi are labels.  One "
+          "perturbed complex per step is checked to square to zero, and "
+          "the isomorphism carries it to every xi.",
           "perturb_and_reduce", "hilali reduce"),
     Claim("doubling",
           "Tensoring with a free odd line exactly doubles total cohomology: "

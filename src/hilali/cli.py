@@ -387,6 +387,9 @@ def _cmd_explain(args) -> int:
         available = ", ".join(sorted(CLAIMS))
         _diag(f"unknown claim {ident!r}; available: {available}")
         return EXIT_INPUT
+    if args.corpus and not Path(args.corpus).is_dir():
+        _diag(f"{Path(args.corpus)} is not a directory")
+        return EXIT_INPUT
     corpus_dir = args.corpus if args.corpus else _default_corpus_dir()
     text = explain(ident, corpus_dir)
     results = {"claim": ident, "text": text}

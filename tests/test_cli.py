@@ -216,6 +216,16 @@ def test_explain_unknown_lists_available(capsys):
     assert "tor-isomorphism" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_explain_with_a_missing_corpus_exits_2(tmp_path, capsys, fmt):
+    missing = tmp_path / "nonexistent"
+    code, out, err = run(capsys, "explain", "ks-collapse",
+                         "--corpus", str(missing), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == f"{missing} is not a directory"
+
+
 def test_corpus_empty_directory_warns(tmp_path, capsys):
     code, out, err = run(capsys, "corpus", str(tmp_path))
     assert code == 0

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from hilali import (ContradictionError, Element, Model, ModelError,
-                    ModuleFamily, PerturbedModel, certify_elliptic,
+from hilali import (ContradictionError, Derivation, Element, Model,
+                    ModelError, ModuleFamily, PerturbedModel, certify_elliptic,
                     check_differential, classify, flatness_check,
                     formal_dimension_bound, parse_expression,
                     perturb_and_reduce, random_rational, restrict_model,
@@ -127,14 +127,25 @@ def test_semicontinuity_stable_across_seeds(corpus_models):
     assert verdicts == [(True, True)] * 3
 
 
+def _delta_composites(pm):
+    """For each generator g of W, ``(d(delta(g)), delta(d(g)))``, with delta
+    the derivation sending ybar to x and every other generator to zero."""
+    uni = pm.w_model.universe
+    d = pm.w_model.d
+    delta = Derivation(uni, {pm.ybar_name: Element.generator(uni, pm.x_name)})
+    gens = [Element.generator(uni, g.name) for g in uni.generators]
+    return [(d(delta(g)), delta(d(g))) for g in gens]
+
+
 def test_perturbed_model_structure():
     uni = universe([("x", 2), ("y", 3)])
     m = Model(uni, {"y": pe("x^2", uni)})
     pm = PerturbedModel(m, "x")
     assert pm.ybar_name == "ybar"
     assert pm.w_model.universe.by_name["ybar"].degree == 1
-    report = pm.anticommutator_report()
-    assert report["graded_anticommute"]
+    composites = _delta_composites(pm)
+    assert len(composites) == 3
+    assert all(dd.is_zero and sd.is_zero for dd, sd in composites)
     rng = random.Random(4)
     for _ in range(5):
         xi = random_rational(rng, 1000)
@@ -231,6 +242,31 @@ def test_reduce_dimensions_match_whole_complexes(corpus_models):
                     assert sample.dim_w_xi == betti_below(
                         pm.at_parameter(sample.xi), bound, window).total_dim
                 current = restrict_model(current, {step.x_name})
+
+
+def test_reduce_identities_hold_on_every_step(corpus_models):
+    """What each step reports without computing it: d∘delta = 0 and
+    delta∘d = 0 on every generator of W, and (d + xi delta)^2 = 0 for every
+    drawn xi, not only the first one that ``reduce`` checks."""
+    steps = 0
+    for model in _reducible_models(corpus_models):
+        for seed in range(5):
+            current = model
+            report = perturb_and_reduce(current, samples=3, seed=seed)
+            for step in report.steps:
+                assert step.anticommutator == {
+                    "d_after_delta_zero": True, "delta_after_d_zero": True,
+                    "graded_anticommute": True}
+                pm = PerturbedModel(current, step.x_name)
+                for dd, sd in _delta_composites(pm):
+                    assert dd.is_zero and sd.is_zero
+                assert len(step.samples) == 3
+                for sample in step.samples:
+                    assert check_differential(
+                        pm.at_parameter(sample.xi)).passed
+                current = restrict_model(current, {step.x_name})
+                steps += 1
+    assert steps >= 100
 
 
 def test_reduce_raises_on_a_quotient_that_fails_certification(
@@ -347,7 +383,7 @@ def test_perturbed_models_are_assembled_only_through_the_bound(
         assert simply_connected(model)
         limits.clear()
         report = perturb_and_reduce(model, samples=2, seed=0)
-        assert len(limits) == 2 * len(report.steps)
+        assert len(limits) == len(report.steps)
         assembled = [(top[key][1], limit)
                      for key, (_, limit) in limits.items() if key in top]
         assert len(assembled) == len(report.steps)
@@ -452,7 +488,7 @@ def test_perturbed_complex_is_eliminated_once_per_step(corpus_models,
         extended.clear()
         report = perturb_and_reduce(corpus_models["pairwise-nonregular-n2r1"],
                                     samples=samples, seed=0)
-        assert len(perturbed) == samples * len(report.steps) == samples * 2
+        assert len(perturbed) == len(report.steps) == 2
         eliminated = [m for m in perturbed if id(m) in assembled]
         assert len(eliminated) == len(report.steps)
         # (W, d_0) is read from the current model's ranks, never assembled

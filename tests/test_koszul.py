@@ -8,7 +8,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from operator import add, ge, sub
 
 import pytest
@@ -27,7 +27,6 @@ from hilali.linalg import Echelon, Rref, rank_of_rows
 from conftest import CORPUS
 from dense_oracle import dense_rank
 from modelgen import benchmark_documents, fresh_copy
-from staircase_oracle import staircase
 
 
 def ring2():
@@ -146,7 +145,8 @@ def test_chain_criterion_waits_for_pending_pairs():
                                        "x^3", "y^3")]
     module = quotient_basis(ring, relations)
     assert module.length == 7
-    assert module.standard_basis == staircase(ring, relations)
+    assert [ring.format_monomial(m) for m in module.standard_basis] == \
+        ["1", "z", "y", "x", "z^2", "y^2", "x^2"]
 
 
 @pytest.fixture(scope="module")
@@ -193,23 +193,6 @@ def built_quotients(tmp_path_factory):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
     return list(built.values()), rows
-
-
-def test_staircase_matches_the_degree_by_degree_oracle(built_quotients):
-    # The standard basis read from the Groebner basis is the staircase the
-    # degree-by-degree probe found, graded and filtered; a quotient of
-    # infinite length fails both ways.
-    built, _ = built_quotients
-    kinds = set()
-    for ring, relations, result in built:
-        if isinstance(result, QuotientModule):
-            assert result.standard_basis == staircase(ring, relations)
-            kinds.add(result.graded)
-        else:
-            assert isinstance(result, NotFiniteLengthError)
-            with pytest.raises((NotFiniteLengthError, IndeterminateError)):
-                staircase(ring, relations)
-    assert kinds == {True, False}
 
 
 def _remainder(f, basis, order):
@@ -270,6 +253,102 @@ def test_every_s_pair_of_the_groebner_basis_reduces_to_zero(built_quotients):
             assert not _remainder(_s_polynomial(f, g, order), basis, order)
             pairs += 1
     assert pairs
+
+
+def _in_span_of_multiples(ring, relations, targets, cap):
+    """Whether every polynomial of ``targets`` ({exps: c}) is a combination
+    of products m * P of monomials m and relations P of top degree at most
+    ``cap``, by elimination in Fraction arithmetic, one degree at a time."""
+    def order(e):
+        return ring.sort_key(Monomial(e, ()))
+    rows = {}       # leading exponents -> row scaled to leading coefficient 1
+
+    def remainder(f):
+        f = dict(f)
+        while f and (row := rows.get(lead := max(f, key=order))) is not None:
+            c = f[lead]
+            for e, v in row.items():
+                w = f.get(e, 0) - c * v
+                if w:
+                    f[e] = w
+                else:
+                    del f[e]
+        return f
+
+    for degree in range(cap + 1):
+        for rel in relations:
+            if rel.top_degree() <= degree:
+                for m in ring.basis(degree - rel.top_degree()):
+                    f = remainder({tuple(map(add, m.exps, e.exps)): Fraction(c)
+                                   for e, c in rel.terms.items()})
+                    if f:
+                        lead = max(f, key=order)
+                        rows[lead] = {e: v / f[lead] for e, v in f.items()}
+        targets = [t for t in targets if remainder(t)]
+        if not targets:
+            return True
+    return False
+
+
+def test_groebner_basis_generates_the_ideal_of_its_relations(
+        built_quotients):
+    # (G) = I: each relation leaves remainder 0 on Fraction division by G,
+    # and each element of G is a combination of monomial multiples of the
+    # relations.  With the S-pair test, G is the reduced Groebner basis of
+    # I, so the standard basis is every monomial that no lead divides,
+    # inside the box cut by the leads that are pure powers.
+    built, _ = built_quotients
+    kinds = set()
+    for ring, relations, module in built:
+        if not isinstance(module, QuotientModule):
+            continue
+        kinds.add(module.graded)
+
+        def order(e):
+            return ring.sort_key(Monomial(e, ()))
+        relations = [r for r in relations if not r.is_zero]
+        basis = [{ring.key_exps(k): c for k, c in g.items()}
+                 for _, g in module._groebner]
+        for rel in relations:
+            assert not _remainder({m.exps: c for m, c in rel.terms.items()},
+                                  basis, order)
+        top = max([ring.degree_of(Monomial(e, ())) for g in basis for e in g]
+                  + [r.top_degree() for r in relations], default=0)
+        assert _in_span_of_multiples(ring, relations, basis, 2 * top)
+        leads = [max(g, key=order) for g in basis]
+        bounds = [min(lead[i] for lead in leads
+                      if not any(lead[:i] + lead[i + 1:]))
+                  for i in range(len(ring.evens))]
+        standard = sorted((e for e in product(*map(range, bounds))
+                           if not any(all(map(ge, e, lead))
+                                      for lead in leads)), key=order)
+        assert [m.exps for m in module.standard_basis] == standard
+    assert kinds == {True, False}
+
+
+def test_every_refused_quotient_has_infinite_length(built_quotients):
+    # A refused quotient has fewer relations than variables, or graded
+    # relations that vanish at a nonzero point a: then x_i -> a_i
+    # t^deg(x_i) maps R/I onto an infinite-dimensional subring of Q[t].
+    built, _ = built_quotients
+    refused = 0
+    for ring, relations, result in built:
+        if isinstance(result, QuotientModule):
+            continue
+        assert isinstance(result, NotFiniteLengthError)
+        refused += 1
+        relations = [r for r in relations if not r.is_zero]
+        if len(relations) < len(ring.evens):
+            continue
+        assert all(r.is_homogeneous for r in relations)
+
+        def vanish(point):
+            return all(sum(c * prod(map(pow, point, m.exps))
+                           for m, c in r.terms.items()) == 0
+                       for r in relations)
+        assert any(vanish(point) for point in
+                   product((-1, 0, 1), repeat=len(ring.evens)) if any(point))
+    assert refused
 
 
 def test_no_staircase_row_is_dependent(built_quotients):
