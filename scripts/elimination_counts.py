@@ -25,6 +25,8 @@ A to B inclusive when one is given, with these wrappers in place:
   the certificates computed, not the calls: a certificate kept on a model
   comes back as the same object, so each distinct object returned is one
   certificate computed;
+- ``check_differential``, in every ``hilali`` module that binds it,
+  counting the validation reports computed the same way;
 - ``quotient_basis``, in every ``hilali`` module that binds it: each call
   builds one quotient (certificates, odd-basis searches, fibers);
 - ``hilali.koszul.Rref``, the span a quotient reduces against, with the
@@ -40,10 +42,11 @@ It prints one line per seed: the seed, the corpus run's exit code,
 nonzero entries assembled, the rows cleared, then the Koszul rows built, the
 Koszul rows cleared, the ``intify`` calls, the certificates computed, the
 ``quotient_basis`` calls, the rows added to quotient spans, the
-``_normal_form`` calls, the perturbed models built and the derivation
-calls.  The counts depend only on the code and the seed, not on the
-machine, so two trees compare by ``diff``.  The corpus report itself is
-discarded; its ``# wall time`` line still goes to stderr.
+``_normal_form`` calls, the perturbed models built, the derivation calls
+and the validation reports computed.  The counts depend only on the code
+and the seed, not on the machine, so two trees compare by ``diff``.  The
+corpus report itself is discarded; its ``# wall time`` line still goes to
+stderr.
 Each seed's run loads the corpus afresh, so its line is the same in a range
 as on its own.
 """
@@ -59,7 +62,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hilali import cli, cohomology, deformation, koszul, linalg  # noqa: E402
+from hilali import (cli, cohomology, deformation, koszul, linalg,  # noqa: E402
+                    model)
 from hilali.model import Derivation  # noqa: E402
 
 
@@ -114,6 +118,13 @@ def main() -> int:
         certificates[id(certificate)] = certificate     # kept: ids stay unique
         return certificate
 
+    check_differential, validations = model.check_differential, {}
+
+    def counted_check_differential(m):
+        report = check_differential(m)
+        validations[id(report)] = report        # kept: ids stay unique
+        return report
+
     quotient_basis = koszul.quotient_basis
 
     def counted_quotient_basis(*args, **kwargs):
@@ -158,6 +169,9 @@ def main() -> int:
     for module in (koszul, cohomology, deformation):
         if getattr(module, "quotient_basis", None) is quotient_basis:
             module.quotient_basis = counted_quotient_basis
+    for module in (model, cohomology, deformation, cli):
+        if getattr(module, "check_differential", None) is check_differential:
+            module.check_differential = counted_check_differential
     for seed in args.seed:
         counts.update(dict.fromkeys(
             ("leibniz", "eliminate", "entries", "rows", "nnz", "cleared",
@@ -165,6 +179,7 @@ def main() -> int:
              "staircase_rows", "normal_forms", "at_parameter",
              "derivation"), 0))
         certificates.clear()
+        validations.clear()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["corpus", str(ROOT / "corpus"), "--seed",
                              str(seed), "--jobs", "1"])
@@ -181,7 +196,8 @@ def main() -> int:
               f"staircase_rows {counts['staircase_rows']} "
               f"normal_form_calls {counts['normal_forms']} "
               f"at_parameter_calls {counts['at_parameter']} "
-              f"derivation_calls {counts['derivation']}", flush=True)
+              f"derivation_calls {counts['derivation']} "
+              f"validations {len(validations)}", flush=True)
     return 0
 
 

@@ -11,6 +11,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ModelError
+
+CORPUS_FORMAT = "hilali-corpus/1"
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -114,25 +118,46 @@ _CLAIMS = [
 CLAIMS = {c.ident: c for c in _CLAIMS}
 
 
+def read_manifest(path: str | Path) -> dict:
+    """One corpus manifest, checked for its format, its model file name and
+    its expectations; any fault raises :class:`ModelError`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ModelError(str(exc)) from exc
+    if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
+        raise ModelError(f"expected format {CORPUS_FORMAT!r}")
+    if not isinstance(doc.get("model"), str):
+        raise ModelError("the manifest names no model file")
+    expectations = doc.get("expectations", [])
+    if not isinstance(expectations, list) or \
+            not all(_well_formed(exp) for exp in expectations):
+        raise ModelError("expectations must be a list of expectation objects")
+    return doc
+
+
+def _well_formed(exp) -> bool:
+    return (isinstance(exp, dict)
+            and all(isinstance(exp.get(key, ""), str)
+                    for key in ("operation", "check", "claim"))
+            and isinstance(exp.get("params") or {}, dict))
+
+
 def corpus_coverage(corpus_dir: str | Path) -> dict[str, list[str]]:
     """Map claim identifier -> names of the models whose manifests
-    reference it."""
+    reference it.  A malformed manifest raises :class:`ModelError` naming
+    it."""
     coverage: dict[str, list[str]] = {}
-    directory = Path(corpus_dir)
-    if not directory.is_dir():
-        return coverage
-    for path in sorted(directory.glob("*.manifest.json")):
+    for path in sorted(Path(corpus_dir).glob("*.manifest.json")):
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        for exp in doc.get("expectations", []):
-            ident = exp.get("claim")
+            doc = read_manifest(path)
+        except ModelError as exc:
+            raise ModelError(f"{path}: {exc}") from exc
+        name = path.name.removesuffix(".manifest.json")
+        for ident in dict.fromkeys(exp.get("claim")
+                                   for exp in doc.get("expectations", [])):
             if ident:
-                entries = coverage.setdefault(ident, [])
-                name = path.name.removesuffix(".manifest.json")
-                if name not in entries:
-                    entries.append(name)
+                coverage.setdefault(ident, []).append(name)
     return coverage
 
 

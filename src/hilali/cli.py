@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import format_element
-from .claims import CLAIMS, explain
+from .claims import CLAIMS, explain, read_manifest
 from .cohomology import (ChainComplex, certify_elliptic, cohomology_table,
                          euler_characteristics, hilali_verdict)
 from .deformation import (flatness_check, perturb_and_reduce, standard_family,
@@ -38,8 +38,6 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
-
-CORPUS_FORMAT = "hilali-corpus/1"
 
 
 def _verdict_branch(cls) -> tuple[str, bool, bool]:
@@ -405,17 +403,16 @@ def _default_corpus_dir() -> str | None:
 # -- corpus runner ---------------------------------------------------------------
 
 
-# Manifest operations answered by a model command: the command, its extra
-# arguments, and the key under its results where the check path starts.  An
-# operation not listed is the model command of its name, checked from the
-# top of its results.
+# Manifest operations answered by a model command: the command and the key
+# under its results where the check path starts.  An operation not listed
+# is the model command of its name, checked from the top of its results.
 _OPERATIONS = {
-    "hilali_verdict": ("hilali", (), None),
-    "tor_bounds": ("tor", (), "bounds"),
-    "duality": ("tor", (), "duality"),
-    "cross_check": ("tor", ("--cross-check",), "cross_check"),
-    "flatness": ("deform", (), "flatness"),
-    "semicontinuity": ("deform", (), "semicontinuity"),
+    "hilali_verdict": ("hilali", None),
+    "tor_bounds": ("tor", "bounds"),
+    "duality": ("tor", "duality"),
+    "cross_check": ("tor", "cross_check"),
+    "flatness": ("deform", "flatness"),
+    "semicontinuity": ("deform", "semicontinuity"),
 }
 
 
@@ -423,32 +420,31 @@ def run_manifest(path: str, seed: int) -> dict:
     """Execute one manifest: every expectation, compared exactly with the
     results its command prints under ``--format machine`` (command defaults,
     the corpus seed).  The model is loaded once and each command runs at
-    most once; certificates and odd bases come from ``model.d.memo``."""
+    most once; ``tor`` runs with ``--cross-check`` exactly when an
+    expectation checks the cross-check.  Certificates and odd bases come
+    from ``model.d.memo``."""
     manifest_path = Path(path)
     name = manifest_path.stem
     try:
-        doc = json.loads(manifest_path.read_text())
-        if not isinstance(doc, dict) or doc.get("format") != CORPUS_FORMAT:
-            raise ModelError(f"expected format {CORPUS_FORMAT!r}")
-        if not isinstance(doc.get("model"), str):
-            raise ModelError("the manifest names no model file")
+        doc = read_manifest(manifest_path)
         expectations = doc.get("expectations", [])
-        if not isinstance(expectations, list) or \
-                not all(_well_formed(exp) for exp in expectations):
-            raise ModelError("expectations must be a list of expectation objects")
         model_path = manifest_path.parent / doc["model"]
         model = load_model(model_path)
     except (OSError, ValueError, EngineError) as exc:
         return {"manifest": name, "error": str(exc), "results": []}
+    cross_check = any(exp.get("operation") == "cross_check"
+                      for exp in expectations)
     cache: dict = {}
 
-    def command_results(command: str, extra: tuple) -> dict:
-        if (command, extra) not in cache:
-            args = _PARSER.parse_args([command, str(model_path), *extra])
+    def command_results(command: str) -> dict:
+        if command not in cache:
+            args = _PARSER.parse_args([command, str(model_path)])
             if hasattr(args, "seed"):
                 args.seed = seed
-            cache[command, extra] = _MODEL_COMMANDS[command][0](model, args)
-        return cache[command, extra]
+            if hasattr(args, "cross_check"):
+                args.cross_check = cross_check
+            cache[command] = _MODEL_COMMANDS[command][0](model, args)
+        return cache[command]
 
     def operation_results(op: str, params: dict | None) -> dict:
         if op == "apply":
@@ -459,10 +455,10 @@ def run_manifest(path: str, seed: int) -> dict:
             raise ModelError(f"operation {op!r} takes no params")
         if op == "certify_elliptic":
             return _certificate_fields(certify_elliptic(model))
-        command, extra, key = _OPERATIONS.get(op, (op, (), None))
+        command, key = _OPERATIONS.get(op, (op, None))
         if command not in _MODEL_COMMANDS:
             raise ModelError(f"unknown operation {op!r}")
-        results = command_results(command, extra)
+        results = command_results(command)
         if op == "reduce":
             # the summary flags are read from the steps
             steps = results["steps"]
@@ -488,13 +484,6 @@ def run_manifest(path: str, seed: int) -> dict:
         results.append({"operation": op, "check": check, "claim": claim,
                         "expect": expect, "actual": actual, "ok": ok})
     return {"manifest": name, "model": doc["model"], "results": results}
-
-
-def _well_formed(exp) -> bool:
-    return (isinstance(exp, dict)
-            and isinstance(exp.get("operation", ""), str)
-            and isinstance(exp.get("check", ""), str)
-            and isinstance(exp.get("params") or {}, dict))
 
 
 def _lookup(value, op: str, check: str):

@@ -1,6 +1,7 @@
 """Degreewise exact cohomology of a model: Betti tables, Euler
 characteristics, ellipticity certification, explicit cocycle and coboundary
-bases, and the dimension-inequality verdict."""
+bases, and the dimension-inequality verdict; certified tables and verdicts
+are for simply connected models."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass, replace
 from operator import mul
 
 from .algebra import Element, Monomial
-from .errors import (ContradictionError, EngineError, IndeterminateError,
-                     ModelError, NotFiniteLengthError, UniverseMismatchError)
+from .errors import (EngineError, IndeterminateError, ModelError,
+                     NotFiniteLengthError, UniverseMismatchError)
 from .linalg import Rref, intify, kernel_of_rows, rank_of_rows
 from .koszul import odd_images, quotient_basis
 from .model import (Model, _leibniz, check_differential, check_minimal,
@@ -250,12 +251,12 @@ def cohomology_table(model: Model, *, assume_elliptic: bool = False,
                      max_probe: int | None = None
                      ) -> tuple[BettiTable, EllipticityCertificate | None]:
     """The complete Betti table and the certificate behind it: through the
-    formal dimension bound of a model certified elliptic (see
-    :func:`require_elliptic`), by :func:`betti_complete`, which reflects
-    the lower half of a simply connected model's table; or, under
-    ``assume_elliptic``, through an explicit ``max_degree``, every degree
-    computed directly, complete by assumption, with no certificate.
-    ``max_degree`` without ``assume_elliptic`` raises :class:`ModelError`."""
+    formal dimension bound of a simply connected model certified elliptic
+    (see :func:`require_elliptic`), by :func:`betti_complete`, which
+    reflects its lower half; or, under ``assume_elliptic``, through an
+    explicit ``max_degree``, every degree computed directly, complete by
+    assumption, with no certificate.  ``max_degree`` without
+    ``assume_elliptic`` raises :class:`ModelError`."""
     if assume_elliptic:
         if max_degree is None:
             raise ModelError("assume_elliptic requires an explicit max_degree")
@@ -275,45 +276,31 @@ def simply_connected(model: Model) -> bool:
 
 def betti_complete(model: Model,
                    certificate: EllipticityCertificate) -> BettiTable:
-    """Betti table through the formal dimension bound N of a model certified
-    elliptic, marked complete.
+    """Betti table through the formal dimension bound N of a simply
+    connected model certified elliptic, marked complete.
 
-    When every generator has degree at least 2 the model is a simply
-    connected Sullivan algebra, elliptic by the certificate, so its
+    Every generator has degree at least 2, so the model is a simply
+    connected Sullivan algebra, elliptic by the certificate, and its
     cohomology is a Poincaré duality algebra of formal dimension N
     (S. Halperin, "Finiteness in the minimal models of Sullivan", Trans.
     AMS 230 (1977); Félix, Halperin and Thomas, *Rational Homotopy Theory*,
     Prop. 38.3): b_p = b_(N-p), and H vanishes above N.  Only degrees
-    0..N//2 are computed, and b_(N-p) is read as b_p.  Any other model, one
-    with a degree-1 generator (``Model(..., allow_degree_one=True)``), is
-    computed in every degree and checked against a vanishing window of one
-    maximal generator degree above N (see :func:`betti_below`).
+    0..N//2 are computed, and b_(N-p) is read as b_p.  A model with a
+    degree-1 generator is outside the theorem and raises
+    :class:`ModelError`; its table is computed directly only under
+    ``assume_elliptic`` (see :func:`cohomology_table`).
     """
     if not certificate.elliptic:
         raise ModelError("a complete table requires an ellipticity certificate")
-    bound = certificate.formal_dimension_bound
     if not simply_connected(model):
-        window = max(g.degree for g in model.universe.generators)
-        return betti_below(model, bound, window)
+        low = next(g for g in model.universe.generators if g.degree < 2)
+        raise ModelError(
+            f"generator {low.name} has degree {low.degree}; a certified "
+            "table needs a simply connected model")
+    bound = certificate.formal_dimension_bound
     half = betti(model, bound // 2)
     reflected = {p: half[min(p, bound - p)] for p in range(bound + 1)}
     dims = {p: b for p, b in reflected.items() if b}
-    return BettiTable(dims, bound, sum(dims.values()), True)
-
-
-def betti_below(model: Model, bound: int, window: int) -> BettiTable:
-    """Betti table through ``bound``, marked complete after checking that
-    cohomology vanishes in the ``window`` degrees above it; a nonzero class
-    there raises :class:`ContradictionError`."""
-    bound = max(bound, 0)
-    table = betti(model, bound + window)
-    for p in range(bound + 1, bound + window + 1):
-        if table[p] != 0:
-            raise ContradictionError(
-                f"nonzero cohomology in degree {p} above the bound {bound} "
-                f"of {model.name or 'the model'}; the truncation cannot be "
-                "trusted")
-    dims = {p: d for p, d in table.dims.items() if p <= bound}
     return BettiTable(dims, bound, sum(dims.values()), True)
 
 
@@ -413,10 +400,10 @@ def hilali_verdict(model: Model, *, assume_elliptic: bool = False,
                    max_probe: int | None = None) -> Verdict:
     """Compare dim V against the total cohomology dimension.
 
-    Requires a minimal model certified elliptic (or an explicit truncation
-    degree under ``assume_elliptic``).  Also evaluates the Euler
-    characteristic sign constraints of elliptic models.  Certification
-    failures raise as in :func:`require_elliptic`.
+    Requires a minimal simply connected model certified elliptic (or an
+    explicit truncation degree under ``assume_elliptic``).  Also evaluates
+    the Euler characteristic sign constraints of elliptic models.
+    Certification failures raise as in :func:`require_elliptic`.
     """
     report = check_differential(model)
     if not report.passed:

@@ -24,8 +24,7 @@ from math import comb
 
 from .algebra import Element
 from .cohomology import (ChainComplex, betti_complete, certify_elliptic,
-                         cohomology_table, formal_dimension_bound,
-                         simply_connected)
+                         cohomology_table, formal_dimension_bound)
 from .errors import ContradictionError, ModelError
 from .koszul import (QuotientModule, SModuleStructure, halperin_basis,
                      quotient_basis, tor_table)
@@ -105,7 +104,6 @@ class FlatnessReport:
     verdict: str                     # "flat" | "not flat"
     lengths: tuple[tuple[Fraction, int], ...]
     common_length: int | None
-    seed: int
 
     @property
     def flat(self) -> bool:
@@ -122,8 +120,8 @@ def flatness_check(family: ModuleFamily, samples: int = 5,
     lengths = tuple((xi, family.fiber(xi).length) for xi in points)
     values = {length for _, length in lengths}
     if len(values) == 1:
-        return FlatnessReport("flat", lengths, values.pop(), seed)
-    return FlatnessReport("not flat", lengths, None, seed)
+        return FlatnessReport("flat", lengths, values.pop())
+    return FlatnessReport("not flat", lengths, None)
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,6 @@ class SemicontinuityReport:
     base_dims: dict[int, int]
     samples: tuple[SemicontinuitySample, ...]
     passes: bool
-    seed: int
 
 
 def tor_semicontinuity_check(family: ModuleFamily, action_polys: list[Element],
@@ -164,7 +161,7 @@ def tor_semicontinuity_check(family: ModuleFamily, action_polys: list[Element],
                 f"{table.dims} exceeds {base_table.dims}")
         pattern = all(table[k] == comb(r, k) for k in range(r + 1))
         out.append(SemicontinuitySample(xi, dict(table.dims), dominated, pattern))
-    return SemicontinuityReport(dict(base_table.dims), tuple(out), True, seed)
+    return SemicontinuityReport(dict(base_table.dims), tuple(out), True)
 
 
 # -- perturbed differentials ---------------------------------------------------
@@ -200,8 +197,7 @@ class PerturbedModel:
         images = dict(self.w_model.d.images)
         images[self.ybar_name] = Element.generator(
             self.w_model.universe, self.x_name).scale(Fraction(xi))
-        return Model(self.w_model.universe, images, name=self.w_model.name,
-                     allow_degree_one=True)
+        return Model(self.w_model.universe, images, name=self.w_model.name)
 
 
 # The identities of d and delta on W, true for every PerturbedModel.  delta
@@ -221,19 +217,17 @@ def _multiplication_ranks(current: Model, perturbed: Model,
 
     d_xi is block-triangular on W = ΛV ⊕ ΛV·ybar, so rank d_W in degree
     q + |x| - 1 is rank d_q + rank d_(q+|x|-1) + r_q; and r_q = 0 for
-    larger q, since H vanishes above N.  A simply connected H is a Poincaré
-    duality algebra of formal dimension N (Halperin 1977; FHT Prop. 38.3),
-    where <xa, b> = <a, xb> makes x· on H^q the transpose of x· on
-    H^(N-|x|-q): above the middle, r_q is read as r_(N-|x|-q).
+    larger q, since H vanishes above N.  The current model has a certified
+    simply connected table, so H is a Poincaré duality algebra of formal
+    dimension N (Halperin 1977; FHT Prop. 38.3), where <xa, b> = <a, xb>
+    makes x· on H^q the transpose of x· on H^(N-|x|-q): above the middle,
+    r_q is read as r_(N-|x|-q).
     """
     cx, cw = ChainComplex(current), ChainComplex(perturbed)
     top = formal_dimension_bound(current) - x_degree
-    fold = simply_connected(current)
-    def x_rank(q: int) -> int:
-        q = min(q, top - q) if fold else q
-        return (cw.rank(q + x_degree - 1) - cx.rank(q)
-                - cx.rank(q + x_degree - 1))
-    return [x_rank(q) for q in range(top + 1)]
+    lower = [cw.rank(q + x_degree - 1) - cx.rank(q) - cx.rank(q + x_degree - 1)
+             for q in range(top // 2 + 1)]
+    return [lower[min(q, top - q)] for q in range(top + 1)]
 
 
 @dataclass(frozen=True)
@@ -265,7 +259,6 @@ class ReductionReport:
     terminal_dim: int        # 2^(n+r) = dim ΛP, the all-odd model with d = 0
     chain_ok: bool           # 2^n * dim_h >= 2^(n+r)
     lower_bound_ok: bool     # dim_h >= 2^r
-    seed: int
 
     @property
     def passes(self) -> bool:
@@ -295,10 +288,11 @@ def perturb_and_reduce(model: Model, samples: int = 2,
     ``_ANTICOMMUTATOR``, whose identities hold by construction.
 
     Every current model is certified elliptic before its table is
-    computed: the input by :func:`cohomology_table`, and each quotient that
-    keeps an even generator by :func:`certify_elliptic` (its pure-part
-    quotient ΛQ/(P, x) has finite length whenever ΛQ/(P) does, so a
-    failure raises :class:`ContradictionError`).  Their tables come from
+    computed: the input by :func:`cohomology_table`, which refuses a model
+    with a degree-1 generator, and each quotient that keeps an even
+    generator by :func:`certify_elliptic` (its pure-part quotient
+    ΛQ/(P, x) has finite length whenever ΛQ/(P) does, so a failure raises
+    :class:`ContradictionError`).  Their tables come from
     :func:`~hilali.cohomology.betti_complete`.  The all-odd quotient ΛP is
     checked to have d = 0, so its total is dim ΛP = 2^(n+r), read with no
     table.
@@ -369,4 +363,4 @@ def perturb_and_reduce(model: Model, samples: int = 2,
         raise ContradictionError(
             f"reduction chain failed: 2^{n} * {dim_h} vs 2^{n + r}")
     return ReductionReport(tuple(steps), n, r, dim_h, terminal_expected,
-                           chain_ok, lower_bound_ok, seed)
+                           chain_ok, lower_bound_ok)

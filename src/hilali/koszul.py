@@ -726,7 +726,6 @@ class CrossCheckReport:
     total_cohomology: int
     total_tor: int
     by_odd_count: tuple[tuple[int, int, int], ...]  # (q, dim H_q, dim Tor^q)
-    strategy: str
     passes: bool
 
 
@@ -755,5 +754,4 @@ def tor_via_model_cross_check(model: Model, basis: HalperinBasis,
         raise ContradictionError(
             f"cohomology/Tor mismatch: total H = {total}, total Tor = "
             f"{table.total}, by odd count {rows}")
-    return CrossCheckReport(total, table.total, tuple(rows),
-                            basis.strategy, True)
+    return CrossCheckReport(total, table.total, tuple(rows), True)

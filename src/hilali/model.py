@@ -3,7 +3,8 @@
 A :class:`Model` couples a generator universe with images of the generators
 under a degree +1 derivation.  Validation (degree bookkeeping, square zero),
 minimality, the pure/hyperelliptic classification, the pure part, and the
-lower grading all live here, together with the versioned model file format.
+lower grading all live here, together with the versioned model file format
+of simply connected models.
 """
 
 from __future__ import annotations
@@ -130,17 +131,12 @@ class Model:
     """A presentation ``(universe, d)``; immutable once constructed.
 
     Light structural checks happen here; the full degree and square-zero
-    report comes from :func:`check_differential`.
+    report comes from :func:`check_differential`.  A generator may have
+    degree 1, though model files refuse one (see :func:`read_model`).
     """
 
     def __init__(self, uni: GeneratorUniverse, differential: dict[str, Element],
-                 name: str = "", allow_degree_one: bool = False):
-        if not allow_degree_one:
-            for g in uni.generators:
-                if g.degree < 2:
-                    raise ModelError(
-                        f"generator {g.name} has degree {g.degree}; the model is "
-                        "not simply-connected")
+                 name: str = ""):
         self.universe = uni
         self.name = name
         self.d = Derivation(uni, differential)
@@ -255,19 +251,15 @@ def classify(model: Model) -> Classification:
 def pure_part(model: Model) -> Model:
     """Replace each odd image by its zero-odd-factor component.
 
-    Only defined for hyperelliptic models; the result is pure.
+    Only defined for hyperelliptic models, whose even generators are
+    closed; the result is pure.
     """
-    cls = classify(model)
-    if not cls.is_hyperelliptic:
+    if not classify(model).is_hyperelliptic:
         raise ModelError("pure part is defined for hyperelliptic models only")
-    images = {}
-    for g in model.universe.odds:
-        img = model.d.of_generator(g.name)
-        part = img.split_by_odd_count().get(0)
-        if part is not None and not part.is_zero:
-            images[g.name] = part
-    return Model(model.universe, images, name=model.name + ".pure" if model.name else "",
-                 allow_degree_one=True)
+    zero = Element.zero(model.universe)         # Derivation drops zeros
+    images = {name: img.split_by_odd_count().get(0, zero)
+              for name, img in model.d.images.items()}
+    return Model(model.universe, images, name=model.name + ".pure" if model.name else "")
 
 
 # -- model files -------------------------------------------------------------
@@ -286,7 +278,7 @@ def model_to_dict(model: Model) -> dict:
 
 def _parse_model(doc: dict, source: str) -> Model:
     """Build a model from its file document; structure only, the
-    differential is not checked."""
+    differential is not checked; a degree-1 generator is refused."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelError(f"{source}: expected a {MODEL_FORMAT!r} document")
     gens = doc.get("generators")
@@ -314,10 +306,11 @@ def _parse_model(doc: dict, source: str) -> Model:
         if name not in uni.by_name:
             raise ModelError(f"{source}: differential given for unknown generator {name!r}")
         diff[name] = parse_expression(str(text), uni)
-    try:
-        return Model(uni, diff, name=str(doc.get("name", "")))
-    except ModelError as exc:
-        raise ModelError(f"{source}: {exc}") from exc
+    for g in uni.generators:
+        if g.degree < 2:
+            raise ModelError(f"{source}: generator {g.name} has degree "
+                             f"{g.degree}; the model is not simply-connected")
+    return Model(uni, diff, name=str(doc.get("name", "")))
 
 
 def _validated(model: Model, source: str) -> Model:
@@ -361,10 +354,8 @@ def tensor_with_odd_line(model: Model, name: str, degree: int) -> Model:
         raise ModelError(f"generator name {name!r} already used")
     specs = [(g.name, g.degree) for g in model.universe.generators] + [(name, degree)]
     uni = universe(specs)
-    images = {}
-    for gname, img in model.d.images.items():
-        images[gname] = restrict_element(img, uni)
-    return Model(uni, images, name=model.name, allow_degree_one=True)
+    images = {g: restrict_element(img, uni) for g, img in model.d.images.items()}
+    return Model(uni, images, name=model.name)
 
 
 def restrict_model(model: Model, dropped: set[str]) -> Model:
@@ -373,12 +364,7 @@ def restrict_model(model: Model, dropped: set[str]) -> Model:
     specs = [(g.name, g.degree) for g in model.universe.generators
              if g.name not in dropped]
     uni = universe(specs)
-    images = {}
-    for gname, img in model.d.images.items():
-        if gname in dropped:
-            continue
-        restricted = restrict_element(img, uni)
-        if not restricted.is_zero:
-            images[gname] = restricted
-    return Model(uni, images, name=model.name, allow_degree_one=True)
+    images = {g: restrict_element(img, uni)       # Derivation drops zeros
+              for g, img in model.d.images.items() if g not in dropped}
+    return Model(uni, images, name=model.name)
 

@@ -5,12 +5,17 @@ engine's sparse machinery: monomials are expanded into explicit factor
 sequences, signs come from bubble-sorting odd factors, the differential is
 the textbook Leibniz sum over factor positions, and ranks come from dense
 fraction Gaussian elimination.
+
+The one exception is :func:`betti_below`, the windowed table: it reads the
+engine's direct :func:`~hilali.cohomology.betti`, which eliminates every
+degree and reflects none, and checks the vanishing window above a bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from hilali import BettiTable, ContradictionError, betti
 from hilali.algebra import Monomial
 
 
@@ -136,3 +141,19 @@ def betti_dense(model, max_degree: int) -> dict[int, int]:
         if d:
             dims[p] = d
     return dims
+
+
+def betti_below(model, bound: int, window: int) -> BettiTable:
+    """Betti table through ``bound``, marked complete after checking that
+    cohomology vanishes in the ``window`` degrees above it; a nonzero class
+    there raises :class:`ContradictionError`."""
+    bound = max(bound, 0)
+    table = betti(model, bound + window)
+    for p in range(bound + 1, bound + window + 1):
+        if table[p] != 0:
+            raise ContradictionError(
+                f"nonzero cohomology in degree {p} above the bound {bound} "
+                f"of {model.name or 'the model'}; the truncation cannot be "
+                "trusted")
+    dims = {p: d for p, d in table.dims.items() if p <= bound}
+    return BettiTable(dims, bound, sum(dims.values()), True)

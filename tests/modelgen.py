@@ -25,8 +25,7 @@ def fresh_copy(model: Model) -> Model:
     rank, certificate or odd basis.  A test that patches an engine function
     reads a copy, so no artifact that an earlier test kept on a shared
     corpus model answers in place of the patched code."""
-    return Model(model.universe, model.d.images, name=model.name,
-                 allow_degree_one=True)
+    return Model(model.universe, model.d.images, name=model.name)
 
 
 def closed_elements(model: Model, degree: int, *, min_word_length: int = 2,
@@ -108,7 +107,7 @@ def random_hyperelliptic_model(rng: random.Random, *, n_max: int = 3,
         partial_uni = universe(specs[:n + j])
         rebuilt = {name: restrict_element(img, partial_uni)
                    for name, img in diff.items()}
-        partial = Model(partial_uni, rebuilt, allow_degree_one=True)
+        partial = Model(partial_uni, rebuilt)
         candidates = closed_elements(partial, deg + 1, require_even_factor=True)
         image = None
         if candidates and rng.random() < 0.9:
@@ -145,7 +144,7 @@ def random_model(rng: random.Random, *, max_generators: int = 5,
         partial_uni = universe(specs[:j])
         rebuilt = {name: restrict_element(img, partial_uni)
                    for name, img in diff.items()}
-        partial = Model(partial_uni, rebuilt, allow_degree_one=True)
+        partial = Model(partial_uni, rebuilt)
         deg = specs[j][1] + 1
         min_word = 1 if rng.random() < 0.2 else 2
         candidates = closed_elements(partial, deg, min_word_length=min_word)

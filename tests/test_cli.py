@@ -378,6 +378,81 @@ def test_malformed_manifest_is_error_entry(tmp_path, capsys, manifest):
     assert "Traceback" not in err
 
 
+# a malformed manifest and the message that names what is wrong with it
+MALFORMED_MANIFESTS = {
+    "json-list": ("[]", "expected format 'hilali-corpus/1'"),
+    "expectation-not-an-object": (json.dumps(
+        {"format": "hilali-corpus/1", "model": "sphere-s3.model.json",
+         "expectations": [3]}),
+        "expectations must be a list of expectation objects"),
+    "list-valued-claim": (json.dumps(
+        {"format": "hilali-corpus/1", "model": "sphere-s3.model.json",
+         "expectations": [{"operation": "classify", "check": "n",
+                           "expect": 0, "claim": ["verdict"]}]}),
+        "expectations must be a list of expectation objects"),
+    "not-json": ("{not json", "Expecting property name enclosed in double "
+                 "quotes: line 1 column 2 (char 1)"),
+}
+
+
+def _corpus_with(tmp_path, text):
+    """A corpus directory: sphere-s3 with its manifest, and a malformed
+    manifest ``nameless.manifest.json`` holding ``text``."""
+    for kind in ("model", "manifest"):
+        path = CORPUS / f"sphere-s3.{kind}.json"
+        (tmp_path / path.name).write_text(path.read_text())
+    bad = tmp_path / "nameless.manifest.json"
+    bad.write_text(text)
+    return bad
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("text, message", MALFORMED_MANIFESTS.values(),
+                         ids=MALFORMED_MANIFESTS)
+def test_explain_names_a_malformed_manifest_and_exits_2(tmp_path, capsys,
+                                                        text, message, fmt):
+    bad = _corpus_with(tmp_path, text)
+    code, out, err = run(capsys, "explain", "verdict", "--corpus",
+                         str(tmp_path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == f"error: {bad}: {message}"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("text, message", MALFORMED_MANIFESTS.values(),
+                         ids=MALFORMED_MANIFESTS)
+def test_corpus_reports_a_malformed_manifest_as_an_error_entry(
+        tmp_path, capsys, text, message, fmt):
+    _corpus_with(tmp_path, text)
+    code, out, err = run(capsys, "corpus", str(tmp_path), "--format", fmt)
+    assert code == 1
+    assert "Traceback" not in err
+    if fmt == "text":
+        assert f"nameless.manifest: ERROR {message}" in out.splitlines()
+        assert "FAIL" not in out
+    else:
+        results = json.loads(out)["results"]
+        assert results["failed"] == 1
+        assert [e.get("error") for e in results["entries"]] == [message, None]
+
+
+def test_a_model_file_with_a_degree_one_generator_exits_2(tmp_path, capsys):
+    doc = {"format": "hilali-model/1", "name": "deg1",
+           "generators": [{"name": "x", "degree": 2}, {"name": "t", "degree": 1},
+                          {"name": "y", "degree": 3}],
+           "differential": {"y": "x^2"}}
+    path = tmp_path / "deg1.model.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "hilali"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == (
+            f"error: {path}: generator t has degree 1; the model is not "
+            "simply-connected")
+
+
 def test_deform_has_no_max_probe(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["deform", model("n1r1-powers"), "--max-probe", "1"])
@@ -510,6 +585,25 @@ def test_run_manifest_searches_the_odd_basis_once(monkeypatch):
         "tor_bounds", "cross_check", "flatness", "semicontinuity"}
     assert all(r["ok"] for r in entry["results"])
     assert searched == [(0, 64, None)]
+
+
+def test_run_manifest_runs_tor_once(monkeypatch):
+    """The plain tor checks and the cross-check read one tor run, made with
+    ``--cross-check`` because the manifest checks it."""
+    import hilali.cli
+    results_of, text_of = hilali.cli._MODEL_COMMANDS["tor"]
+    cross_checked = []
+
+    def counted(model, args):
+        cross_checked.append(args.cross_check)
+        return results_of(model, args)
+
+    monkeypatch.setitem(hilali.cli._MODEL_COMMANDS, "tor", (counted, text_of))
+    entry = run_manifest(str(CORPUS / "squarefree-n2.manifest.json"), 0)
+    assert {r["operation"] for r in entry["results"]} >= {
+        "tor", "tor_bounds", "duality", "cross_check"}
+    assert all(r["ok"] for r in entry["results"])
+    assert cross_checked == [True]
 
 
 def test_corpus_jobs_2_prints_what_jobs_1_prints(tmp_path, capsys):

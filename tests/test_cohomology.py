@@ -15,13 +15,14 @@ from hilali import (ContradictionError, Element, EngineError, Model,
                     coboundary_basis, cocycle_basis, euler_characteristics,
                     classify, cohomology_table, formal_dimension_bound,
                     hilali_verdict, is_exact, parse_expression,
-                    tensor_with_odd_line, universe)
+                    perturb_and_reduce, tensor_with_odd_line, universe)
 from hilali.algebra import Monomial
-from hilali.cohomology import ChainComplex, betti_below
+from hilali.cohomology import ChainComplex
 from hilali.linalg import Echelon, intify, kernel_of_rows, rank_of_rows
 from hilali.model import _leibniz
 
-from dense_oracle import betti_dense, dense_rank, naive_differential
+from dense_oracle import (betti_below, betti_dense, dense_rank,
+                          naive_differential)
 from free_odd_line import FreeOddLineComplex
 from modelgen import (certified_models, fresh_copy,
                       random_hyperelliptic_model, random_model)
@@ -172,16 +173,32 @@ def test_tables_outside_the_duality_theorem_are_computed_above_half():
     assert cert is None and max(m.d.ranks) == bound > bound // 2
     assert table.dims == betti_complete(fresh_copy(m),
                                         certify_elliptic(m)).dims
-    # a degree-1 generator: not simply connected, so the windowed table
-    m = build([("x", 2), ("y", 3), ("u", 1)], {"y": "x^2"},
-              allow_degree_one=True)
+    # a degree-1 generator: no certified table, but the assumed one is
+    # direct in every degree and equals the table with its vanishing window
+    m = build([("x", 2), ("z", 1), ("y", 3)], {"y": "x^2"})
+    table, cert = cohomology_table(m, assume_elliptic=True, max_degree=3)
+    assert cert is None and max(m.d.ranks) == 3
+    assert table == betti_below(fresh_copy(m), 3, 3)
+    assert table.dims == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+def test_certified_tables_refuse_a_degree_one_generator():
+    """Halperin's duality theorem is for simply connected models, so a
+    certified table, a verdict and a reduction all refuse a model with a
+    degree-1 generator, even one certified elliptic; no degree of it is
+    eliminated."""
+    m = build([("x", 2), ("z", 1), ("y", 3)], {"y": "x^2"})
     cert = certify_elliptic(m)
     assert cert.elliptic and cert.formal_dimension_bound == 3
-    table = betti_complete(m, cert)
-    assert table.dims == {0: 1, 1: 1, 2: 1, 3: 1} and table.complete
-    assert max(m.d.ranks) == 3 + 3
+    refusal = "generator z has degree 1; a certified table needs a simply "
+    with pytest.raises(ModelError, match=refusal):
+        betti_complete(m, cert)
+    for compute in (cohomology_table, hilali_verdict, perturb_and_reduce):
+        with pytest.raises(ModelError, match=refusal):
+            compute(m)
+    assert m.d.ranks == {}
     # a failed certificate never gives a table
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="requires an ellipticity"):
         betti_complete(m, replace(cert, elliptic=False))
 
 
@@ -397,8 +414,7 @@ def test_free_odd_line_needs_the_base_with_a_closed_line(corpus_models):
     uni = extended.universe
     x = uni.evens[0].name
     perturbed = Model(uni, {**extended.d.images,
-                           "ybar": parse_expression(x + "^2", uni)},
-                     allow_degree_one=True)
+                           "ybar": parse_expression(x + "^2", uni)})
     with pytest.raises(ModelError):
         FreeOddLineComplex(perturbed, ChainComplex(m), "ybar")
 
@@ -478,7 +494,7 @@ def test_betti_by_odd_count_matches_dense_blocks(corpus_models):
 def test_verdict_requires_minimal():
     m = build([("x", 2), ("y2", 3), ("y", 5)], {"y2": "x^2", "y": "x*y2"})
     # make a non-minimal model: image with a linear monomial
-    bad = build([("x", 2), ("z", 1)], {"z": "x"}, allow_degree_one=True)
+    bad = build([("x", 2), ("z", 1)], {"z": "x"})
     with pytest.raises(ModelError):
         hilali_verdict(bad)
 

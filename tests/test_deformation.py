@@ -13,10 +13,10 @@ from hilali import (ContradictionError, Derivation, Element, Model,
                     perturb_and_reduce, random_rational, restrict_model,
                     standard_family, tor_semicontinuity_check, universe)
 from hilali import coboundary_basis, cocycle_basis, deformation
-from hilali.cohomology import (ChainComplex, betti, betti_below,
-                               simply_connected)
+from hilali.cohomology import ChainComplex, betti, simply_connected
 from hilali.linalg import intify, rank_of_rows
 
+from dense_oracle import betti_below
 from free_odd_line import FreeOddLineComplex
 from modelgen import (certified_models, fresh_copy,
                       random_hyperelliptic_model)
@@ -409,8 +409,8 @@ def _x_rank_by_cocycles(model, x_name, q):
 def test_multiplication_ranks_match_cocycle_counts():
     """Every r_q that ``reduce`` reads from the block-triangular ranks of
     (W, d_xi), q = 0..N - |x|, equals the rank of x· counted from cocycle
-    and coboundary bases; with no generator of degree 1 that count also
-    equals the count at N - |x| - q."""
+    and coboundary bases in every degree; since every current model is
+    simply connected, that count also equals the count at N - |x| - q."""
     rng = random.Random(36)
     steps = 0
     for name, model in certified_models():
@@ -424,20 +424,20 @@ def test_multiplication_ranks_match_cocycle_counts():
             counted = [_x_rank_by_cocycles(current, x.name, q)
                        for q in range(top + 1)]
             assert ranks == counted, (name, x.name)
-            if simply_connected(current):
-                assert counted == counted[::-1], (name, x.name)
+            assert simply_connected(current), name
+            assert counted == counted[::-1], (name, x.name)
             current = restrict_model(current, {x.name})
             steps += 1
     assert steps >= 300
 
 
-def test_reduce_ranks_every_degree_over_a_degree_one_generator(monkeypatch):
-    """With a degree-1 generator no cited duality reflects r_q, so every
-    q = 0..N - |x| is ranked: the perturbed complex through degree N - 1.
-    dim H(W, d_xi) equals the whole W eliminated with its window."""
+def test_reduce_refuses_a_degree_one_generator(monkeypatch):
+    """With a degree-1 generator the current model has no certified table
+    (no cited duality holds), so ``reduce`` raises before it builds a
+    perturbed complex."""
     uni = universe([("x", 2), ("z", 1), ("y", 3)])
-    model = Model(uni, {"y": pe("x^2", uni)}, allow_degree_one=True)
-    assert not simply_connected(model)
+    model = Model(uni, {"y": pe("x^2", uni)})
+    assert not simply_connected(model) and certify_elliptic(model).elliptic
     perturbed = []
     at_parameter = PerturbedModel.at_parameter
 
@@ -446,18 +446,9 @@ def test_reduce_ranks_every_degree_over_a_degree_one_generator(monkeypatch):
         return perturbed[-1]
 
     monkeypatch.setattr(PerturbedModel, "at_parameter", recorded)
-    report = perturb_and_reduce(model, samples=2, seed=0)
-    assert report.dim_h == 4
-    [step] = report.steps
-    assert [sample.dim_w_xi for sample in step.samples] == [4, 4]
-    bound = formal_dimension_bound(model)
-    assert max(perturbed[0].d.ranks) == bound - 1
-    pm = PerturbedModel(model, "x")
-    bound_w = formal_dimension_bound(pm.w_model)
-    window = max(g.degree for g in pm.w_model.universe.generators)
-    for sample in step.samples:
-        assert sample.dim_w_xi == betti_below(
-            at_parameter(pm, sample.xi), bound_w, window).total_dim
+    with pytest.raises(ModelError, match="generator z has degree 1"):
+        perturb_and_reduce(model, samples=2, seed=0)
+    assert perturbed == [] and model.d.ranks == {}
 
 
 def test_perturbed_complex_is_eliminated_once_per_step(corpus_models,

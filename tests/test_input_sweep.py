@@ -2,9 +2,10 @@
 
 Corpus model files and manifests are mutated at a fixed seed: a bad or
 missing degree or name, a duplicate generator, a broken expression, an
-unknown key, or a shifted degree.  Each mutated model file runs through
-every model command and through ``hilali corpus``, each mutated manifest
-through ``hilali corpus``, all in this process through ``main``.  A run may
+unknown key, a shifted degree, or a claim that is not a string.  Each
+mutated model file runs through every model command and through ``hilali
+corpus``, each mutated manifest through ``hilali corpus`` and ``hilali
+explain CLAIM --corpus``, all in this process through ``main``.  A run may
 succeed or fail with any documented exit code (0 ok, 1 a failed claim, 2 a
 bad input, 3 a budget that ran out), but no exception may escape ``main``
 and no traceback may reach stderr.
@@ -84,7 +85,7 @@ def _mutate_manifest(rng, doc):
     expectations = doc.get("expectations")
     exp = (rng.choice(expectations)
            if isinstance(expectations, list) and expectations else None)
-    choice = rng.randrange(7)
+    choice = rng.randrange(8)
     if choice == 0 and isinstance(exp, dict):
         exp["operation"] = rng.choice(("nope", "", None, 3, "apply", "corpus",
                                        "explain", "cross_check"))
@@ -102,6 +103,8 @@ def _mutate_manifest(rng, doc):
     elif choice == 5:
         doc[rng.choice(("format", "expectations", "zz"))] = rng.choice(
             ("hilali-corpus/2", None, {}, [1], "x"))
+    elif choice == 6 and isinstance(exp, dict):
+        exp["claim"] = rng.choice((["verdict"], None, 3, {}, True))
     elif isinstance(expectations, list):
         expectations.append(rng.choice((None, 3, "x", [], {},
                                         {"operation": "validate"})))
@@ -142,6 +145,8 @@ def test_mutated_inputs_exit_with_a_documented_code(tmp_path):
         calls = [[call[0], model_path, *call[1:]] for call in MODEL_CALLS
                  if kind == "model"]
         calls.append(["corpus", str(directory), "--seed", "1"])
+        if kind == "manifest":
+            calls.append(["explain", "verdict", "--corpus", str(directory)])
         for argv in calls:
             code, err = _call(argv)
             assert code in EXIT_CODES, (stem, kind, doc, argv, code)

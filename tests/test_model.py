@@ -9,8 +9,8 @@ import pytest
 from hilali import (Element, Model, ModelError, check_differential,
                     check_minimal, classify, format_element,
                     formal_dimension_bound, load_model, model_from_dict,
-                    model_to_dict, parse_expression, pure_part, save_model,
-                    universe)
+                    model_to_dict, parse_expression, pure_part, read_model,
+                    save_model, universe)
 from hilali.algebra import Monomial
 from hilali.model import _leibniz
 
@@ -71,7 +71,7 @@ def test_check_differential_reports_once_per_model(mixed_powers):
 
 
 def test_linear_image_valid_but_not_minimal():
-    m = build([("x", 2), ("y", 1)], {"y": "x"}, allow_degree_one=True)
+    m = build([("x", 2), ("y", 1)], {"y": "x"})
     assert check_differential(m).passed
     assert not check_minimal(m)
 
@@ -89,7 +89,7 @@ def test_square_nonzero_flagged():
 def test_check_minimal_cases():
     assert check_minimal(build([("x", 2), ("y", 3)], {"y": "x^2"}))
     assert check_minimal(build([("y", 3)], {}))
-    perturbed = build([("x", 2), ("ybar", 1)], {"ybar": "x"}, allow_degree_one=True)
+    perturbed = build([("x", 2), ("ybar", 1)], {"ybar": "x"})
     assert not check_minimal(perturbed)
 
 
@@ -225,9 +225,20 @@ def test_square_zero_random_models():
         assert m.apply(m.apply(e)).is_zero
 
 
-def test_degree_one_rejected_by_default():
-    with pytest.raises(ModelError):
-        build([("x", 2), ("ybar", 1)], {})
+def test_degree_one_models_are_built_but_not_loaded(tmp_path):
+    """Model builds a degree-1 generator; a model file with one is refused
+    by every reader, with the message naming the generator."""
+    m = build([("x", 2), ("z", 1), ("y", 3)], {"y": "x^2"})
+    assert [g.degree for g in m.universe.generators] == [2, 1, 3]
+    doc = model_to_dict(m)
+    path = tmp_path / "deg1.model.json"
+    path.write_text(json.dumps(doc))
+    message = "generator z has degree 1; the model is not simply-connected"
+    for read, source in ((load_model, path), (read_model, path),
+                         (model_from_dict, "<dict>")):
+        with pytest.raises(ModelError) as exc:
+            read(doc if read is model_from_dict else path)
+        assert str(exc.value) == f"{source}: {message}"
 
 
 def test_model_file_round_trip(tmp_path, mixed_powers):
